@@ -6,7 +6,6 @@
     probabilities (uniform when no profile is available, e.g. on the first
     compile). *)
 
-module Ddg = Spd_analysis.Ddg
 val arc_eq : Spd_ir.Memdep.t -> Spd_ir.Memdep.t -> bool
 
 (** Expected traversal time of [tree] with the given arc filter.
@@ -19,11 +18,6 @@ val expected_time :
   mem_latency:int ->
   func:string -> ?without:Spd_ir.Memdep.t -> Spd_ir.Tree.t -> float
 
-(** Predicted gain (in expected cycles per traversal) of removing [arc]. *)
-val gain :
-  ?profile:Spd_sim.Profile.t ->
-  mem_latency:int -> func:string -> Spd_ir.Tree.t -> Spd_ir.Memdep.t -> float
-
 (** One evaluated candidate: an ambiguous arc with the expected time
     of the tree with and without it, and the resulting predicted gain
     ([before -. after]). *)
@@ -35,15 +29,15 @@ type candidate = {
 }
 
 (** Every ambiguous arc of [tree], evaluated — the decision ledger's
-    raw material.  The list is in [Tree.ambiguous_arcs] order (program
-    order), which keeps everything derived from it deterministic. *)
+    raw material.  One dependence graph of [tree] is built and timed
+    per call, and [before] is priced from it.  An arc with slack in
+    that timing ([issue src + weight < issue dst]) sets no node's issue
+    time, so dropping it changes none: its [after] is [before] and its
+    [gain] is [0.0], exactly.  Only the arcs that bind their target are
+    re-priced, by {!expected_time} [~without:arc].  Every number is
+    bit-identical to pricing each arc with a rebuild of its own.  The
+    list is in [Tree.ambiguous_arcs] order (program order), which keeps
+    everything derived from it deterministic. *)
 val candidates :
   ?profile:Spd_sim.Profile.t ->
   mem_latency:int -> func:string -> Spd_ir.Tree.t -> candidate list
-
-(** The ambiguous arcs on a critical path: those whose removal reduces the
-    expected traversal time (the paper's [CriticalAlias]). *)
-val critical_aliases :
-  ?profile:Spd_sim.Profile.t ->
-  mem_latency:int ->
-  func:string -> Spd_ir.Tree.t -> (Spd_ir.Memdep.t * float) list

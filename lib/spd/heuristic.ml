@@ -127,13 +127,18 @@ let run_tree ?profile ?(checker : checker option) ~(params : params)
       profiled = profile <> None;
     }
   in
+  (* [step] also returns the candidates of the tree it stopped on,
+     reusing the last round's unless a budget stopped it first *)
   let rec step t log ledger n =
+    let price () = Gain.candidates ?profile ~mem_latency ~func t in
     if n >= params.max_applications then
-      (t, log, ledger, Budget_applications)
-    else if Tree.size t >= max_size then (t, log, ledger, Budget_expansion)
+      (t, log, ledger, Budget_applications, price ())
+    else if Tree.size t >= max_size then
+      (t, log, ledger, Budget_expansion, price ())
     else
+      let cands = price () in
       let viable =
-        Gain.candidates ?profile ~mem_latency ~func t
+        cands
         |> List.filter (fun (c : Gain.candidate) ->
                c.gain > 0.0 && Transform.can_apply t c.arc)
       in
@@ -143,16 +148,16 @@ let run_tree ?profile ?(checker : checker option) ~(params : params)
             compare c2.gain c1.gain)
           viable
       with
-      | [] -> (t, log, ledger, Exhausted)
+      | [] -> (t, log, ledger, Exhausted, cands)
       | best :: _ ->
           let arc = best.Gain.arc in
           if best.Gain.gain < params.min_gain then
-            (t, log, ledger, Exhausted)
+            (t, log, ledger, Exhausted, cands)
           else (
             match Transform.apply_traced t arc with
             | Error r ->
                 (* can_apply filtered; defensive *)
-                (t, log, ledger, Apply_failed r)
+                (t, log, ledger, Apply_failed r, cands)
             | Ok (t', predicate, prov) ->
                 let app =
                   {
@@ -173,7 +178,7 @@ let run_tree ?profile ?(checker : checker option) ~(params : params)
                 let d = decide best ~tree_size:(Tree.size t) Applied in
                 step t' (app :: log) (d :: ledger) (n + 1))
   in
-  let t, log, ledger, stop = step tree [] [] 0 in
+  let t, log, ledger, stop, final = step tree [] [] 0 in
   (* every ambiguous arc of the final tree is a rejected candidate;
      judge each one where the heuristic stopped *)
   let tree_size = Tree.size t in
@@ -198,26 +203,26 @@ let run_tree ?profile ?(checker : checker option) ~(params : params)
                       Rejected_below_min_gain)
         in
         decide c ~tree_size verdict)
-      (Gain.candidates ?profile ~mem_latency ~func t)
+      final
   in
   (t, List.rev log, List.rev ledger @ rejected)
 
 (** Apply the heuristic to every tree of the program. *)
 let run ?profile ?checker ?(params = default_params) ~mem_latency
     (prog : Prog.t) : Prog.t * application list * decision list =
-  let all = ref [] and ledger = ref [] in
+  let per_tree = ref [] in
   let prog' =
     Prog.map_trees
       (fun func tree ->
         let tree', log, ds =
           run_tree ?profile ?checker ~params ~mem_latency ~func tree
         in
-        all := !all @ log;
-        ledger := !ledger @ ds;
+        per_tree := (log, ds) :: !per_tree;
         tree')
       prog
   in
-  (prog', !all, !ledger)
+  let logs, ledgers = List.split (List.rev !per_tree) in
+  (prog', List.concat logs, List.concat ledgers)
 
 (** Applied ledger entries, in application order. *)
 let applied_decisions (ledger : decision list) : decision list =

@@ -21,6 +21,12 @@
     NAIVE, STATIC and PERFECT, SPEC's own for SPEC — must equal a timed
     interpreter run at 1–8 FUs and on the infinite machine.
 
+    The gain oracle re-prices the heuristic's estimator: on every tree
+    of the STATIC and the SpD program, at both memory latencies,
+    profiled and uniform, [Gain.candidates] (one dependence graph per
+    tree) must equal a full graph rebuild per ambiguous arc bit for
+    bit.
+
     Finally the symbolic translation validator is run as a cross-oracle
     against the concrete differential stages: a transform every
     concrete run certified must not be [Refuted] symbolically — the
@@ -178,6 +184,41 @@ let check_pricing (lowered : Spd_ir.Prog.t) =
         Pipeline.all)
     [ 2; 6 ]
 
+(* Gain oracle: [Gain.candidates] against the per-arc rebuild of
+   {!Gain_reference}, bit for bit, on every tree of the STATIC and the
+   SpD program. *)
+let check_gain (lowered : Spd_ir.Prog.t) (spd : Spd_ir.Prog.t) =
+  let config = Pipeline.Config.v ~check:false ~fuel:!case_fuel () in
+  let static = (Pipeline.prepare ~config Pipeline.Static lowered).prog in
+  let profile = Pipeline.profile_of ~fuel:!case_fuel static in
+  List.iter
+    (fun prog ->
+      Spd_ir.Prog.iter_trees
+        (fun func (tree : Spd_ir.Tree.t) ->
+          List.iter
+            (fun mem_latency ->
+              List.iter
+                (fun profile ->
+                  let expected =
+                    Gain_reference.candidates ?profile ~mem_latency ~func tree
+                  in
+                  match
+                    Gain_reference.diff ~expected
+                      (Spd_core.Gain.candidates ?profile ~mem_latency ~func
+                         tree)
+                  with
+                  | None -> ()
+                  | Some d ->
+                      failwith
+                        (Printf.sprintf "%s, %d-cycle memory, %s: %s"
+                           tree.name mem_latency
+                           (if profile = None then "uniform" else "profiled")
+                           d))
+                [ Some profile; None ])
+            [ 2; 6 ])
+        prog)
+    [ static; spd ]
+
 (* The oracle: [Ok ()] when the SpD pipeline preserves the plain
    interpreter's observable behaviour, [Error m] otherwise.  Any
    exception out of compilation, transformation or simulation is a
@@ -216,6 +257,10 @@ let check (spec : Gen_prog.spec) : (unit, mismatch) result =
   in
   let* () =
     stage "pricing (histogram vs timed run)" (fun () -> check_pricing lowered)
+  in
+  let* () =
+    stage "gain (one graph vs per-arc rebuild)" (fun () ->
+        check_gain lowered prepared.prog)
   in
   let* timed =
     stage "simulate (SpD, 4 FU)" (fun () ->

@@ -548,4 +548,109 @@ let ledger_tests =
     case "ledger ambiguity provenance" test_ledger_ambiguity_provenance;
   ]
 
-let tests = tests @ later_tests @ ledger_tests
+(* ------------------------------------------------------------------ *)
+(* Gain oracle *)
+
+let check_bits what expected got =
+  if not (Gain_reference.same_bits expected got) then
+    Alcotest.failf "%s: expected %h, got %h" what expected got
+
+(* Every ledger entry's [before]/[after]/[gain] against the per-arc
+   rebuild of {!Gain_reference}, bit for bit: an applied entry on the
+   tree the checker hook saw before its transform, a rejected entry on
+   its tree in the returned program. *)
+let check_ledger_gains ~what ?profile ~params ~mem_latency static =
+  let module H = Core.Heuristic in
+  let befores = ref [] in
+  let checker ~func ~before _app _after =
+    befores := (func, before) :: !befores
+  in
+  let prog, _, ledger = H.run ?profile ~checker ~params ~mem_latency static in
+  let check_entry what (c : Core.Gain.candidate) (d : H.decision) =
+    check_bool (what ^ ": arc") true
+      (d.arc = (c.arc.src, c.arc.dst) && d.kind = c.arc.kind);
+    check_bits (what ^ ": before") c.before d.before;
+    check_bits (what ^ ": after") c.after d.after;
+    check_bits (what ^ ": gain") c.gain d.gain
+  in
+  List.iter2
+    (fun (func, (before : Ir.Tree.t)) (d : H.decision) ->
+      let arc =
+        List.find
+          (fun (a : Ir.Memdep.t) -> (a.src, a.dst) = d.arc && a.kind = d.kind)
+          (Ir.Tree.ambiguous_arcs before)
+      in
+      check_entry
+        (Printf.sprintf "%s: applied %s/%d" what func d.tree_id)
+        (Gain_reference.candidate ?profile ~mem_latency ~func before arc)
+        d)
+    (List.rev !befores) (H.applied_decisions ledger);
+  let expected = ref [] in
+  Ir.Prog.iter_trees
+    (fun func (t : Ir.Tree.t) ->
+      List.iter
+        (fun c -> expected := (func, t.id, c) :: !expected)
+        (Gain_reference.candidates ?profile ~mem_latency ~func t))
+    prog;
+  let rejected =
+    List.filter (fun (d : H.decision) -> d.verdict <> H.Applied) ledger
+  in
+  check_int (what ^ ": rejected entries") (List.length !expected)
+    (List.length rejected);
+  List.iter2
+    (fun (func, tree_id, c) (d : H.decision) ->
+      check_bool (what ^ ": rejected tree") true
+        (d.func = func && d.tree_id = tree_id);
+      check_entry (Printf.sprintf "%s: rejected %s/%d" what func tree_id) c d)
+    (List.rev !expected) rejected
+
+(* The compile corpus: every program plain and grafted, at both memory
+   latencies, with the STATIC profile and with uniform exit weights.
+   Besides the default budgets, [max_applications = 1] stops trees
+   that applied SpD on a budget (their closing ledger is re-priced)
+   and leaves the others exhausted (their last round is reused), and
+   [max_expansion = 1.0] stops every tree on a budget before any
+   round. *)
+let test_gain_oracle_corpus () =
+  let param_sets =
+    [
+      ("default", Core.Heuristic.default_params);
+      ( "max-applications=1",
+        { Core.Heuristic.default_params with max_applications = 1 } );
+      ( "max-expansion=1",
+        { Core.Heuristic.default_params with max_expansion = 1.0 } );
+    ]
+  in
+  List.iter
+    (fun (w : Spd_workloads.Workload.t) ->
+      List.iter
+        (fun graft ->
+          let p = Analysis.Forwarding.run (compile w.source) in
+          let p = if graft then Analysis.Unroll.run p else p in
+          let static =
+            Disambig.Static_disambig.run (Analysis.Memarcs.annotate p)
+          in
+          let profile = Harness.Pipeline.profile_of static in
+          List.iter
+            (fun mem_latency ->
+              List.iter
+                (fun (pname, params) ->
+                  List.iter
+                    (fun profile ->
+                      check_ledger_gains
+                        ~what:
+                          (Printf.sprintf "%s%s/lat%d/%s/%s" w.name
+                             (if graft then "+graft" else "")
+                             mem_latency pname
+                             (if profile = None then "uniform" else "profiled"))
+                        ?profile ~params ~mem_latency static)
+                    [ Some profile; None ])
+                param_sets)
+            [ 2; 6 ])
+        [ false; true ])
+    (Spd_workloads.Registry.all @ Spd_workloads.Registry.extras)
+
+let gain_tests =
+  [ case "gain oracle: ledger vs per-arc rebuild" test_gain_oracle_corpus ]
+
+let tests = tests @ later_tests @ ledger_tests @ gain_tests
