@@ -27,7 +27,7 @@ fuzz-smoke:
 # Telemetry smoke: a traced machine-readable run, then both output
 # files validated by test/json_lint.exe.
 telemetry-smoke:
-	$(DUNE) exec bench/main.exe -- table6_3 --jobs 2 --no-cache \
+	$(DUNE) exec bin/spd.exe -- report table6_3 --jobs 2 --no-cache \
 	  --trace $(SMOKE_DIR)/spd_trace.json --format json \
 	  > $(SMOKE_DIR)/spd_report.json
 	$(DUNE) exec bin/spd.exe -- explain matmul300 --format json \
@@ -133,8 +133,8 @@ golden-promote:
 check: all
 	$(DUNE) runtest
 	$(MAKE) fuzz-smoke
-	$(DUNE) exec bench/main.exe -- table6_3 --jobs 2
-	$(DUNE) exec bench/main.exe -- table6_3 --jobs 2 --timings
+	$(DUNE) exec bin/spd.exe -- report table6_3 --jobs 2
+	$(DUNE) exec bin/spd.exe -- report table6_3 --jobs 2 --timings
 	$(MAKE) telemetry-smoke
 	$(MAKE) bench-diff-smoke
 	$(MAKE) perf-smoke
@@ -144,12 +144,12 @@ check: all
 	$(MAKE) validate-smoke
 
 bench:
-	$(DUNE) exec bench/main.exe -- all --timings
+	$(DUNE) exec bin/spd.exe -- report all --timings
 
 # The full report (paper artefacts + extensions) as one spd-report/1
 # JSON document; see EXPERIMENTS.md for the schema.
 bench-json:
-	$(DUNE) exec bench/main.exe -- all --format json > BENCH_REPORT.json
+	$(DUNE) exec bin/spd.exe -- report all --format json > BENCH_REPORT.json
 
 clean:
 	$(DUNE) clean

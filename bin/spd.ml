@@ -148,8 +148,8 @@ let faults_arg =
            $(b,conn-garbage-header:N), $(b,conn-stall:N).")
 
 (* budget/pool flags shared by [spd report] and [spd serve]; parsing
-   lives in Cliflags so bench/main rejects the same spellings with the
-   same wording *)
+   lives in Cliflags so every subcommand rejects the same spellings with
+   the same wording *)
 
 let pos_int_conv flag =
   Arg.conv
@@ -568,7 +568,7 @@ let report_cmd =
       let module Validation = Spd_harness.Validation in
       let failed =
         Trace.capture trace (fun () ->
-            Spd_harness.Experiment.with_session
+            Spd_harness.Engine.Session.with_session
               (Spd_harness.Engine.Session.create ?jobs
                  ~disk_cache:(not no_cache) ?retries ?fuel ?deadline
                  ?faults:(Option.map Fun.id faults) ())
@@ -586,20 +586,24 @@ let report_cmd =
       let failed =
         (* [capture] writes the trace file even when a cell raises *)
         Trace.capture trace (fun () ->
-            Spd_harness.Experiment.with_session
+            Spd_harness.Engine.Session.with_session
               (Spd_harness.Engine.Session.create ?jobs
                  ~disk_cache:(not no_cache) ?retries ?fuel ?deadline
                  ?faults:(Option.map Fun.id faults) ())
               (fun session ->
+                let render names =
+                  Artefact.render ~session format Fmt.stdout
+                    (Artefact.of_names names)
+                in
                 (match name with
-                | None ->
-                    Artefact.render ~session format Fmt.stdout
-                      (Artefact.of_names Artefact.paper_set)
+                | None -> render Artefact.paper_set
+                | Some "all" ->
+                    render (Artefact.paper_set @ Artefact.extension_set)
                 | Some n -> (
                     match Artefact.find n with
-                    | Some a -> Artefact.render ~session format Fmt.stdout [ a ]
+                    | Some _ -> render [ n ]
                     | None ->
-                        Fmt.epr "unknown artefact %s (one of: %s)@." n
+                        Fmt.epr "unknown artefact %s (one of: all, %s)@." n
                           (String.concat ", " (Artefact.names ()));
                         exit 1));
                 (match format with
@@ -608,7 +612,7 @@ let report_cmd =
                       Spd_harness.Report.timings session Fmt.stdout ();
                     Spd_harness.Report.failure_appendix session Fmt.stdout ()
                 | _ -> ());
-                Spd_harness.Experiment.failures session <> []))
+                Spd_harness.Engine.Session.failures session <> []))
       in
       if failed then exit 2
     end
@@ -624,7 +628,9 @@ let report_cmd =
       value
       & pos 0 (some string) None
       & info [] ~docv:"ARTEFACT"
-          ~doc:"Table or figure to regenerate (default: all).")
+          ~doc:
+            "Table or figure to regenerate (default: the paper's tables \
+             and figures; $(b,all) adds the extension experiments).")
   in
   let timings_arg =
     Arg.(
@@ -761,7 +767,7 @@ let why_cmd =
           exit 1
         end;
         handle_errors (fun () ->
-            Spd_harness.Experiment.with_session
+            Spd_harness.Engine.Session.with_session
               (Spd_harness.Engine.Session.create ?jobs
                  ~disk_cache:(not no_cache) ())
               (fun session ->
@@ -832,7 +838,7 @@ let validate_cmd =
           exit 1
         end;
         handle_errors (fun () ->
-            Spd_harness.Experiment.with_session
+            Spd_harness.Engine.Session.with_session
               (Spd_harness.Engine.Session.create ?jobs
                  ~disk_cache:(not no_cache) ())
               (fun session ->
@@ -895,8 +901,8 @@ let cache_cmd =
   let module Json = Spd_telemetry.Json in
   let module Metrics = Spd_telemetry.Metrics in
   let stats_run dir json =
-    (* register the cache counter family so the snapshot carries the
-       spd.cache.* names even before any cell fires them *)
+    (* register the engine counters so the snapshot carries the
+       spd.engine.cache.* names even before any cell fires them *)
     Spd_harness.Engine.register_metrics ();
     let entries = ref 0 and bytes = ref 0 in
     (match Sys.readdir dir with
@@ -927,18 +933,19 @@ let cache_cmd =
                 ("bytes", Json.Int !bytes);
                 ( "version",
                   Json.String Spd_harness.Engine.cache_version );
-                ("hits", Json.Int (counter "spd.cache.hit"));
-                ("misses", Json.Int (counter "spd.cache.miss"));
-                ("evictions", Json.Int (counter "spd.cache.evict"));
+                ("hits", Json.Int (counter "spd.engine.cache.hits"));
+                ("misses", Json.Int (counter "spd.engine.cache.misses"));
+                ( "evictions",
+                  Json.Int (counter "spd.engine.cache.evictions") );
               ]))
     else begin
       Fmt.pr "dir        %s@." dir;
       Fmt.pr "entries    %d@." !entries;
       Fmt.pr "bytes      %d@." !bytes;
       Fmt.pr "version    %s@." Spd_harness.Engine.cache_version;
-      Fmt.pr "hits       %d@." (counter "spd.cache.hit");
-      Fmt.pr "misses     %d@." (counter "spd.cache.miss");
-      Fmt.pr "evictions  %d@." (counter "spd.cache.evict")
+      Fmt.pr "hits       %d@." (counter "spd.engine.cache.hits");
+      Fmt.pr "misses     %d@." (counter "spd.engine.cache.misses");
+      Fmt.pr "evictions  %d@." (counter "spd.engine.cache.evictions")
     end
   in
   let dir_arg =
@@ -963,7 +970,8 @@ let cache_cmd =
         (Cmd.info "stats"
            ~doc:
              "Entry count, total bytes, cache format version and the \
-              process's live $(b,spd.cache.hit)/$(b,miss)/$(b,evict) \
+              process's live \
+              $(b,spd.engine.cache.hits)/$(b,misses)/$(b,evictions) \
               counters (also part of the Prometheus exposition).")
         Term.(const stats_run $ dir_arg $ json_arg);
     ]

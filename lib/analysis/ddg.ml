@@ -51,7 +51,8 @@ let exit_node g k = g.n_insns + k
     an id→position array instead of scanning the instruction vector per
     arc.  Edge insertion order is identical to the historical all-pairs
     build, so [preds]/[succs] lists — and every schedule derived from
-    them — are bit-identical to {!Spd_machine.Scheduler.Reference}. *)
+    them — are bit-identical to that build, which the tests keep as
+    their reference ([test/scheduler_reference.ml]). *)
 let build ?(arc_active = Memdep.is_active) ~mem_latency (tree : Tree.t) : t =
   let n_insns = Array.length tree.insns in
   let n_exits = Array.length tree.exits in

@@ -1,4 +1,5 @@
-(** The artefact registry shared by both CLIs.
+(** The artefact registry behind [spd report] and the daemon's [report]
+    method.
 
     An artefact is a named, self-contained piece of the evaluation — a
     paper table or figure, an extension experiment, the engine timings
@@ -76,7 +77,7 @@ let registry : t list =
 let names () = List.map (fun a -> a.name) registry
 let find name = List.find_opt (fun a -> a.name = name) registry
 
-(** One registry line per artefact — the CLIs' [--list] output. *)
+(** One registry line per artefact — [spd report --list]'s output. *)
 let pp_list ppf () =
   let width =
     List.fold_left (fun w a -> max w (String.length a.name)) 0 registry
@@ -158,7 +159,7 @@ let render_csv ~session ppf (arts : t list) =
     (Metrics.snapshot ())
 
 (** Render the given artefacts.  [Pretty] appends nothing extra (the
-    CLIs add the failure appendix); [Json] emits one document, [Csv]
+    CLI adds the failure appendix); [Json] emits one document, [Csv]
     one header plus data lines. *)
 let render ~session (format : format) ppf (arts : t list) =
   match format with

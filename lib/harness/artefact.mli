@@ -1,4 +1,5 @@
-(** The artefact registry shared by both CLIs.
+(** The artefact registry behind [spd report] and the daemon's [report]
+    method.
 
     An artefact is a named, self-contained piece of the evaluation — a
     paper table or figure, an extension experiment, the engine timings
@@ -24,7 +25,7 @@ val registry : t list
 val names : unit -> string list
 val find : string -> t option
 
-(** One registry line per artefact — the CLIs' [--list] output. *)
+(** One registry line per artefact — [spd report --list]'s output. *)
 val pp_list : Format.formatter -> unit -> unit
 
 (** The paper's tables and figures in the historical [all] order. *)
@@ -42,7 +43,7 @@ val of_names : string list -> t list
 val to_json : session:Engine.Session.t -> t list -> Spd_telemetry.Json.t
 
 (** Render the given artefacts.  [Pretty] appends nothing extra (the
-    CLIs add the failure appendix); [Json] emits one document, [Csv]
+    CLI adds the failure appendix); [Json] emits one document, [Csv]
     one header plus data lines with metrics appended under the
     pseudo-table [metrics]. *)
 val render :

@@ -1,10 +1,7 @@
-(** Shared command-line flag parsers.
-
-    [bin/spd] (cmdliner) and [bench/main] (hand-rolled) historically
-    rejected a malformed [--fuel] or [--deadline] with different
-    messages; both now route through these parsers, so a bad flag gets
-    the same friendly one-line hint everywhere (including the daemon's
-    per-request quota errors, which reuse the wording). *)
+(** Shared command-line flag parsers: every [spd] subcommand routes
+    its budget and width flags through these, so a bad flag gets the
+    same friendly one-line hint everywhere (the daemon's per-request
+    quota errors reuse the wording). *)
 
 let pos_int ~flag s =
   match int_of_string_opt (String.trim s) with

@@ -1,10 +1,9 @@
 (** Shared command-line flag parsers.
 
     One parser per flag shape, returning [Error] with a friendly
-    one-line hint naming the flag — used by both CLIs ([bin/spd] via
-    cmdliner converters, [bench/main] directly) and by the daemon's
-    per-request quota validation, so a malformed [--fuel]/[--deadline]
-    is rejected with identical wording everywhere. *)
+    one-line hint naming the flag — used by [bin/spd] through cmdliner
+    converters, so a malformed [--fuel]/[--deadline] is rejected with
+    identical wording by every subcommand. *)
 
 (** [pos_int ~flag s] parses a positive (>= 1) integer;
     ["--fuel expects a positive integer, got \"x\""] otherwise. *)

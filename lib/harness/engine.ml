@@ -46,13 +46,6 @@ let m_simulations = M.counter_handle "spd.engine.simulations"
 let m_cache_hits = M.counter_handle "spd.engine.cache.hits"
 let m_cache_misses = M.counter_handle "spd.engine.cache.misses"
 let m_cache_evictions = M.counter_handle "spd.engine.cache.evictions"
-
-(* the short [spd.cache.*] names surfaced by `spd cache stats` and the
-   Prometheus exposition, fired alongside the [spd.engine.cache.*]
-   counters above *)
-let m_cache_hit = M.counter_handle "spd.cache.hit"
-let m_cache_miss = M.counter_handle "spd.cache.miss"
-let m_cache_evict = M.counter_handle "spd.cache.evict"
 let m_cell_retries = M.counter_handle "spd.engine.cells.retried"
 let m_cell_failures = M.counter_handle "spd.engine.cells.failed"
 let m_queries = M.counter_handle "spd.engine.queries"
@@ -68,15 +61,15 @@ let m_stage_seconds =
 let mark c = M.incr (M.get c)
 
 (** Force registration of the engine-level counters (including the
-    [spd.cache.*] aliases), so a metrics snapshot carries them before
-    any cell fires them. *)
+    [spd.engine.cache.*] ones `spd cache stats` reads), so a metrics
+    snapshot carries them before any cell fires them. *)
 let register_metrics () =
   List.iter
     (fun c -> ignore (M.get c))
     [
       m_lowerings; m_preparations; m_simulations; m_cache_hits;
-      m_cache_misses; m_cache_evictions; m_cache_hit; m_cache_miss;
-      m_cache_evict; m_cell_retries; m_cell_failures; m_queries;
+      m_cache_misses; m_cache_evictions; m_cell_retries; m_cell_failures;
+      m_queries;
     ];
   List.iter (fun (_, h) -> ignore (M.get h)) m_stage_seconds
 
@@ -264,8 +257,10 @@ type failure = {
 
 type 'a outcome = Ok of 'a | Failed of failure
 
-(** Raised by the raising accessors when the underlying cell failed. *)
+(** Raised by {!get} when the underlying cell failed. *)
 exception Cell_failed of failure
+
+let get = function Ok v -> v | Failed f -> raise (Cell_failed f)
 
 let pp_failure ppf f =
   Fmt.pf ppf "%s: %s (attempts %d, %.1fs)" f.key (Printexc.to_string f.exn)
@@ -279,7 +274,8 @@ let () =
 (* ------------------------------------------------------------------ *)
 (* Typed queries: the one request shape the engine accepts.  A query
    names an artefact of a (bench, latency) cell plus optional
-   per-request budgets.  Budgets only *tighten* the session's own
+   per-request budgets; the artefact's type parameter is the type of
+   its answer.  Budgets only *tighten* the session's own
    budgets, and a budgeted query memoizes under its own cell — a
    quota-starved request can fail without poisoning the unbudgeted
    cell, while N identical budgeted requests still cost one
@@ -290,29 +286,34 @@ let width_tag = function
   | Spd_machine.Descr.Fus n -> "fus" ^ string_of_int n
 
 module Query = struct
-  type artefact =
-    | Cycles of { kind : Pipeline.kind; width : Spd_machine.Descr.width }
-    | Code_size of Pipeline.kind
-    | Spd_counts
-    | Spd_dynamics
-    | Spd_decisions
-    | Spd_verdicts
-    | Speedup_over_naive of {
+  type _ artefact =
+    | Cycles : {
         kind : Pipeline.kind;
         width : Spd_machine.Descr.width;
       }
-    | Spec_over_static of { width : Spd_machine.Descr.width }
-    | Code_growth
+        -> int artefact
+    | Code_size : Pipeline.kind -> int artefact
+    | Spd_counts : (int * int * int) artefact
+    | Spd_dynamics : Pipeline.dynamics artefact
+    | Spd_decisions : Spd_core.Heuristic.decision list artefact
+    | Spd_verdicts : Spd_validate.Validate.report list artefact
+    | Speedup_over_naive : {
+        kind : Pipeline.kind;
+        width : Spd_machine.Descr.width;
+      }
+        -> float artefact
+    | Spec_over_static : { width : Spd_machine.Descr.width } -> float artefact
+    | Code_growth : float artefact
 
-  type t = {
+  type 'a t = {
     bench : string;
     latency : int;
-    artefact : artefact;
+    artefact : 'a artefact;
     fuel : int option;
     deadline : float option;
   }
 
-  let artefact_name = function
+  let artefact_name : type a. a artefact -> string = function
     | Cycles _ -> "cycles"
     | Code_size _ -> "code-size"
     | Spd_counts -> "spd-counts"
@@ -347,7 +348,7 @@ module Query = struct
     | _ -> ());
     { bench; latency; artefact; fuel; deadline }
 
-  let key (q : t) =
+  let key (type a) (q : a t) =
     let detail =
       match q.artefact with
       | Cycles { kind; width } ->
@@ -373,44 +374,6 @@ module Query = struct
       (artefact_name q.artefact)
       detail budget
 end
-
-type value =
-  | Int of int
-  | Float of float
-  | Counts of int * int * int
-  | Dynamics of Pipeline.dynamics
-  | Decisions of Spd_core.Heuristic.decision list
-  | Verdicts of Spd_validate.Validate.report list
-
-let value_kind = function
-  | Int _ -> "Int"
-  | Float _ -> "Float"
-  | Counts _ -> "Counts"
-  | Dynamics _ -> "Dynamics"
-  | Decisions _ -> "Decisions"
-  | Verdicts _ -> "Verdicts"
-
-let project what f : value outcome -> _ outcome = function
-  | Failed fl -> Failed fl
-  | Ok v -> (
-      match f v with
-      | Some x -> Ok x
-      | None ->
-          invalid_arg
-            (Printf.sprintf "Engine.to_%s: value is %s" what (value_kind v)))
-
-let to_int o = project "int" (function Int n -> Some n | _ -> None) o
-let to_float o = project "float" (function Float x -> Some x | _ -> None) o
-let to_counts o = project "counts" (function Counts (a, b, c) -> Some (a, b, c) | _ -> None) o
-
-let to_dynamics o =
-  project "dynamics" (function Dynamics d -> Some d | _ -> None) o
-
-let to_decisions o =
-  project "decisions" (function Decisions d -> Some d | _ -> None) o
-
-let to_verdicts o =
-  project "verdicts" (function Verdicts v -> Some v | _ -> None) o
 
 (* ------------------------------------------------------------------ *)
 
@@ -484,15 +447,16 @@ module Session = struct
   type t = {
     jobs : int;
     retries : int;  (* attempts per cell before recording a failure *)
-    deadline : float option;  (* per-cell wall-clock budget, seconds *)
     faults : Faults.t;
-    config : Pipeline.Config.t;  (* user config, timer replaced by ours *)
+    config : Pipeline.Config.t;
+        (* the default configuration under the session's timer, budgets
+           (its [deadline] is the per-cell wall-clock budget) and
+           checker fault *)
     cache_dir : string option;  (* None = on-disk cache disabled *)
     pool : Pool.t;
     lowered_memo : (string, Spd_ir.Prog.t) Memo.t;
     prep_memo : (key, Pipeline.prepared) Memo.t;
     reference_memo : (key, Pipeline.reference) Memo.t;
-    run_memo : (key, Pipeline.run) Memo.t;
     cycles_memo : (key * Spd_machine.Descr.width, int outcome) Memo.t;
     summary_memo : (key, (int * (int * int * int)) outcome) Memo.t;
     dynamics_memo : (key, Pipeline.dynamics outcome) Memo.t;
@@ -518,8 +482,7 @@ module Session = struct
     with Unix.Unix_error _ | Sys_error _ -> None
 
   let create ?jobs ?(disk_cache = false) ?(cache_dir = "_spd_cache")
-      ?(retries = 1) ?deadline ?fuel ?(faults = Faults.none)
-      ?(config = Pipeline.Config.default) () =
+      ?(retries = 1) ?deadline ?fuel ?(faults = Faults.none) () =
     let jobs =
       match jobs with
       | Some j -> max 1 j
@@ -528,7 +491,6 @@ module Session = struct
     let stats_mu = Mutex.create () in
     let stage_seconds = Array.make (List.length Pipeline.stages) 0.0 in
     let stage_runs = Array.make (List.length Pipeline.stages) 0 in
-    let user_timer = config.Pipeline.Config.timer in
     let timer stage dt =
       Mutex.lock stats_mu;
       let i = Pipeline.stage_index stage in
@@ -536,44 +498,27 @@ module Session = struct
       stage_runs.(i) <- stage_runs.(i) + 1;
       Mutex.unlock stats_mu;
       if stage = Pipeline.Simulate then mark m_simulations;
-      M.observe (M.get (List.assoc stage m_stage_seconds)) dt;
-      match user_timer with Some f -> f stage dt | None -> ()
+      M.observe (M.get (List.assoc stage m_stage_seconds)) dt
     in
-    (* the session's checker-raise fault fires ahead of any user hook *)
-    let user_checker_fault = config.Pipeline.Config.checker_fault in
-    let checker_fault () =
-      Faults.checker_raise faults;
-      match user_checker_fault with Some f -> f () | None -> ()
-    in
-    (* an armed fuel fault is the tightest budget; otherwise the session
-       budget; otherwise whatever the user config says *)
-    let fuel =
-      match Faults.fuel faults with
-      | Some _ as f -> f
-      | None -> (
-          match fuel with
-          | Some _ -> fuel
-          | None -> config.Pipeline.Config.fuel)
-    in
-    let deadline =
-      match deadline with
-      | Some _ -> deadline
-      | None -> config.Pipeline.Config.deadline
-    in
+    (* an armed fuel fault is the tightest budget *)
+    let fuel = match Faults.fuel faults with Some _ as f -> f | None -> fuel in
     {
       jobs;
       retries = max 1 retries;
-      deadline;
       faults;
       config =
-        { config with timer = Some timer; fuel; deadline;
-          checker_fault = Some checker_fault };
+        {
+          Pipeline.Config.default with
+          timer = Some timer;
+          fuel;
+          deadline;
+          checker_fault = Some (fun () -> Faults.checker_raise faults);
+        };
       cache_dir = (if disk_cache then try_prepare_dir cache_dir else None);
       pool = Pool.create ~size:jobs;
       lowered_memo = Memo.create 16;
       prep_memo = Memo.create 64;
       reference_memo = Memo.create 16;
-      run_memo = Memo.create 32;
       cycles_memo = Memo.create 256;
       summary_memo = Memo.create 64;
       dynamics_memo = Memo.create 64;
@@ -593,6 +538,10 @@ module Session = struct
     }
 
   let close t = Pool.close t.pool
+
+  let with_session t f =
+    Fun.protect ~finally:(fun () -> close t) (fun () -> f t)
+
   let jobs t = t.jobs
 
   let bump t f =
@@ -690,8 +639,6 @@ module Session = struct
     in
     attempt 1
 
-  let get = function Ok v -> v | Failed f -> raise (Cell_failed f)
-
   (* ---------------------------------------------------------------- *)
   (* On-disk cache.  Keys are the MD5 of a canonical payload string;
      writes go through a unique temporary file and an atomic rename, so
@@ -758,9 +705,7 @@ module Session = struct
         t.disk_evictions <- t.disk_evictions + 1;
         t.disk_misses <- t.disk_misses + 1);
     mark m_cache_evictions;
-    mark m_cache_misses;
-    mark m_cache_evict;
-    mark m_cache_miss
+    mark m_cache_misses
 
   let disk_read t payload : disk_value option =
     match t.cache_dir with
@@ -771,7 +716,6 @@ module Session = struct
         | exception Sys_error _ ->
             bump t (fun t -> t.disk_misses <- t.disk_misses + 1);
             mark m_cache_misses;
-            mark m_cache_miss;
             None
         | s -> (
             let s =
@@ -782,7 +726,6 @@ module Session = struct
             | Ok v ->
                 bump t (fun t -> t.disk_hits <- t.disk_hits + 1);
                 mark m_cache_hits;
-                mark m_cache_hit;
                 Some v
             | Error reason -> evict t path reason; None))
 
@@ -847,6 +790,9 @@ module Session = struct
     | None, x | x, None -> x
     | Some a, Some b -> Some (Float.min a b)
 
+  let eff_deadline t (k : key) =
+    opt_min_float t.config.Pipeline.Config.deadline k.q_deadline
+
   (* the pipeline configuration of one cell: per-cell memory latency,
      session budgets tightened by the request's quotas *)
   let config_for t (k : key) =
@@ -854,11 +800,8 @@ module Session = struct
       t.config with
       Pipeline.Config.mem_latency = k.latency;
       fuel = opt_min_int t.config.Pipeline.Config.fuel k.q_fuel;
-      deadline =
-        opt_min_float t.config.Pipeline.Config.deadline k.q_deadline;
+      deadline = eff_deadline t k;
     }
-
-  let eff_deadline t (k : key) = opt_min_float t.deadline k.q_deadline
 
   (* ---------------------------------------------------------------- *)
 
@@ -898,81 +841,79 @@ module Session = struct
 
   (* The instrumented run whose histogram prices a cell at every width.
      NAIVE, STATIC and PERFECT execute NAIVE's code, arcs aside (their
-     preparations check it), so they share the reference run; SPEC's
-     run is the one its preparation checked, or one made here. *)
+     preparations check it), so they share the reference run; SPEC's is
+     the run its checked preparation made. *)
   let run_cell t (k : key) =
     match k.kind with
-    | Pipeline.Spec ->
-        Memo.get t.run_memo k (fun () -> Pipeline.run (prepared_cell t k))
+    | Pipeline.Spec -> Pipeline.run (prepared_cell t k)
     | Pipeline.Naive | Pipeline.Static | Pipeline.Perfect ->
         (reference_cell t k).Pipeline.run
 
-  let cycles_cell t (k : key) ~width =
-    Memo.get t.cycles_memo (k, width) (fun () ->
+  (* The one persisted-cell runner.  A cell is computed once per
+     session and budget ([memo] at [mkey]), inside the contained-failure
+     runner under the failure key [bench/latency/KIND/entry[/width]+budget],
+     and read from or written to the on-disk entry addressed by the cell
+     payload plus [|entry[:width]]; [store]/[load] wrap the value in its
+     disk constructor.  Both keys are built on a miss only, so a memo hit
+     — every read of a warm report — allocates no strings. *)
+  let persisted t memo mkey (k : key) ?width ~entry ~store ~load compute =
+    Memo.get memo mkey (fun () ->
+        let at sep =
+          match width with None -> entry | Some w -> entry ^ sep ^ width_tag w
+        in
         protected t ~deadline:(eff_deadline t k)
-          ~key:(cell_key k ^ "/cycles/" ^ width_tag width ^ budget_tag k)
+          ~key:(cell_key k ^ "/" ^ at "/" ^ budget_tag k)
           (fun () ->
-            (* an armed cycles-inflate fault perturbs what we report but
-               never what we persist, so the cache stays truthful and
-               the slowdown applies to cache hits too *)
-            let inflate = Faults.inflate_cycles t.faults in
-            let payload =
-              cell_payload t k ^ "|cycles:" ^ width_tag width
-            in
-            match disk_read t payload with
-            | Some (D_cycles n) -> inflate n
-            | _ ->
-                let p = prepared_cell t k in
-                let n = Pipeline.price p (run_cell t k) ~width in
-                disk_write t payload (D_cycles n);
-                inflate n))
+            let payload = cell_payload t k ^ "|" ^ at ":" in
+            match Option.bind (disk_read t payload) load with
+            | Some v -> v
+            | None ->
+                let v = compute () in
+                disk_write t payload (store v);
+                v))
+
+  let map_outcome f = function Ok v -> Ok (f v) | Failed f -> Failed f
+
+  (* an armed cycles-inflate fault perturbs what we report but never
+     what we persist or memoize, so the cache stays truthful and the
+     slowdown applies to cache hits too *)
+  let cycles_cell t (k : key) ~width =
+    match
+      persisted t t.cycles_memo (k, width) k ~width ~entry:"cycles"
+        ~store:(fun n -> D_cycles n)
+        ~load:(function D_cycles n -> Some n | _ -> None)
+        (fun () ->
+          let p = prepared_cell t k in
+          Pipeline.price p (run_cell t k) ~width)
+    with
+    | Ok n -> Ok (Faults.inflate_cycles t.faults n)
+    | Failed _ as failed -> failed
 
   (* code size and Table 6-3 counts of a cell, from one preparation *)
   let summary_cell t (k : key) =
-    Memo.get t.summary_memo k (fun () ->
-        protected t ~deadline:(eff_deadline t k)
-          ~key:(cell_key k ^ "/summary" ^ budget_tag k)
-          (fun () ->
-            let payload = cell_payload t k ^ "|summary" in
-            match disk_read t payload with
-            | Some (D_summary s) -> (s.code_size, s.counts)
-            | _ ->
-                let p = prepared_cell t k in
-                let code_size = Pipeline.code_size p in
-                let counts =
-                  Spd_core.Heuristic.count_by_kind p.applications
-                in
-                disk_write t payload (D_summary { code_size; counts });
-                (code_size, counts)))
+    persisted t t.summary_memo k k ~entry:"summary"
+      ~store:(fun (code_size, counts) -> D_summary { code_size; counts })
+      ~load:(function
+        | D_summary s -> Some (s.code_size, s.counts) | _ -> None)
+      (fun () ->
+        let p = prepared_cell t k in
+        ( Pipeline.code_size p,
+          Spd_core.Heuristic.count_by_kind p.applications ))
 
   (* run-time dynamics of the SPEC pipeline's SpD applications *)
   let dynamics_cell t (k : key) =
-    Memo.get t.dynamics_memo k (fun () ->
-        protected t ~deadline:(eff_deadline t k)
-          ~key:(cell_key k ^ "/dynamics" ^ budget_tag k)
-          (fun () ->
-            let payload = cell_payload t k ^ "|dynamics" in
-            match disk_read t payload with
-            | Some (D_dynamics d) -> d
-            | _ ->
-                let d = (run_cell t k).Pipeline.dynamics in
-                disk_write t payload (D_dynamics d);
-                d))
+    persisted t t.dynamics_memo k k ~entry:"dynamics"
+      ~store:(fun d -> D_dynamics d)
+      ~load:(function D_dynamics d -> Some d | _ -> None)
+      (fun () -> (run_cell t k).Pipeline.dynamics)
 
   (* the heuristic's decision ledger of a cell; a pure function of the
      preparation, so no simulation is charged *)
   let decisions_cell t (k : key) =
-    Memo.get t.decisions_memo k (fun () ->
-        protected t ~deadline:(eff_deadline t k)
-          ~key:(cell_key k ^ "/decisions" ^ budget_tag k)
-          (fun () ->
-            let payload = cell_payload t k ^ "|decisions" in
-            match disk_read t payload with
-            | Some (D_decisions ds) -> ds
-            | _ ->
-                let p = prepared_cell t k in
-                disk_write t payload (D_decisions p.Pipeline.decisions);
-                p.Pipeline.decisions))
+    persisted t t.decisions_memo k k ~entry:"decisions"
+      ~store:(fun ds -> D_decisions ds)
+      ~load:(function D_decisions ds -> Some ds | _ -> None)
+      (fun () -> (prepared_cell t k).Pipeline.decisions)
 
   (* the translation-validation ledger of a cell's SPEC applications;
      prepared under its own [validate = true] configuration.  Validation
@@ -982,23 +923,13 @@ module Session = struct
      separately from [prepared_cell]'s, because a raising verdict must
      fail only this cell. *)
   let verdicts_cell t (k : key) =
-    Memo.get t.verdicts_memo k (fun () ->
-        protected t ~deadline:(eff_deadline t k)
-          ~key:(cell_key k ^ "/verdicts" ^ budget_tag k)
-          (fun () ->
-            let payload = cell_payload t k ^ "|verdicts" in
-            match disk_read t payload with
-            | Some (D_verdicts vs) -> vs
-            | _ ->
-                let p =
-                  prepare t k
-                    ~config:
-                      { (config_for t k) with Pipeline.Config.validate = true }
-                in
-                disk_write t payload (D_verdicts p.Pipeline.verdicts);
-                p.Pipeline.verdicts))
-
-  let map_outcome f = function Ok v -> Ok (f v) | Failed f -> Failed f
+    persisted t t.verdicts_memo k k ~entry:"verdicts"
+      ~store:(fun vs -> D_verdicts vs)
+      ~load:(function D_verdicts vs -> Some vs | _ -> None)
+      (fun () ->
+        (prepare t k
+           ~config:{ (config_for t k) with Pipeline.Config.validate = true })
+          .Pipeline.verdicts)
 
   let pair_outcome a b =
     match (a, b) with
@@ -1011,7 +942,7 @@ module Session = struct
      cells under the same budget, and all sharing — concurrent
      deduplication included — falls out of the per-cell promises. *)
 
-  let submit t (q : Query.t) : value outcome =
+  let submit (type a) t (q : a Query.t) : a outcome =
     mark m_queries;
     let k kind =
       {
@@ -1022,80 +953,31 @@ module Session = struct
         q_deadline = q.Query.deadline;
       }
     in
+    let speedup (base, this) = Pipeline.speedup ~base ~this in
     match q.Query.artefact with
-    | Query.Cycles { kind; width } ->
-        map_outcome (fun n -> Int n) (cycles_cell t (k kind) ~width)
-    | Query.Code_size kind ->
-        map_outcome (fun (code_size, _) -> Int code_size)
-          (summary_cell t (k kind))
-    | Query.Spd_counts ->
-        map_outcome
-          (fun (_, (raw, war, waw)) -> Counts (raw, war, waw))
-          (summary_cell t (k Pipeline.Spec))
-    | Query.Spd_dynamics ->
-        map_outcome (fun d -> Dynamics d) (dynamics_cell t (k Pipeline.Spec))
-    | Query.Spd_decisions ->
-        map_outcome
-          (fun ds -> Decisions ds)
-          (decisions_cell t (k Pipeline.Spec))
-    | Query.Spd_verdicts ->
-        map_outcome
-          (fun vs -> Verdicts vs)
-          (verdicts_cell t (k Pipeline.Spec))
+    | Query.Cycles { kind; width } -> cycles_cell t (k kind) ~width
+    | Query.Code_size kind -> map_outcome fst (summary_cell t (k kind))
+    | Query.Spd_counts -> map_outcome snd (summary_cell t (k Pipeline.Spec))
+    | Query.Spd_dynamics -> dynamics_cell t (k Pipeline.Spec)
+    | Query.Spd_decisions -> decisions_cell t (k Pipeline.Spec)
+    | Query.Spd_verdicts -> verdicts_cell t (k Pipeline.Spec)
     | Query.Speedup_over_naive { kind; width } ->
-        map_outcome
-          (fun (base, this) -> Float (Pipeline.speedup ~base ~this))
+        map_outcome speedup
           (pair_outcome
              (cycles_cell t (k Pipeline.Naive) ~width)
              (cycles_cell t (k kind) ~width))
     | Query.Spec_over_static { width } ->
-        map_outcome
-          (fun (base, this) -> Float (Pipeline.speedup ~base ~this))
+        map_outcome speedup
           (pair_outcome
              (cycles_cell t (k Pipeline.Static) ~width)
              (cycles_cell t (k Pipeline.Spec) ~width))
     | Query.Code_growth ->
         map_outcome
           (fun ((base, _), (spec, _)) ->
-            Float ((float_of_int spec /. float_of_int base) -. 1.0))
+            (float_of_int spec /. float_of_int base) -. 1.0)
           (pair_outcome
              (summary_cell t (k Pipeline.Static))
              (summary_cell t (k Pipeline.Spec)))
-
-  (* deprecated raising shims: the historical per-artefact accessors,
-     each one [submit] plus a projection *)
-
-  let shim t ~bench ~latency artefact =
-    submit t (Query.v ~bench ~latency artefact)
-
-  let cycles t ~bench ~latency kind ~width =
-    get (to_int (shim t ~bench ~latency (Query.Cycles { kind; width })))
-
-  let code_size t ~bench ~latency kind =
-    get (to_int (shim t ~bench ~latency (Query.Code_size kind)))
-
-  let spd_counts t ~bench ~latency =
-    get (to_counts (shim t ~bench ~latency Query.Spd_counts))
-
-  let spd_dynamics t ~bench ~latency =
-    get (to_dynamics (shim t ~bench ~latency Query.Spd_dynamics))
-
-  let spd_decisions t ~bench ~latency =
-    get (to_decisions (shim t ~bench ~latency Query.Spd_decisions))
-
-  let spd_verdicts t ~bench ~latency =
-    get (to_verdicts (shim t ~bench ~latency Query.Spd_verdicts))
-
-  let speedup_over_naive t ~bench ~latency kind ~width =
-    get
-      (to_float
-         (shim t ~bench ~latency (Query.Speedup_over_naive { kind; width })))
-
-  let spec_over_static t ~bench ~latency ~width =
-    get (to_float (shim t ~bench ~latency (Query.Spec_over_static { width })))
-
-  let code_growth t ~bench ~latency =
-    get (to_float (shim t ~bench ~latency Query.Code_growth))
 
   (* ---------------------------------------------------------------- *)
 

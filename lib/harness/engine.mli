@@ -11,14 +11,13 @@
     instrumentation.
 
     Work is requested through one typed entry point:
-    {!Session.submit} takes a {!Query.t} — artefact kind, cell
-    coordinates, optional per-request budgets — and returns a
-    {!value} {!outcome}.  Every consumer (the CLIs, the report
-    builders, the [spd serve] daemon) goes through this single path,
-    so a served request and the equivalent CLI invocation read the
-    same memoized cell and emit identical values.  The historical
-    per-artefact accessors survive as deprecated raising shims over
-    [submit].
+    {!Session.submit} takes an ['a {!Query.t}] — artefact kind, cell
+    coordinates, optional per-request budgets — and returns an
+    ['a {!outcome}], where ['a] is fixed by the artefact kind.  Every
+    consumer (the CLI, the report builders, the [spd serve] daemon)
+    goes through this single path, so a served request and the
+    equivalent CLI invocation read the same memoized cell and emit
+    identical values.
 
     Failures are contained per cell: a cell that keeps raising after
     its retry budget is recorded as a {!failure} and surfaced as a
@@ -34,10 +33,10 @@
     decoding; invalidates the on-disk cache. *)
 val cache_version : string
 
-(** Force registration of the engine-level counters — including the
-    [spd.cache.{hit,miss,evict}] aliases surfaced by [spd cache stats]
-    — so a metrics snapshot carries them before any cell fires them
-    ([spd serve] calls this at startup). *)
+(** Force registration of the engine-level counters — among them
+    [spd.engine.cache.{hits,misses,evictions}], which [spd cache stats]
+    reads — so a metrics snapshot carries them before any cell fires
+    them ([spd serve] calls this at startup). *)
 val register_metrics : unit -> unit
 
 (** {1 Per-cell outcomes} *)
@@ -52,8 +51,12 @@ type failure = {
 
 type 'a outcome = Ok of 'a | Failed of failure
 
-(** Raised by the raising accessors when the underlying cell failed. *)
+(** Raised by {!get} when the underlying cell failed. *)
 exception Cell_failed of failure
+
+(** The value of an outcome; raises {!Cell_failed} on [Failed] — for
+    callers that want raising semantics. *)
+val get : 'a outcome -> 'a
 
 val pp_failure : Format.formatter -> failure -> unit
 
@@ -67,33 +70,40 @@ val pp_failure : Format.formatter -> failure -> unit
     and N identical budgeted queries still cost one computation). *)
 
 module Query : sig
-  (** What to compute for the (bench, latency) cell. *)
-  type artefact =
-    | Cycles of { kind : Pipeline.kind; width : Spd_machine.Descr.width }
-        (** measured cycle count (disk-cacheable) *)
-    | Code_size of Pipeline.kind
-        (** static code size in operations (disk-cacheable) *)
-    | Spd_counts
-        (** SpD applications by dependence kind — a Table 6-3 row *)
-    | Spd_dynamics
-        (** run-time alias/no-alias commit counts of the SPEC pipeline *)
-    | Spd_decisions
-        (** the guidance heuristic's full decision ledger (SPEC) *)
-    | Spd_verdicts
-        (** per-application translation-validation ledger of the SPEC
-            pipeline (disk-cacheable) *)
-    | Speedup_over_naive of {
+  (** What to compute for the (bench, latency) cell; the type parameter
+      is the type of the answer. *)
+  type _ artefact =
+    | Cycles : {
         kind : Pipeline.kind;
         width : Spd_machine.Descr.width;
-      }  (** the metric of Figure 6-2 *)
-    | Spec_over_static of { width : Spd_machine.Descr.width }
+      }
+        -> int artefact  (** measured cycle count (disk-cacheable) *)
+    | Code_size : Pipeline.kind -> int artefact
+        (** static code size in operations (disk-cacheable) *)
+    | Spd_counts : (int * int * int) artefact
+        (** SpD applications by dependence kind (RAW, WAR, WAW) — a
+            Table 6-3 row *)
+    | Spd_dynamics : Pipeline.dynamics artefact
+        (** run-time alias/no-alias commit counts of the SPEC pipeline *)
+    | Spd_decisions : Spd_core.Heuristic.decision list artefact
+        (** the guidance heuristic's full decision ledger (SPEC) *)
+    | Spd_verdicts : Spd_validate.Validate.report list artefact
+        (** per-application translation-validation ledger of the SPEC
+            pipeline (disk-cacheable) *)
+    | Speedup_over_naive : {
+        kind : Pipeline.kind;
+        width : Spd_machine.Descr.width;
+      }
+        -> float artefact  (** the metric of Figure 6-2 *)
+    | Spec_over_static : { width : Spd_machine.Descr.width } -> float artefact
         (** the metric of Figure 6-3 *)
-    | Code_growth  (** SPEC code size relative to STATIC (Figure 6-4) *)
+    | Code_growth : float artefact
+        (** SPEC code size relative to STATIC (Figure 6-4) *)
 
-  type t = private {
+  type 'a t = private {
     bench : string;  (** built-in workload name *)
     latency : int;  (** memory latency in cycles (paper: 2 and 6) *)
-    artefact : artefact;
+    artefact : 'a artefact;
     fuel : int option;
         (** per-request traversal quota; tightens the session budget *)
     deadline : float option;
@@ -106,46 +116,21 @@ module Query : sig
   val v :
     ?fuel:int ->
     ?deadline:float ->
-    bench:string -> latency:int -> artefact -> t
+    bench:string -> latency:int -> 'a artefact -> 'a t
 
   (** Stable lowercase artefact-kind name ([cycles], [code-size],
       [spd-counts], [spd-dynamics], [spd-decisions], [spd-validate],
       [speedup-over-naive], [spec-over-static], [code-growth]) — the
       wire spelling of the [spd serve] protocol. *)
-  val artefact_name : artefact -> string
+  val artefact_name : 'a artefact -> string
 
   (** All artefact-kind names, for diagnostics. *)
   val artefact_names : string list
 
   (** Canonical human-readable request key,
       [bench/latency/artefact[/KIND][/width][+fuel=N][+deadline=S]]. *)
-  val key : t -> string
+  val key : 'a t -> string
 end
-
-(** The result of a query: what kind of value it carries follows the
-    query's {!Query.artefact} (asserted by the [to_*] projections). *)
-type value =
-  | Int of int  (** [Cycles], [Code_size] *)
-  | Float of float
-      (** [Speedup_over_naive], [Spec_over_static], [Code_growth] *)
-  | Counts of int * int * int  (** [Spd_counts]: RAW, WAR, WAW *)
-  | Dynamics of Pipeline.dynamics  (** [Spd_dynamics] *)
-  | Decisions of Spd_core.Heuristic.decision list  (** [Spd_decisions] *)
-  | Verdicts of Spd_validate.Validate.report list  (** [Spd_verdicts] *)
-
-(** Projections out of a {!value} outcome; raise [Invalid_argument]
-    when the value kind does not match (a caller bug — [submit] always
-    returns the kind implied by the artefact). *)
-
-val to_int : value outcome -> int outcome
-val to_float : value outcome -> float outcome
-val to_counts : value outcome -> (int * int * int) outcome
-val to_dynamics : value outcome -> Pipeline.dynamics outcome
-val to_decisions :
-  value outcome -> Spd_core.Heuristic.decision list outcome
-
-val to_verdicts :
-  value outcome -> Spd_validate.Validate.report list outcome
 
 module Stats : sig
   type t = {
@@ -202,9 +187,8 @@ module Session : sig
       [faults] arms deterministic fault injection (see {!Faults}); an
       armed [fuel:<n>] fault overrides [fuel].
 
-      [config] is the pipeline configuration every cell is built with;
-      its [mem_latency] is overridden per cell and its [timer], if any,
-      is composed with the session's stage instrumentation. *)
+      Every cell is prepared under {!Pipeline.Config.default} with its
+      own memory latency and the session's budgets. *)
   val create :
     ?jobs:int ->
     ?disk_cache:bool ->
@@ -213,12 +197,15 @@ module Session : sig
     ?deadline:float ->
     ?fuel:int ->
     ?faults:Faults.t ->
-    ?config:Pipeline.Config.t ->
     unit -> t
 
   (** Join the session's worker domains.  The session remains usable
       sequentially afterwards. *)
   val close : t -> unit
+
+  (** [with_session s f] runs [f s] and closes [s] afterwards, whether
+      [f] returns or raises. *)
+  val with_session : t -> (t -> 'a) -> 'a
 
   val jobs : t -> int
   val stats : t -> Stats.t
@@ -236,14 +223,14 @@ module Session : sig
     print [n/a]); [submit] itself never raises on a contained cell
     failure. *)
 
-  val submit : t -> Query.t -> value outcome
+  val submit : t -> 'a Query.t -> 'a outcome
 
   (** {1 Pipeline materialization}
 
-    The two compile-stage accessors that return in-memory artefacts
-    rather than {!value}s — used by {!Explain} and the extension
-    experiments, and not servable over the wire.  Not
-    failure-contained: an unknown benchmark or compile error raises. *)
+    The two compile-stage accessors that return in-memory programs
+    rather than query answers — used by the extension experiments, and
+    not servable over the wire.  Not failure-contained: an unknown
+    benchmark or compile error raises. *)
 
   (** Lowered IR of a built-in benchmark. *)
   val lowered : t -> string -> Spd_ir.Prog.t
@@ -251,45 +238,6 @@ module Session : sig
   (** Prepared pipeline for a benchmark at a memory latency. *)
   val prepared :
     t -> bench:string -> latency:int -> Pipeline.kind -> Pipeline.prepared
-
-  (** {1 Deprecated raising shims}
-
-    One per artefact kind, each a thin wrapper over {!submit} with the
-    historical signature; they raise {!Cell_failed} on a failed cell.
-    New code should build a {!Query.t} and call {!submit}. *)
-
-  val cycles :
-    t ->
-    bench:string ->
-    latency:int ->
-    Pipeline.kind ->
-    width:Spd_machine.Descr.width -> int
-
-  val code_size :
-    t -> bench:string -> latency:int -> Pipeline.kind -> int
-
-  val spd_counts : t -> bench:string -> latency:int -> int * int * int
-
-  val spd_dynamics : t -> bench:string -> latency:int -> Pipeline.dynamics
-
-  val spd_decisions :
-    t -> bench:string -> latency:int -> Spd_core.Heuristic.decision list
-
-  val spd_verdicts :
-    t -> bench:string -> latency:int -> Spd_validate.Validate.report list
-
-  val speedup_over_naive :
-    t ->
-    bench:string ->
-    latency:int ->
-    Pipeline.kind ->
-    width:Spd_machine.Descr.width -> float
-
-  val spec_over_static :
-    t ->
-    bench:string -> latency:int -> width:Spd_machine.Descr.width -> float
-
-  val code_growth : t -> bench:string -> latency:int -> float
 
   (** {1 Fan-out}
 

@@ -33,7 +33,12 @@ let ext_dynamic_tables s =
         let static =
           Engine.Session.prepared s ~bench ~latency Pipeline.Static
         in
-        let cycles kind = Engine.Session.cycles s ~bench ~latency kind ~width in
+        let cycles kind =
+          Engine.get
+            (Engine.Session.submit s
+               (Engine.Query.v ~bench ~latency
+                  (Engine.Query.Cycles { kind; width })))
+        in
         let base = cycles Pipeline.Static in
         (* the hardware windows' charges depend on concrete addresses, so
            they take the interpreter, not a price *)

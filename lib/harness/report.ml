@@ -5,7 +5,7 @@
     the machine-readable emitters in {!Artefact} therefore read the
     exact same values.  Every builder takes its {!Engine.Session.t}
     explicitly and reads cells through {!Engine.Session.submit}, the
-    same path the CLIs and the [spd serve] daemon use.  Absolute
+    same path the CLI and the [spd serve] daemon use.  Absolute
     numbers differ from the paper's proprietary LIFE testbed;
     EXPERIMENTS.md records the shape comparison. *)
 
@@ -15,7 +15,7 @@ module Query = Engine.Query
 let latencies = [ 2; 6 ]
 
 (* Figure 6-3's machine widths; settable from the CLI (--widths).  This
-   is the one process-wide rendering knob left: the CLIs set it once at
+   is the one process-wide rendering knob left: the CLI sets it once at
    startup, before any session work, and the daemon never touches it. *)
 let default_widths = [ 1; 2; 3; 4; 5; 6; 7; 8 ]
 let current_widths = ref default_widths
@@ -109,9 +109,7 @@ let table6_3_tables s =
   let rows =
     List.map
       (fun bench ->
-        let counts latency =
-          Engine.to_counts (submit s ~bench ~latency Query.Spd_counts)
-        in
+        let counts latency = submit s ~bench ~latency Query.Spd_counts in
         Table.row bench (triple 0 (counts 2) @ triple 3 (counts 6)))
       (benches ())
   in
@@ -174,10 +172,9 @@ let fig6_2_tables s =
         (List.map
            (fun bench ->
              let sp kind =
-               Engine.to_float
-                 (submit s ~bench ~latency
-                    (Query.Speedup_over_naive
-                       { kind; width = Spd_machine.Descr.Fus 5 }))
+               submit s ~bench ~latency
+                 (Query.Speedup_over_naive
+                    { kind; width = Spd_machine.Descr.Fus 5 })
              in
              Table.row bench
                [
@@ -217,10 +214,9 @@ let cycles_tables s =
                (List.map
                   (fun kind ->
                     int_cell
-                      (Engine.to_int
-                         (submit s ~bench ~latency
-                            (Query.Cycles
-                               { kind; width = Spd_machine.Descr.Fus 5 }))))
+                      (submit s ~bench ~latency
+                         (Query.Cycles
+                            { kind; width = Spd_machine.Descr.Fus 5 })))
                   Pipeline.all))
            (benches ())))
     latencies
@@ -253,10 +249,9 @@ let fig6_3_tables s =
                (List.map
                   (fun w ->
                     pct_cell
-                      (Engine.to_float
-                         (submit s ~bench ~latency
-                            (Query.Spec_over_static
-                               { width = Spd_machine.Descr.Fus w }))))
+                      (submit s ~bench ~latency
+                         (Query.Spec_over_static
+                            { width = Spd_machine.Descr.Fus w })))
                   widths))
            (nrc_benches ())))
     latencies
@@ -277,9 +272,7 @@ let fig6_4_tables s =
          (fun bench ->
            Table.row bench
              [
-               pct_cell
-                 (Engine.to_float
-                    (submit s ~bench ~latency:2 Query.Code_growth));
+               pct_cell (submit s ~bench ~latency:2 Query.Code_growth);
              ])
          (benches ()));
   ]
@@ -292,9 +285,7 @@ let spd_dynamics_tables s =
     (fun (bench, latency) ->
       ignore (submit s ~bench ~latency Query.Spd_dynamics))
     (product (benches ()) latencies);
-  let dynamics ~bench ~latency =
-    Engine.to_dynamics (submit s ~bench ~latency Query.Spd_dynamics)
-  in
+  let dynamics ~bench ~latency = submit s ~bench ~latency Query.Spd_dynamics in
   let regions latency =
     let total_alias = ref 0 and total_noalias = ref 0 in
     let rows =
@@ -389,9 +380,7 @@ let spd_decisions_tables s =
     (fun (bench, latency) ->
       ignore (submit s ~bench ~latency Query.Spd_decisions))
     (product (benches ()) latencies);
-  let ledger ~bench ~latency =
-    Engine.to_decisions (submit s ~bench ~latency Query.Spd_decisions)
-  in
+  let ledger ~bench ~latency = submit s ~bench ~latency Query.Spd_decisions in
   (* short column headers for the rejection verdicts; the notes map
      them back to the full machine-readable strings *)
   let reasons =
@@ -507,9 +496,7 @@ let spd_validate_tables s =
     List.map
       (fun (bench, latency) ->
         let label = Printf.sprintf "%s/%d" bench latency in
-        match
-          Engine.to_verdicts (submit s ~bench ~latency Query.Spd_verdicts)
-        with
+        match submit s ~bench ~latency Query.Spd_verdicts with
         | Engine.Ok rs ->
             let p, r, u = V.tally rs in
             Table.row label
@@ -572,7 +559,7 @@ let timings = render_tables timings_tables
 
 (** Failure appendix: every cell the session failed to compute, with
     the original exception.  Prints nothing when all cells succeeded —
-    appended to artefact output by the CLIs, which also turn a
+    appended to artefact output by the CLI, which also turns a
     non-empty appendix into a nonzero exit status. *)
 let failure_appendix s ppf () =
   match Engine.Session.failures s with

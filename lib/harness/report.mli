@@ -5,7 +5,7 @@
     printers here and the machine-readable emitters in {!Artefact} read
     the exact same values.  Every builder takes its
     {!Engine.Session.t} explicitly and reads grid cells through
-    {!Engine.Session.submit} — the same path the CLIs and the
+    {!Engine.Session.submit} — the same path the CLI and the
     [spd serve] daemon use, which is what makes served and CLI JSON
     byte-identical.  Absolute numbers differ from the paper's
     proprietary LIFE testbed; EXPERIMENTS.md records the shape
@@ -17,7 +17,7 @@ val latencies : int list
 (** Figure 6-3's machine widths (default [1..8]); [set_widths]
     overrides them process-wide (the CLI's [--widths] flag) and rejects
     an empty or non-positive list with [Invalid_argument].  This is the
-    one process-wide rendering knob: the CLIs set it once at startup,
+    one process-wide rendering knob: the CLI sets it once at startup,
     and the daemon never touches it. *)
 val default_widths : int list
 
@@ -79,7 +79,7 @@ val timings : Engine.Session.t -> Format.formatter -> unit -> unit
 
 (** Failure appendix: every cell the session failed to compute, with
     the original exception.  Prints nothing when all cells succeeded —
-    appended to artefact output by the CLIs, which also turn a
+    appended to artefact output by the CLI, which also turns a
     non-empty appendix into a nonzero exit status. *)
 val failure_appendix : Engine.Session.t -> Format.formatter -> unit -> unit
 

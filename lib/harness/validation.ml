@@ -39,7 +39,10 @@ type t = {
 let analyze ?(mem_latency = 2) session workload : t =
   ignore (W.Registry.by_name workload);
   let reports =
-    Engine.Session.spd_verdicts session ~bench:workload ~latency:mem_latency
+    Engine.get
+      (Engine.Session.submit session
+         (Engine.Query.v ~bench:workload ~latency:mem_latency
+            Engine.Query.Spd_verdicts))
   in
   { workload; mem_latency; reports }
 
@@ -233,7 +236,7 @@ let certify ?(latencies = [ 2; 6 ]) session : certification =
   in
   List.fold_left
     (fun acc (key, outcome) ->
-      match Engine.to_verdicts outcome with
+      match outcome with
       | Engine.Ok rs ->
           let p, r, u = V.tally rs in
           {

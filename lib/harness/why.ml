@@ -32,7 +32,10 @@ type t = {
 let analyze ?(mem_latency = 2) session workload : t =
   ignore (W.Registry.by_name workload);
   let decisions =
-    Engine.Session.spd_decisions session ~bench:workload ~latency:mem_latency
+    Engine.get
+      (Engine.Session.submit session
+         (Engine.Query.v ~bench:workload ~latency:mem_latency
+            Engine.Query.Spd_decisions))
   in
   { workload; mem_latency; decisions }
 

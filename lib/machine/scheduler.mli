@@ -6,8 +6,9 @@
     Priority is the classic critical-path height: nodes with the longest
     remaining dependence chain issue first.  The ready set is a priority
     heap with deterministic tie-breaking (equal heights pop the lower
-    node index), so schedules are bit-identical to {!Reference.run} and
-    across [--jobs] domain counts. *)
+    node index), so schedules are bit-identical to the historical
+    ready-list scan (the tests' reference scheduler) and across
+    [--jobs] domain counts. *)
 
 module Ddg = Spd_analysis.Ddg
 
@@ -57,19 +58,3 @@ val timing : Ddg.t -> t -> Spd_sim.Timing.tree_timing
 (** Check that a schedule respects every dependence edge and the [fus]
     resource bound; used by the property tests. *)
 val valid : ?fus:int -> Ddg.t -> t -> bool
-
-(** The pre-heap scheduler and pre-indexed DDG build, preserved verbatim
-    as a differential oracle for the fuzz and property tests.  Production
-    code must not call these. *)
-module Reference : sig
-  (** Historical all-pairs DDG build (hashtable def sites, linear-scan
-      arc endpoints).  Same edges, in the same order, as
-      {!Spd_analysis.Ddg.build}. *)
-  val build_ddg :
-    ?arc_active:(Spd_ir.Memdep.t -> bool) ->
-    mem_latency:int -> Spd_ir.Tree.t -> Ddg.t
-
-  (** Historical ready-list scan scheduler.  Bit-identical schedules to
-      {!run}; does not touch telemetry. *)
-  val run : ?fus:int -> Ddg.t -> t
-end

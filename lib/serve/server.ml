@@ -167,7 +167,7 @@ let req_string name p =
   | Some s -> s
   | None -> bad "missing required parameter %S" name
 
-(* positive integer, with the same hint wording as the CLIs' --fuel /
+(* positive integer, with the same hint wording as the CLI's --fuel /
    --jobs flags (Cliflags) *)
 let opt_pos_int name p =
   match Json.member name p with
@@ -252,6 +252,9 @@ let opt_min_float a b =
 (* ------------------------------------------------------------------ *)
 (* Building engine queries from request parameters *)
 
+(* a query whose answer type follows from the wire artefact name *)
+type any_query = Query : 'a Query.t -> any_query
+
 let query_of_params p =
   let bench = req_string "bench" p in
   require_workload bench;
@@ -268,29 +271,28 @@ let query_of_params p =
     | Some w -> w
     | None -> bad "artefact %S needs a \"width\"" art
   in
-  let artefact =
-    match req_string "artefact" p with
-    | "cycles" ->
-        Query.Cycles { kind = kind_for "cycles"; width = width_for "cycles" }
-    | "code-size" -> Query.Code_size (kind_for "code-size")
-    | "spd-counts" -> Query.Spd_counts
-    | "spd-dynamics" -> Query.Spd_dynamics
-    | "spd-decisions" -> Query.Spd_decisions
-    | "spd-validate" -> Query.Spd_verdicts
-    | "speedup-over-naive" ->
-        Query.Speedup_over_naive
-          {
-            kind = kind_for "speedup-over-naive";
-            width = width_for "speedup-over-naive";
-          }
-    | "spec-over-static" ->
-        Query.Spec_over_static { width = width_for "spec-over-static" }
-    | "code-growth" -> Query.Code_growth
-    | s ->
-        bad "unknown artefact %S (one of: %s)" s
-          (String.concat ", " Query.artefact_names)
-  in
-  Query.v ?fuel ?deadline ~bench ~latency artefact
+  let q artefact = Query (Query.v ?fuel ?deadline ~bench ~latency artefact) in
+  match req_string "artefact" p with
+  | "cycles" ->
+      q (Query.Cycles { kind = kind_for "cycles"; width = width_for "cycles" })
+  | "code-size" -> q (Query.Code_size (kind_for "code-size"))
+  | "spd-counts" -> q Query.Spd_counts
+  | "spd-dynamics" -> q Query.Spd_dynamics
+  | "spd-decisions" -> q Query.Spd_decisions
+  | "spd-validate" -> q Query.Spd_verdicts
+  | "speedup-over-naive" ->
+      q
+        (Query.Speedup_over_naive
+           {
+             kind = kind_for "speedup-over-naive";
+             width = width_for "speedup-over-naive";
+           })
+  | "spec-over-static" ->
+      q (Query.Spec_over_static { width = width_for "spec-over-static" })
+  | "code-growth" -> q Query.Code_growth
+  | s ->
+      bad "unknown artefact %S (one of: %s)" s
+        (String.concat ", " Query.artefact_names)
 
 let dynamics_json (d : Pipeline.dynamics) =
   Json.Obj
@@ -316,14 +318,21 @@ let dynamics_json (d : Pipeline.dynamics) =
       ("squashed", Json.Int d.squashed);
     ]
 
-let value_json : Engine.value -> Json.t = function
-  | Engine.Int n -> Json.Int n
-  | Engine.Float x -> Json.Float x
-  | Engine.Counts (raw, war, waw) ->
+(* the answer to a query, encoded by its artefact kind *)
+let value_json : type a. a Query.artefact -> a -> Json.t =
+ fun artefact v ->
+  match artefact with
+  | Query.Cycles _ -> Json.Int v
+  | Query.Code_size _ -> Json.Int v
+  | Query.Speedup_over_naive _ -> Json.Float v
+  | Query.Spec_over_static _ -> Json.Float v
+  | Query.Code_growth -> Json.Float v
+  | Query.Spd_counts ->
+      let raw, war, waw = v in
       Json.Obj
         [ ("raw", Json.Int raw); ("war", Json.Int war); ("waw", Json.Int waw) ]
-  | Engine.Dynamics d -> dynamics_json d
-  | Engine.Decisions ds ->
+  | Query.Spd_dynamics -> dynamics_json v
+  | Query.Spd_decisions ->
       (* ledger entries with their tree coordinates inlined; the [why]
          method serves the same entries grouped per tree *)
       Json.List
@@ -336,8 +345,8 @@ let value_json : Engine.value -> Json.t = function
                    :: ("tree", Json.Int d.tree_id)
                    :: fields)
              | j -> j)
-           ds)
-  | Engine.Verdicts rs ->
+           v)
+  | Query.Spd_verdicts ->
       (* ledger entries with their tree coordinates inlined; the
          [validate] method serves the same entries inside the
          spd-validate/1 document *)
@@ -351,7 +360,7 @@ let value_json : Engine.value -> Json.t = function
                    :: ("tree", Json.Int r.Spd_validate.Validate.tree_id)
                    :: fields)
              | j -> j)
-           rs)
+           v)
 
 (* ------------------------------------------------------------------ *)
 (* Method dispatch.  Every result is either one of the repository's
@@ -407,12 +416,13 @@ let dispatch t meth params : Json.t =
         ]
   | "health" -> health_doc t
   | "query" -> (
-      let q = query_of_params p in
+      let (Query q) = query_of_params p in
       let base = [ ("key", Json.String (Query.key q)) ] in
       match Engine.Session.submit t.session q with
       | Engine.Ok v ->
           serve_doc "query"
-            (base @ [ ("ok", Json.Bool true); ("value", value_json v) ])
+            (base
+            @ [ ("ok", Json.Bool true); ("value", value_json q.artefact v) ])
       | Engine.Failed f ->
           (* a failed cell is a successful RPC: the renderers' n/a,
              machine-readable *)

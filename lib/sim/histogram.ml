@@ -14,11 +14,17 @@
     re-running the program.  The arcs of a tree play no part in the
     key, so programs that differ only in arc status share a histogram.
 
-    Trees whose commit outcome packs into a {!Replay.key} are counted
-    under that key.  The others — more than {!Replay.max_guarded_stores}
-    guarded stores, or a guarded store the interpreter evaluates on its
-    generic path — are counted under their exact commit set, so pricing
-    stays exact for every tree. *)
+    Trees whose commit outcome packs into a {!key} are counted under
+    that key.  The others — more than {!max_guarded_stores} guarded
+    stores, or a guarded store the interpreter evaluates on its generic
+    path — are counted under their exact commit set, so pricing stays
+    exact for every tree. *)
+
+(* guarded stores representable in a packed key, leaving room for the
+   taken-exit index in the upper bits of a 63-bit int *)
+let max_guarded_stores = 40
+
+let key ~taken ~gmask ~n_guarded_stores = (taken lsl n_guarded_stores) lor gmask
 
 type tree = {
   stores : int array;  (** positions of the unguarded stores *)
@@ -26,7 +32,7 @@ type tree = {
       (** positions of the guarded stores, in tree order: bit [i] of a
           packed commit mask stands for [gstores.(i)] *)
   packed : (int, int ref) Hashtbl.t;
-      (** {!Replay.key} of (exit, commit mask) → traversals *)
+      (** {!key} of (exit, commit mask) → traversals *)
   exact : (int * string, int ref) Hashtbl.t;
       (** (exit, commit set) → traversals, for trees without a packed
           key; the set has one ['1'] or ['0'] per guarded store *)

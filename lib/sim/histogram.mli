@@ -9,10 +9,19 @@
     play no part in the key, so programs that differ only in arc status
     share one histogram.
 
-    Paths of trees whose commit outcome packs into a {!Replay.key} are
-    counted under that key; the other trees (more than
-    {!Replay.max_guarded_stores} guarded stores, or a guarded store on
-    the interpreter's generic path) under their exact commit set. *)
+    Paths of trees whose commit outcome packs into a {!key} are counted
+    under that key; the other trees (more than {!max_guarded_stores}
+    guarded stores, or a guarded store on the interpreter's generic
+    path) under their exact commit set. *)
+
+(** Guarded stores representable in a packed {!key} (40): the paths of
+    a tree with more are counted with {!add_exact}. *)
+val max_guarded_stores : int
+
+(** Pack a traversal outcome — the taken exit and the commit mask of
+    the tree's guarded stores (bit [i] for the [i]th) — into an int.
+    Injective for [n_guarded_stores <= max_guarded_stores]. *)
+val key : taken:int -> gmask:int -> n_guarded_stores:int -> int
 
 type tree
 (** One tree's path counts. *)
@@ -33,7 +42,7 @@ val tree :
   gstore_pos:int array ->
   tree
 
-(** Count one traversal under its {!Replay.key}. *)
+(** Count one traversal under its {!key}. *)
 val add : tree -> int -> unit
 
 (** Count one traversal of a tree without a packed key: [active] holds,

@@ -21,10 +21,7 @@
     specialized operations (register numbers resolved, store guards
     encoded as ints, memory/store positions pre-indexed) so the traversal
     loop allocates nothing and dispatches one shallow match per
-    instruction.  Per-tree bookkeeping — cycle charge, committed-arc
-    profile walk, squash count — is memoized in a {!Replay} cache keyed
-    on the traversal's guard outcomes; see that module for the exactness
-    argument. *)
+    instruction. *)
 
 open Spd_ir
 
@@ -243,7 +240,10 @@ type ctree = {
   mutable watch_resolved : bool;
   mutable ttime : Timing.tree_timing option;  (** resolved on first use *)
   mutable hist : Histogram.tree option;  (** resolved on first use *)
-  replay : Replay.t;
+  packed : bool;
+      (** the commit outcome packs into a {!Histogram.key}: at most
+          {!Histogram.max_guarded_stores} guarded stores, none of them
+          on the generic path *)
 }
 
 let enc_guard = function
@@ -375,7 +375,7 @@ let compile_tree (fi : finfo) (tree : Tree.t) : ctree =
           stores := pos :: !stores;
           if insn.guard <> None then begin
             (* a guarded store on the generic path never reaches the
-               commit mask, so the tree must not use the replay cache *)
+               commit mask, so the tree's paths cannot be packed *)
             gen_gstore := true;
             gstores := pos :: !gstores;
             incr gctr
@@ -411,10 +411,7 @@ let compile_tree (fi : finfo) (tree : Tree.t) : ctree =
     watch_resolved = false;
     ttime = None;
     hist = None;
-    replay =
-      Replay.create
-        ~n_guarded_stores:(if !gen_gstore then max_int else !gctr)
-        ();
+    packed = (not !gen_gstore) && !gctr <= Histogram.max_guarded_stores;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -498,19 +495,15 @@ module M = Spd_telemetry.Metrics
 
 let m_runs = M.counter_handle "spd.sim.runs"
 let m_traversals = M.counter_handle "spd.sim.traversals"
-let m_replay_hits = M.counter_handle "spd.sim.replay_hits"
-let m_replay_misses = M.counter_handle "spd.sim.replay_misses"
 
 let register_metrics () =
-  List.iter
-    (fun h -> ignore (M.get h))
-    [ m_runs; m_traversals; m_replay_hits; m_replay_misses ]
+  List.iter (fun h -> ignore (M.get h)) [ m_runs; m_traversals ]
 
 let run ?timing ?(traversal_cost : traversal_cost option)
     ?(profile : Profile.t option) ?(spd : Profile.Spd.t option)
     ?(histogram : Histogram.t option)
     ?(mem_words = 1 lsl 20) ?(fuel = default_fuel)
-    ?(deadline : float option) ?(replay = true) (prog : Prog.t) : result =
+    ?(deadline : float option) (prog : Prog.t) : result =
   let deadline_abs =
     Option.map (fun d -> Unix.gettimeofday () +. d) deadline
   in
@@ -560,8 +553,6 @@ let run ?timing ?(traversal_cost : traversal_cost option)
   let output = ref [] in
   let cycles = ref 0 in
   let traversals = ref 0 in
-  let replay_hits = ref 0 in
-  let replay_misses = ref 0 in
   (* current activation *)
   let fi = ref (finfo prog.main) in
   let cts = ref (Hashtbl.find cts_of prog.main) in
@@ -822,134 +813,75 @@ let run ?timing ?(traversal_cost : traversal_cost option)
          end
        done
      with Exit -> ());
-    (* per-traversal bookkeeping: replay a cached summary when this
-       (exit, guard outcomes) combination has been walked before *)
-    let key =
-      if Replay.cacheable ct.replay then
-        Replay.key ~taken:!taken ~gmask:!gmask
-          ~n_guarded_stores:ct.n_gstores
-      else 0
-    in
-    (match if replay then Replay.find ct.replay key else None with
-    | Some s ->
-        incr replay_hits;
-        (match profile with
+    (* profile *)
+    (match profile with
+    | None -> ()
+    | Some p ->
+        let stat = pstat ct p in
+        stat.traversals <- stat.traversals + 1;
+        stat.exit_taken.(!taken) <- stat.exit_taken.(!taken) + 1;
+        Array.iteri
+          (fun i (ca : carc) ->
+            if active_buf.(ca.spos) && active_buf.(ca.dpos) then begin
+              let a =
+                match ct.parc.(i) with
+                | Some a -> a
+                | None ->
+                    let a =
+                      Profile.arc_stat stat ~src:ca.arc.src ~dst:ca.arc.dst
+                    in
+                    ct.parc.(i) <- Some a;
+                    a
+              in
+              a.both_active <- a.both_active + 1;
+              if addr_buf.(ca.spos) = addr_buf.(ca.dpos) then
+                a.aliased <- a.aliased + 1
+            end)
+          ct.carcs);
+    (* SpD run-time dynamics: attribute the traversal of each watched
+       region to its alias or no-alias version via the predicate
+       register (single-assignment within the tree, so reading it after
+       instruction evaluation is exact), and count squashed guarded
+       stores. *)
+    (match spd with
+    | None -> ()
+    | Some w -> (
+        match watch ct w with
         | None -> ()
-        | Some p ->
-            let stat = pstat ct p in
-            stat.traversals <- stat.traversals + 1;
-            stat.exit_taken.(!taken) <- stat.exit_taken.(!taken) + 1;
-            Array.iter
-              (fun (aa : Replay.active_arc) ->
-                aa.stat.both_active <- aa.stat.both_active + 1;
-                if addr_buf.(aa.spos) = addr_buf.(aa.dpos) then
-                  aa.stat.aliased <- aa.stat.aliased + 1)
-              s.active_arcs);
-        (match spd with
-        | None -> ()
-        | Some w -> (
-            match watch ct w with
-            | None -> ()
-            | Some tw ->
-                tw.traversals <- tw.traversals + 1;
-                attribute_regions rf tw;
-                tw.squashed <- tw.squashed + s.squashed));
-        (match timing with
-        | None -> ()
-        | Some _ -> (
-            cycles := !cycles + s.cost;
-            match profile with
-            | None -> ()
-            | Some p ->
-                let stat = pstat ct p in
-                stat.cycles <- stat.cycles + s.cost))
-    | None ->
-        incr replay_misses;
-        let cache = replay && Replay.cacheable ct.replay in
-        (* profile *)
-        let actives = ref [] in
-        (match profile with
-        | None -> ()
-        | Some p ->
-            let stat = pstat ct p in
-            stat.traversals <- stat.traversals + 1;
-            stat.exit_taken.(!taken) <- stat.exit_taken.(!taken) + 1;
-            Array.iteri
-              (fun i (ca : carc) ->
-                if active_buf.(ca.spos) && active_buf.(ca.dpos) then begin
-                  let a =
-                    match ct.parc.(i) with
-                    | Some a -> a
-                    | None ->
-                        let a =
-                          Profile.arc_stat stat ~src:ca.arc.src
-                            ~dst:ca.arc.dst
-                        in
-                        ct.parc.(i) <- Some a;
-                        a
-                  in
-                  a.both_active <- a.both_active + 1;
-                  if addr_buf.(ca.spos) = addr_buf.(ca.dpos) then
-                    a.aliased <- a.aliased + 1;
-                  if cache then
-                    actives :=
-                      { Replay.stat = a; spos = ca.spos; dpos = ca.dpos }
-                      :: !actives
-                end)
-              ct.carcs);
-        (* SpD run-time dynamics: attribute the traversal of each watched
-           region to its alias or no-alias version via the predicate
-           register (single-assignment within the tree, so reading it
-           after instruction evaluation is exact), and count squashed
-           guarded stores. *)
-        let squashed = ref 0 in
-        Array.iter
-          (fun pos -> if not active_buf.(pos) then incr squashed)
-          ct.gstore_pos;
-        let squashed = !squashed in
-        (match spd with
-        | None -> ()
-        | Some w -> (
-            match watch ct w with
-            | None -> ()
-            | Some tw ->
-                tw.traversals <- tw.traversals + 1;
-                attribute_regions rf tw;
-                tw.squashed <- tw.squashed + squashed));
-        (* timing *)
-        let cost = ref 0 in
-        (match timing with
-        | None -> ()
-        | Some tbl ->
-            let tt = ttime ct tbl in
-            let t = ref tt.exit_completion.(!taken) in
+        | Some tw ->
+            tw.traversals <- tw.traversals + 1;
+            attribute_regions rf tw;
             Array.iter
               (fun pos ->
-                if active_buf.(pos) then
-                  t := max !t tt.insn_completion.(pos))
-              ct.store_pos;
-            cost := !t;
-            cycles := !cycles + !t;
-            (* attribute the traversal's cost to its tree, so per-region
-               cycle accounting sums exactly to the run total *)
-            match profile with
-            | None -> ()
-            | Some p ->
-                let stat = pstat ct p in
-                stat.cycles <- stat.cycles + !t);
-        if cache then
-          Replay.add ct.replay key
-            {
-              Replay.cost = !cost;
-              squashed;
-              active_arcs = Array.of_list (List.rev !actives);
-            });
-    (* the path histogram: the same key as the replay cache, or the exact
-       commit set where the key cannot pack it *)
+                if not active_buf.(pos) then tw.squashed <- tw.squashed + 1)
+              ct.gstore_pos));
+    (* timing *)
+    (match timing with
+    | None -> ()
+    | Some tbl ->
+        let tt = ttime ct tbl in
+        let t = ref tt.exit_completion.(!taken) in
+        Array.iter
+          (fun pos ->
+            if active_buf.(pos) then t := max !t tt.insn_completion.(pos))
+          ct.store_pos;
+        cycles := !cycles + !t;
+        (* attribute the traversal's cost to its tree, so per-region
+           cycle accounting sums exactly to the run total *)
+        match profile with
+        | None -> ()
+        | Some p ->
+            let stat = pstat ct p in
+            stat.cycles <- stat.cycles + !t);
+    (* the path histogram: the packed key, or the exact commit set where
+       the key cannot pack it *)
     (match histogram with
     | None -> ()
     | Some h ->
-        if Replay.cacheable ct.replay then Histogram.add (hist ct h) key
+        if ct.packed then
+          Histogram.add (hist ct h)
+            (Histogram.key ~taken:!taken ~gmask:!gmask
+               ~n_guarded_stores:ct.n_gstores)
         else Histogram.add_exact (hist ct h) ~taken:!taken ~active:active_buf);
     (match traversal_cost with
     | None -> ()
@@ -1031,9 +963,6 @@ let run ?timing ?(traversal_cost : traversal_cost option)
   done;
   M.incr (M.get m_runs);
   M.incr ~by:!traversals (M.get m_traversals);
-  if !replay_hits > 0 then M.incr ~by:!replay_hits (M.get m_replay_hits);
-  if !replay_misses > 0 then
-    M.incr ~by:!replay_misses (M.get m_replay_misses);
   {
     ret = Option.get !finished;
     output = List.rev !output;

@@ -101,15 +101,7 @@ type traversal_cost =
 
     [histogram] counts every traversal per (tree, taken exit, committed
     guarded stores); {!Histogram.price} turns the counts into this run's
-    cycles on any machine without running it again.
-
-    [replay] (default true) enables the per-tree {!Replay} cache:
-    traversals repeating an already-seen (taken exit, guarded-store
-    commit outcome) combination replay the cached cycle charge and
-    committed-arc summary instead of re-walking the tree.  Results are
-    bit-identical either way — alias address compares always run against
-    live addresses, and any guard difference falls back to the full
-    walk — so [~replay:false] exists only for the differential tests. *)
+    cycles on any machine without running it again. *)
 val run :
   ?timing:Timing.t ->
   ?traversal_cost:traversal_cost ->
@@ -118,7 +110,7 @@ val run :
   ?histogram:Histogram.t ->
   ?mem_words:int ->
   ?fuel:int ->
-  ?deadline:float -> ?replay:bool -> Spd_ir.Prog.t -> result
+  ?deadline:float -> Spd_ir.Prog.t -> result
 
 (** Register the [spd.sim.*] counters ahead of their first use. *)
 val register_metrics : unit -> unit

@@ -145,7 +145,7 @@ let write path =
 
 (** [capture path f] runs [f] with tracing enabled when [path] is
     [Some file], writing the trace to [file] even when [f] raises —
-    the crash-safe form of [start]/[stop]/[write] used by the CLIs'
+    the crash-safe form of [start]/[stop]/[write] used by the CLI's
     [--trace] flag. *)
 let capture path f =
   match path with

@@ -55,6 +55,6 @@ val write : string -> unit
 
 (** [capture path f] runs [f] with tracing enabled when [path] is
     [Some file], writing the trace to [file] even when [f] raises —
-    the crash-safe form of [start]/[stop]/[write] used by the CLIs'
+    the crash-safe form of [start]/[stop]/[write] used by the CLI's
     [--trace] flag. *)
 val capture : string option -> (unit -> 'a) -> 'a

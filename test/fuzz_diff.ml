@@ -9,11 +9,8 @@
 
     Each case additionally cross-checks the rewritten hot paths against
     their preserved originals: the indexed DDG build must produce the
-    reference build's edges, the heap list scheduler must emit
-    bit-identical schedules to {!Spd_machine.Scheduler.Reference}, and a
-    simulation with the replay cache enabled must agree with a cold
-    (cache-disabled) run on results, cycle counts, profile counters and
-    SpD region dynamics.
+    reference build's edges, and the heap list scheduler must emit
+    bit-identical schedules to {!Scheduler_reference}.
 
     The pricing oracle re-derives every cycle count the harness
     reports: for all four pipelines at both memory latencies, cycles
@@ -48,7 +45,6 @@
 
 module Pipeline = Spd_harness.Pipeline
 module Interp = Spd_sim.Interp
-module Profile = Spd_sim.Profile
 module Scheduler = Spd_machine.Scheduler
 module Ddg = Spd_analysis.Ddg
 
@@ -72,7 +68,7 @@ let check_scheduler_equivalence (prog : Spd_ir.Prog.t) =
   Spd_ir.Prog.iter_trees
     (fun _func tree ->
       let g = Ddg.build ~mem_latency:2 tree in
-      let r = Scheduler.Reference.build_ddg ~mem_latency:2 tree in
+      let r = Scheduler_reference.build_ddg ~mem_latency:2 tree in
       if
         not
           (g.Ddg.preds = r.Ddg.preds
@@ -85,7 +81,7 @@ let check_scheduler_equivalence (prog : Spd_ir.Prog.t) =
       List.iter
         (fun fus ->
           let s = Scheduler.run ~fus g in
-          let s' = Scheduler.Reference.run ~fus r in
+          let s' = Scheduler_reference.run ~fus r in
           if
             s.Scheduler.issue <> s'.Scheduler.issue
             || s.Scheduler.fu <> s'.Scheduler.fu
@@ -97,51 +93,6 @@ let check_scheduler_equivalence (prog : Spd_ir.Prog.t) =
                  tree.Spd_ir.Tree.name fus))
         [ 1; 4 ])
     prog
-
-(* Every profile counter, flattened into a canonical comparable value. *)
-let profile_summary (p : Profile.t) =
-  Hashtbl.fold
-    (fun key (ts : Profile.tree_stat) acc ->
-      let arcs =
-        Hashtbl.fold
-          (fun arc (a : Profile.arc_stat) l ->
-            (arc, a.Profile.both_active, a.Profile.aliased) :: l)
-          ts.Profile.arc_stats []
-        |> List.sort compare
-      in
-      ( key,
-        ts.Profile.traversals,
-        ts.Profile.cycles,
-        Array.to_list ts.Profile.exit_taken,
-        arcs )
-      :: acc)
-    p []
-  |> List.sort compare
-
-(* Hot-path oracle 2: a replay-cached simulation must agree with a cold
-   run on results, cycles, profile counters and SpD region dynamics. *)
-let check_replay_equivalence (prepared : Pipeline.prepared) =
-  let descr =
-    { Spd_machine.Descr.width = Spd_machine.Descr.Fus 4; mem_latency = 2 }
-  in
-  let timing = Spd_machine.Timing_builder.program descr prepared.prog in
-  let run replay =
-    let profile = Profile.create () in
-    let spd = Profile.Spd.create () in
-    List.iter
-      (fun (a : Spd_core.Heuristic.application) ->
-        ignore
-          (Profile.Spd.watch spd ~func:a.func ~tree_id:a.tree_id
-             ~predicate:a.predicate))
-      prepared.applications;
-    let r = Interp.run ~timing ~profile ~spd ~fuel:!case_fuel ~replay prepared.prog in
-    ((r.ret, r.output, r.cycles, r.traversals),
-     profile_summary profile,
-     Profile.Spd.totals spd)
-  in
-  let cold = run false in
-  let hot = run true in
-  if cold <> hot then failwith "replay run diverged from the cold run"
 
 (* Pricing oracle: [Histogram.price] over one instrumented run against
    [Interp.run ~timing], the reference, on every machine. *)
@@ -250,10 +201,6 @@ let check (spec : Gen_prog.spec) : (unit, mismatch) result =
   let* () =
     stage "scheduler-equivalence (heap vs reference)" (fun () ->
         check_scheduler_equivalence prepared.prog)
-  in
-  let* () =
-    stage "replay-equivalence (cache vs cold)" (fun () ->
-        check_replay_equivalence prepared)
   in
   let* () =
     stage "pricing (histogram vs timed run)" (fun () -> check_pricing lowered)

@@ -104,7 +104,7 @@ let test_checker_raise_contained () =
         | _ -> false)
   | Engine.Ok _ -> Alcotest.fail "expected Failed outcome");
   (* the budget is spent: sibling cells run their checkers cleanly *)
-  ignore (Engine.Session.spd_counts s ~bench:"moment" ~latency:6);
+  ignore (ask s ~bench:"moment" ~latency:6 Engine.Query.Spd_counts);
   check_int "only the faulted cell failed" 1
     (List.length (Engine.Session.failures s))
 
@@ -132,12 +132,12 @@ let test_retry_then_succeed () =
   let clean =
     let s = Engine.Session.create ~jobs:1 () in
     Fun.protect ~finally:(fun () -> Engine.Session.close s) @@ fun () ->
-    Engine.Session.spd_counts s ~bench:"moment" ~latency:2
+    ask s ~bench:"moment" ~latency:2 Engine.Query.Spd_counts
   in
   let faults = parse_ok "cell-raise:moment/2/SPEC/summary@1" in
   let s = Engine.Session.create ~jobs:1 ~retries:2 ~faults () in
   Fun.protect ~finally:(fun () -> Engine.Session.close s) @@ fun () ->
-  let got = Engine.Session.spd_counts s ~bench:"moment" ~latency:2 in
+  let got = ask s ~bench:"moment" ~latency:2 Engine.Query.Spd_counts in
   check_bool "value identical to clean session" true (got = clean);
   let st = Engine.Session.stats s in
   check_int "one retry recorded" 1 st.Engine.Stats.cell_retries;
@@ -161,14 +161,14 @@ let test_contained_failure () =
         (f.Engine.key = "moment/2/SPEC/summary")
   | Engine.Ok _ -> Alcotest.fail "expected Failed outcome");
   check_bool "raising accessor raises Cell_failed" true
-    (match Engine.Session.spd_counts s ~bench:"moment" ~latency:2 with
+    (match ask s ~bench:"moment" ~latency:2 Engine.Query.Spd_counts with
     | _ -> false
     | exception Engine.Cell_failed _ -> true);
   (* the failure was memoized, not recomputed *)
   check_int "one failure recorded" 1
     (Engine.Session.stats s).Engine.Stats.cell_failures;
   (* sibling cells are unaffected *)
-  ignore (Engine.Session.spd_counts s ~bench:"moment" ~latency:6);
+  ignore (ask s ~bench:"moment" ~latency:6 Engine.Query.Spd_counts);
   check_int "sibling cell computed" 1
     (List.length (Engine.Session.failures s))
 

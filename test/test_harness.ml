@@ -185,16 +185,21 @@ let test_flipped_spec_guard () =
 (* ------------------------------------------------------------------ *)
 (* Experiment memoization *)
 
-let with_session = H.Experiment.with_session
+module Engine = H.Engine
+module Query = H.Engine.Query
+
+let with_session = Engine.Session.with_session
 
 let test_experiment_memoizes () =
-  with_session (H.Engine.Session.create ~jobs:1 ()) @@ fun s ->
+  with_session (Engine.Session.create ~jobs:1 ()) @@ fun s ->
+  let cycles () =
+    ask s ~bench:"moment" ~latency:2
+      (Query.Cycles { kind = Pipeline.Spec; width = Spd_machine.Descr.Fus 4 })
+  in
   let t0 = Unix.gettimeofday () in
-  let a = H.Experiment.cycles s ~bench:"moment" ~latency:2 Pipeline.Spec
-      ~width:(Spd_machine.Descr.Fus 4) in
+  let a = cycles () in
   let t1 = Unix.gettimeofday () in
-  let b = H.Experiment.cycles s ~bench:"moment" ~latency:2 Pipeline.Spec
-      ~width:(Spd_machine.Descr.Fus 4) in
+  let b = cycles () in
   let t2 = Unix.gettimeofday () in
   check_int "same result" a b;
   (* the second call is a table lookup; allow generous slack *)
@@ -239,9 +244,6 @@ let test_reports_render () =
 (* Engine determinism: a session with jobs=4 must emit bit-identical
    Table 6-3 / Fig 6-2 / Fig 6-3 numbers to jobs=1, and a warm on-disk
    cache must reproduce them with zero pipeline recomputations. *)
-
-module Engine = H.Engine
-module Query = H.Engine.Query
 
 (* the three deterministic grid artefacts, rendered through one
    explicit session *)
@@ -316,13 +318,13 @@ let test_stats_pp_stable_across_jobs () =
    version, and alias-version stores squash. *)
 let test_spd_dynamics_counts () =
   with_session (Engine.Session.create ~jobs:2 ()) @@ fun s ->
-  let d = H.Experiment.spd_dynamics s ~bench:"perm" ~latency:2 in
+  let d = ask s ~bench:"perm" ~latency:2 Query.Spd_dynamics in
   check_bool "perm has transformed regions" true (d.Pipeline.regions <> []);
   check_bool "no-alias commits observed" true
     (List.exists
        (fun (r : Pipeline.region_dynamics) -> r.noalias_commits > 0)
        d.Pipeline.regions);
-  let adi = H.Experiment.spd_dynamics s ~bench:"adi" ~latency:2 in
+  let adi = ask s ~bench:"adi" ~latency:2 Query.Spd_dynamics in
   check_bool "adi squashes alias-version stores" true
     (adi.Pipeline.squashed > 0);
   (* every traversal of a region commits exactly one of its versions *)
@@ -372,37 +374,27 @@ let test_parallel_map_order () =
     | exception Failure _ -> true)
 
 (* ------------------------------------------------------------------ *)
-(* The Query API: one typed request path behind every accessor *)
+(* The Query API: one typed request path *)
 
 let cycles_q ?fuel ?deadline () =
   Query.v ?fuel ?deadline ~bench:"moment" ~latency:2
     (Query.Cycles { kind = Pipeline.Spec; width = Spd_machine.Descr.Fus 4 })
 
-let get = function
-  | Engine.Ok v -> v
-  | Engine.Failed f -> raise (Engine.Cell_failed f)
-
 let test_query_submit () =
   with_session (Engine.Session.create ~jobs:1 ()) @@ fun s ->
-  (* submit and the deprecated shim answer identically *)
-  let via_query =
-    Engine.to_int (Engine.Session.submit s (cycles_q ()))
-  in
-  let via_shim =
-    H.Experiment.cycles s ~bench:"moment" ~latency:2 Pipeline.Spec
+  (* submit answers what the pipeline computes for the same cell *)
+  let via_query = Engine.get (Engine.Session.submit s (cycles_q ())) in
+  let direct =
+    Pipeline.cycles
+      (Engine.Session.prepared s ~bench:"moment" ~latency:2 Pipeline.Spec)
       ~width:(Spd_machine.Descr.Fus 4)
   in
-  check_int "submit = shim" (get via_query) via_shim;
+  check_int "submit = direct pipeline" direct via_query;
   (* keys are stable, human-readable coordinates *)
   check_bool "key spells the cell" true
     (Query.key (cycles_q ()) = "moment/2/cycles/SPEC/fus4");
   check_bool "budgets are part of the key" true
     (Query.key (cycles_q ~fuel:7 ()) = "moment/2/cycles/SPEC/fus4+fuel=7");
-  (* wrong-kind projections fail loudly, not silently *)
-  check_bool "to_float on an Int value raises" true
-    (match Engine.to_float (Engine.Session.submit s (cycles_q ())) with
-    | _ -> false
-    | exception Invalid_argument _ -> true);
   (* the smart constructor refuses nonsense budgets *)
   check_bool "fuel must be positive" true
     (match Query.v ~fuel:0 ~bench:"moment" ~latency:2 Query.Spd_counts with
@@ -421,13 +413,14 @@ let test_submit_dedup_concurrent () =
     List.init 8 (fun i ->
         let n = per_domain + if i < extra then 1 else 0 in
         Domain.spawn (fun () ->
-            List.init n (fun _ ->
-                Engine.to_int (Engine.Session.submit s (cycles_q ())))))
+            List.init n (fun _ -> Engine.Session.submit s (cycles_q ()))))
   in
   let answers = List.concat_map Domain.join domains in
   check_int "100 requests answered" 100 (List.length answers);
-  let first = get (List.hd answers) in
-  List.iter (fun o -> check_int "all answers equal" first (get o)) answers;
+  let first = Engine.get (List.hd answers) in
+  List.iter
+    (fun o -> check_int "all answers equal" first (Engine.get o))
+    answers;
   let st = Engine.Session.stats s in
   check_int "exactly one preparation" 1 st.Engine.Stats.preparations;
   check_int "exactly one simulation" 1 st.Engine.Stats.simulations
@@ -499,7 +492,7 @@ let test_why_agrees_with_counts () =
     (fun latency ->
       List.iter
         (fun bench ->
-          let ds = H.Experiment.spd_decisions s ~bench ~latency in
+          let ds = ask s ~bench ~latency Query.Spd_decisions in
           let applied = Spd_core.Heuristic.applied_decisions ds in
           let row =
             List.fold_left
@@ -514,7 +507,7 @@ let test_why_agrees_with_counts () =
             (Printf.sprintf "%s/lat%d: ledger row = spd-counts row" bench
                latency)
             true
-            (row = H.Experiment.spd_counts s ~bench ~latency))
+            (row = ask s ~bench ~latency Query.Spd_counts))
         (H.Report.benches ()))
     [ 2; 6 ];
   (* the aggregate artefact is registered and builds from the same
@@ -524,7 +517,7 @@ let test_why_agrees_with_counts () =
   check_bool "spd-decisions tables non-empty" true
     (H.Report.spd_decisions_tables s <> [])
 
-(* the flag parsers shared by bin/spd, bench/main and the daemon *)
+(* the flag parsers shared by bin/spd and the daemon *)
 let test_cliflags () =
   let module C = H.Cliflags in
   check_bool "pos_int ok" true (C.pos_int ~flag:"--fuel" "42" = Ok 42);

@@ -231,7 +231,7 @@ let prop_indexed_ddg_matches_reference =
             (fun mem_latency ->
               ddg_equal
                 (Ddg.build ~mem_latency tree)
-                (M.Scheduler.Reference.build_ddg ~mem_latency tree))
+                (Scheduler_reference.build_ddg ~mem_latency tree))
             [ 2; 6 ])
         (all_trees spec.prog))
 
@@ -249,7 +249,7 @@ let prop_heap_schedule_matches_reference =
           List.for_all
             (fun fus ->
               schedule_equal (M.Scheduler.run ~fus g)
-                (M.Scheduler.Reference.run ~fus g))
+                (Scheduler_reference.run ~fus g))
             [ 1; 2; 5 ])
         (all_trees spec.prog))
 
@@ -268,7 +268,7 @@ let test_heap_schedule_matches_reference_on_workloads () =
             not
               (ddg_equal
                  (Ddg.build ~mem_latency:2 tree)
-                 (M.Scheduler.Reference.build_ddg ~mem_latency:2 tree))
+                 (Scheduler_reference.build_ddg ~mem_latency:2 tree))
           then
             Alcotest.failf "%s %s: indexed DDG differs from reference" bench
               tree.Tree.name;
@@ -278,7 +278,7 @@ let test_heap_schedule_matches_reference_on_workloads () =
               if
                 not
                   (schedule_equal (M.Scheduler.run ~fus g)
-                     (M.Scheduler.Reference.run ~fus g))
+                     (Scheduler_reference.run ~fus g))
               then
                 Alcotest.failf "%s %s: %d-wide schedule differs from reference"
                   bench tree.Tree.name fus)

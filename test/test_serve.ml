@@ -169,13 +169,102 @@ let test_query_matches_direct () =
   in
   check_string "key" (Engine.Query.key q) (str (member "key" r));
   match Engine.Session.submit session q with
-  | Engine.Ok v ->
+  | Engine.Ok n ->
       check_int "served value = direct submit"
         (int_of_float (num (member "value" r)))
-        (match v with
-        | Engine.Int n -> n
-        | _ -> Alcotest.fail "cycles should be an Int value")
+        n
   | Engine.Failed _ -> Alcotest.fail "direct submit failed"
+
+(* Every artefact kind crosses the wire: each of the nine wire names,
+   for perm at 2-cycle memory, answers ok:true with the JSON shape of
+   its answer type, and the served Table 6-3 row is the applied tally
+   of the served decision ledger. *)
+let test_every_artefact_kind () =
+  with_server @@ fun ~addr ~session ~server:_ ->
+  let needs_pipeline = [ "cycles"; "code-size"; "speedup-over-naive" ]
+  and needs_width = [ "cycles"; "speedup-over-naive"; "spec-over-static" ] in
+  let served name =
+    let params =
+      [
+        ("bench", Json.String "perm");
+        ("latency", Json.Int 2);
+        ("artefact", Json.String name);
+      ]
+      @ (if List.mem name needs_pipeline then
+           [ ("pipeline", Json.String "spec") ]
+         else [])
+      @ if List.mem name needs_width then [ ("width", Json.Int 5) ] else []
+    in
+    let r = call_ok addr "query" (Json.Obj params) in
+    check_bool (name ^ ": ok") true (member "ok" r = Json.Bool true);
+    member "value" r
+  in
+  let direct artefact =
+    Engine.get
+      (Engine.Session.submit session
+         (Engine.Query.v ~bench:"perm" ~latency:2 artefact))
+  in
+  let fus5 = Spd_machine.Descr.Fus 5 in
+  let is_int = function Json.Int _ -> true | _ -> false in
+  let keys = function Json.Obj kvs -> List.map fst kvs | _ -> [] in
+  let entries name = function
+    | Json.List (_ :: _ as l) ->
+        List.iter
+          (fun e ->
+            check_bool (name ^ ": entry carries a verdict") true
+              (Json.member "verdict" e <> None))
+          l;
+        true
+    | _ -> false
+  in
+  let float_of name artefact j =
+    check_bool (name ^ ": served = direct submit") true
+      (Json.to_number j = Some (direct artefact));
+    true
+  in
+  let shapes =
+    [
+      ("cycles", is_int);
+      ("code-size", is_int);
+      ("spd-counts", fun j -> keys j = [ "raw"; "war"; "waw" ]);
+      ("spd-dynamics", fun j -> keys j = [ "regions"; "squashed" ]);
+      ("spd-decisions", entries "spd-decisions");
+      ("spd-validate", entries "spd-validate");
+      ( "speedup-over-naive",
+        float_of "speedup-over-naive"
+          (Engine.Query.Speedup_over_naive
+             { kind = H.Pipeline.Spec; width = fus5 }) );
+      ( "spec-over-static",
+        float_of "spec-over-static"
+          (Engine.Query.Spec_over_static { width = fus5 }) );
+      ("code-growth", float_of "code-growth" Engine.Query.Code_growth);
+    ]
+  in
+  check_bool "every wire artefact name covered" true
+    (List.sort compare (List.map fst shapes)
+    = List.sort compare Engine.Query.artefact_names);
+  List.iter
+    (fun (name, shape) ->
+      check_bool (name ^ ": JSON shape") true (shape (served name)))
+    shapes;
+  let count field j = int_of_float (num (member field j)) in
+  let counts = served "spd-counts" in
+  let applied kind =
+    match served "spd-decisions" with
+    | Json.List ds ->
+        List.length
+          (List.filter
+             (fun d ->
+               member "verdict" d = Json.String "applied"
+               && member "kind" d = Json.String kind)
+             ds)
+    | _ -> Alcotest.fail "spd-decisions should be a list"
+  in
+  List.iter
+    (fun kind ->
+      check_int ("spd-counts " ^ kind ^ " = applied decisions")
+        (applied kind) (count kind counts))
+    [ "raw"; "war"; "waw" ]
 
 (* ACCEPTANCE: 100 identical concurrent requests, from 10 client
    domains with their own connections, cost exactly one preparation and
@@ -611,6 +700,7 @@ let tests =
   [
     case "ping over a unix socket" test_ping;
     case "query = direct submit" test_query_matches_direct;
+    case "every artefact kind over the wire" test_every_artefact_kind;
     case "100-request burst = one computation" test_concurrent_burst_dedup;
     case "fuel quota isolates a tenant" test_quota_isolation;
     case "served report is byte-identical" test_report_byte_identical;

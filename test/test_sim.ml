@@ -1,7 +1,7 @@
 (** Simulator tests: pure evaluation, guarded commit semantics, calls and
     recursion frames, non-faulting speculative loads, timing accumulation,
-    profiling, and the replay cache (a cached traversal summary must be
-    byte-identical to full interpretation). *)
+    profiling, and pricing from path histograms (the packed path key
+    and the dot product that must equal a timed run's cycles). *)
 
 open Util
 module Ir = Spd_ir
@@ -232,75 +232,10 @@ int main() {
     out
 
 (* ------------------------------------------------------------------ *)
-(* Replay cache *)
+(* The packed path key of the histogram *)
 
-(* every counter a profile holds, flattened for deep equality *)
-let profile_summary (p : Sim.Profile.t) =
-  Hashtbl.fold
-    (fun key (ts : Sim.Profile.tree_stat) acc ->
-      let arcs =
-        Hashtbl.fold
-          (fun arc (a : Sim.Profile.arc_stat) l ->
-            (arc, a.Sim.Profile.both_active, a.Sim.Profile.aliased) :: l)
-          ts.Sim.Profile.arc_stats []
-        |> List.sort compare
-      in
-      ( key,
-        ts.Sim.Profile.traversals,
-        ts.Sim.Profile.cycles,
-        Array.to_list ts.Sim.Profile.exit_taken,
-        arcs )
-      :: acc)
-    p []
-  |> List.sort compare
-
-let test_replay_byte_identical () =
-  (* a cached (hot) run must reproduce the cold run bit for bit: result,
-     cycles, every profile counter, every SpD region counter.  'tree'
-     aliases on some traversals only, so its SpD predicates flip at run
-     time — exactly the case the cache must fall cold on. *)
-  List.iter
-    (fun name ->
-      let w = Spd_workloads.Registry.by_name name in
-      let prepared =
-        Spd_harness.Pipeline.prepare
-          ~config:(Spd_harness.Pipeline.Config.v ~mem_latency:6 ())
-          Spd_harness.Pipeline.Spec (compile w.source)
-      in
-      let timing =
-        Spd_machine.Timing_builder.program
-          (Spd_machine.Descr.fus 5 ~mem_latency:6)
-          prepared.prog
-      in
-      let run replay =
-        let profile = Sim.Profile.create () in
-        let spd = Sim.Profile.Spd.create () in
-        List.iter
-          (fun (a : Spd_core.Heuristic.application) ->
-            ignore
-              (Sim.Profile.Spd.watch spd ~func:a.func ~tree_id:a.tree_id
-                 ~predicate:a.predicate))
-          prepared.applications;
-        let r = Sim.Interp.run ~timing ~profile ~spd ~replay prepared.prog in
-        (r, profile_summary profile, Sim.Profile.Spd.totals spd)
-      in
-      let cold, cold_profile, cold_spd = run false in
-      let hot, hot_profile, hot_spd = run true in
-      check_bool (name ^ ": return value identical") true
-        (Value.equal cold.Sim.Interp.ret hot.Sim.Interp.ret);
-      check_bool (name ^ ": output identical") true
-        (cold.Sim.Interp.output = hot.Sim.Interp.output);
-      check_int (name ^ ": cycles identical") cold.Sim.Interp.cycles
-        hot.Sim.Interp.cycles;
-      check_int (name ^ ": traversals identical") cold.Sim.Interp.traversals
-        hot.Sim.Interp.traversals;
-      check_bool (name ^ ": profile counters byte-identical") true
-        (cold_profile = hot_profile);
-      check_bool (name ^ ": SpD totals identical") true (cold_spd = hot_spd))
-    [ "tree"; "quick"; "moment" ]
-
-let test_replay_key_packing () =
-  let open Sim.Replay in
+let test_histogram_key_packing () =
+  let open Sim.Histogram in
   (* distinct (taken, gmask) pairs pack to distinct keys *)
   let keys = Hashtbl.create 64 in
   for taken = 0 to 3 do
@@ -312,27 +247,16 @@ let test_replay_key_packing () =
   done;
   check_int "all pairs distinct" 64 (Hashtbl.length keys)
 
-let test_replay_cacheable_bounds () =
-  let open Sim.Replay in
-  check_bool "small tree cacheable" true
-    (cacheable (create ~n_guarded_stores:3 ()));
-  check_bool "boundary cacheable" true
-    (cacheable (create ~n_guarded_stores:max_guarded_stores ()));
-  let over = create ~n_guarded_stores:(max_guarded_stores + 1) () in
-  check_bool "oversized tree not cacheable" false (cacheable over);
-  (* an uncacheable table swallows adds and never hits *)
-  add over 0 { cost = 1; squashed = 0; active_arcs = [||] };
-  check_bool "uncacheable never hits" true (find over 0 = None)
-
-let test_replay_entry_cap () =
-  let open Sim.Replay in
-  let t = create ~max_entries:2 ~n_guarded_stores:1 () in
-  let s = { cost = 1; squashed = 0; active_arcs = [||] } in
-  add t 0 s;
-  add t 1 s;
-  add t 2 s;
-  check_bool "capped entry dropped" true (find t 2 = None);
-  check_bool "early entries kept" true (find t 0 <> None && find t 1 <> None)
+let test_histogram_key_bounds () =
+  let open Sim.Histogram in
+  (* at the bound a full commit mask and a large exit index still fit a
+     non-negative int and unpack to themselves *)
+  let n = max_guarded_stores in
+  let gmask = (1 lsl n) - 1 in
+  let k = key ~taken:1000 ~gmask ~n_guarded_stores:n in
+  check_bool "boundary key non-negative" true (k >= 0);
+  check_int "exit unpacks" 1000 (k lsr n);
+  check_int "mask unpacks" gmask (k land gmask)
 
 (* ------------------------------------------------------------------ *)
 (* Pricing: cycles folded from one run's path histogram *)
@@ -399,7 +323,7 @@ int main() {
          (stores "+") (stores "-"))
   in
   check_bool "a tree holds more than a packed key's guarded stores" true
-    (max_guarded prog > Sim.Replay.max_guarded_stores);
+    (max_guarded prog > Sim.Histogram.max_guarded_stores);
   ignore (check_priced "wide tree" prog)
 
 (* a guarded store outside the compiled store shape (here: one that
@@ -469,11 +393,8 @@ let tests =
     case "profile exit counts" test_profile_exit_counts;
     case "profile alias counts" test_profile_alias_counts;
     case "output order" test_output_order;
-    case "replay cache is byte-identical to cold runs"
-      test_replay_byte_identical;
-    case "replay key packing is injective" test_replay_key_packing;
-    case "replay cacheable bounds" test_replay_cacheable_bounds;
-    case "replay entry cap" test_replay_entry_cap;
+    case "histogram key packing is injective" test_histogram_key_packing;
+    case "histogram key bounds" test_histogram_key_bounds;
     case "pricing: tree beyond the packed key" test_price_wide_tree;
     case "pricing: guarded store on the generic path"
       test_price_generic_store;

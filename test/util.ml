@@ -15,6 +15,13 @@ let ret_int ?mem_words src =
 (** Run a source program and return the printed output values. *)
 let output ?mem_words src = (run_src ?mem_words src).output
 
+(** One grid cell's answer through the engine's request path; raises
+    [Engine.Cell_failed] on a failed cell. *)
+let ask s ~bench ~latency artefact =
+  let module Engine = Spd_harness.Engine in
+  Engine.get
+    (Engine.Session.submit s (Engine.Query.v ~bench ~latency artefact))
+
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
