@@ -21,7 +21,18 @@ type sym =
   | Sglobal of string  (** the address of a global object *)
   | Sframe  (** the activation frame base *)
 
-let compare_sym (a : sym) (b : sym) = Stdlib.compare a b
+(* The order [Stdlib.compare] gives the constructors ([Sframe] <
+   [Sreg] < [Sglobal]), without the polymorphic compare's runtime type
+   dispatch: every [Sym_map] operation goes through it. *)
+let compare_sym (a : sym) (b : sym) =
+  match (a, b) with
+  | Sframe, Sframe -> 0
+  | Sframe, _ -> -1
+  | _, Sframe -> 1
+  | Sreg x, Sreg y -> Int.compare x y
+  | Sreg _, Sglobal _ -> -1
+  | Sglobal _, Sreg _ -> 1
+  | Sglobal x, Sglobal y -> String.compare x y
 
 module Sym_map = Map.Make (struct
   type t = sym
@@ -48,7 +59,21 @@ let add a b =
   }
 
 let neg a = { const = -a.const; terms = Sym_map.map (fun c -> -c) a.terms }
-let sub a b = add a (neg b)
+
+(* [add a (neg b)] in one pass over both maps *)
+let sub a b =
+  {
+    const = a.const - b.const;
+    terms =
+      Sym_map.merge
+        (fun _ x y ->
+          match
+            Option.value x ~default:0 - Option.value y ~default:0
+          with
+          | 0 -> None
+          | c -> Some c)
+        a.terms b.terms;
+  }
 
 let scale k a =
   if k = 0 then const 0

@@ -14,9 +14,14 @@
     two non-constants) become opaque symbols themselves, which keeps the
     analysis total: every register has a form. *)
 
-type sym = Sreg of Spd_ir.Reg.t | Sglobal of string | Sframe
+type sym =
+  | Sreg of Spd_ir.Reg.t
+      (** opaque value: tree parameter or instruction result *)
+  | Sglobal of string  (** the address of a global object *)
+  | Sframe  (** the activation frame base *)
 
-(** the activation frame base *)
+(** Total order on symbols, with the sign of [Stdlib.compare]: [Sframe]
+    first, then [Sreg]s by register, then [Sglobal]s by name. *)
 val compare_sym : sym -> sym -> int
 module Sym_map :
   sig

@@ -62,16 +62,16 @@ type t = {
 (* Measurement *)
 
 (** Repeat [f] until at least [min_time] seconds have accumulated
-    (always at least once), and fold the wall clock into a
+    (always at least once), and fold the elapsed time into a
     {!stage_sample}. *)
 let measure ~min_time ~units ~units_per_iter (f : unit -> unit) :
     stage_sample =
   let iters = ref 0 in
   let elapsed = ref 0.0 in
   while !iters = 0 || !elapsed < min_time do
-    let t0 = Unix.gettimeofday () in
+    let t0 = Spd_telemetry.Clock.now () in
     f ();
-    elapsed := !elapsed +. (Unix.gettimeofday () -. t0);
+    elapsed := !elapsed +. (Spd_telemetry.Clock.now () -. t0);
     incr iters
   done;
   let secs = !elapsed in

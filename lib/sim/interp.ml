@@ -505,7 +505,7 @@ let run ?timing ?(traversal_cost : traversal_cost option)
     ?(mem_words = 1 lsl 20) ?(fuel = default_fuel)
     ?(deadline : float option) (prog : Prog.t) : result =
   let deadline_abs =
-    Option.map (fun d -> Unix.gettimeofday () +. d) deadline
+    Option.map (fun d -> Spd_telemetry.Clock.now () +. d) deadline
   in
   let global_addr, globals_end = layout prog in
   let image = Mempool.acquire mem_words in
@@ -715,8 +715,8 @@ let run ?timing ?(traversal_cost : traversal_cost option)
     incr traversals;
     if !traversals > fuel then failc (Fuel_exhausted fuel);
     (match deadline_abs with
-    | Some dl when !traversals land 0x3fff = 0 && Unix.gettimeofday () > dl
-      ->
+    | Some dl
+      when !traversals land 0x3fff = 0 && Spd_telemetry.Clock.now () > dl ->
         failc (Deadline_exceeded (Option.get deadline))
     | _ -> ());
     let ct =

@@ -93,8 +93,9 @@ type traversal_cost =
 
     [fuel] bounds the number of tree traversals (default
     {!default_fuel}); exhausting it raises [Sim_error (Fuel_exhausted
-    fuel, _)].  [deadline] is a wall-clock budget in seconds, checked
-    every few thousand traversals; exceeding it raises
+    fuel, _)].  [deadline] is a budget in seconds of elapsed time,
+    read from the monotonic {!Spd_telemetry.Clock.now} every few
+    thousand traversals; exceeding it raises
     [Sim_error (Deadline_exceeded d, _)].  [spd] registers watches on
     SpD-transformed regions; their alias/no-alias commit and squash
     counters are filled in as the program runs.

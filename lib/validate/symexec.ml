@@ -7,9 +7,9 @@
     made concrete per path: whenever the truth of a guard, a select
     predicate or an address comparison cannot be decided from the terms'
     affine forms, the evaluator raises {!Need_atom} and the exploration
-    driver forks the path on that atom — this is how the speculated
-    alias predicate of an SpD application is split into its alias and
-    no-alias cases.
+    driver replays the path once under each truth value of that atom —
+    this is how the speculated alias predicate of an SpD application is
+    split into its alias and no-alias cases.
 
     Address equality is decided with the same machinery the static
     disambiguator uses ({!Spd_analysis.Affine}): a constant difference
@@ -47,11 +47,17 @@ type tkey =
 
 type mkey = int * int * int
 
+(* the object an address term is based on, as [base_of] classifies it *)
+type obase = Obj of Affine.sym | Opaque | Nobase | Mixed
+
+module Itbl = Hashtbl.Make (Int)
+
 type ctx = {
   terms : (tkey, term) Hashtbl.t;
   mems : (mkey, mem) Hashtbl.t;
   by_tid : (int, term) Hashtbl.t;
   aff : (int, Affine.t) Hashtbl.t;
+  bases : obase Itbl.t;  (* [base_of] answers, by term id *)
   mutable next_tid : int;
   mutable next_mid : int;
   is_addr_param : Reg.t -> bool;
@@ -65,6 +71,7 @@ let create ~is_addr_param =
     mems = Hashtbl.create 64;
     by_tid = Hashtbl.create 256;
     aff = Hashtbl.create 256;
+    bases = Itbl.create 64;
     next_tid = 0;
     next_mid = 1;
     is_addr_param;
@@ -324,8 +331,6 @@ let basis_of_asm asm : basis option =
       in
       if contradicted then None else Some basis
 
-type obase = Obj of Affine.sym | Opaque | Nobase | Mixed
-
 let is_addr_symbol ctx = function
   | Affine.Sglobal _ | Affine.Sframe -> true
   | Affine.Sreg tid -> (
@@ -333,17 +338,28 @@ let is_addr_symbol ctx = function
       | Some { node = Param r; _ } -> ctx.is_addr_param r
       | _ -> false)
 
-let base_of ctx (f : Affine.t) : obase =
-  let addrs =
-    Affine.Sym_map.filter (fun s _ -> is_addr_symbol ctx s) f.Affine.terms
-  in
-  match Affine.Sym_map.bindings addrs with
-  | [] -> Nobase
-  | [ (s, 1) ] -> (
-      match s with
-      | Affine.Sglobal _ | Affine.Sframe -> Obj s
-      | Affine.Sreg _ -> Opaque)
-  | _ -> Mixed
+(* Memoised per exploration: the base depends only on the term's form
+   and on which parameters are addresses. *)
+let base_of ctx (t : term) : obase =
+  match Itbl.find_opt ctx.bases t.tid with
+  | Some b -> b
+  | None ->
+      let addrs =
+        Affine.Sym_map.filter
+          (fun s _ -> is_addr_symbol ctx s)
+          (aff_term ctx t).Affine.terms
+      in
+      let b =
+        match Affine.Sym_map.bindings addrs with
+        | [] -> Nobase
+        | [ (s, 1) ] -> (
+            match s with
+            | Affine.Sglobal _ | Affine.Sframe -> Obj s
+            | Affine.Sreg _ -> Opaque)
+        | _ -> Mixed
+      in
+      Itbl.add ctx.bases t.tid b;
+      b
 
 (* ------------------------------------------------------------------ *)
 (* Per-path state *)
@@ -357,21 +373,35 @@ type path = {
   mutable residuals : (term * term) list;
       (* (address, load term) of reads that fell through to the initial
          memory on this path, unified up to decided address equality *)
+  decided : bool Itbl.t;
+      (* [decide_eq] answers on this path, keyed by the ordered pair of
+         term ids packed into one int (ids stay far below 2^31) *)
 }
 
+(* Memoised per path: the answer is a pure function of the two terms,
+   [basis] and [asm], none of which changes during a replay, and only
+   answers that did not raise [Need_atom] are stored. *)
 let decide_eq (st : path) (a : term) (b : term) : bool =
   if a.tid = b.tid then true
   else
-    let fa = aff_term st.ctx a and fb = aff_term st.ctx b in
-    match norm_eq (reduce st.basis (Affine.sub fa fb)) with
-    | `Decided v -> v
-    | `Atom atom -> (
-        match (base_of st.ctx fa, base_of st.ctx fb) with
-        | Obj o1, Obj o2 when o1 <> o2 -> false
-        | _ -> (
-            match Atom_map.find_opt atom st.asm with
-            | Some v -> v
-            | None -> raise (Need_atom atom)))
+    let key = (a.tid lsl 31) lor b.tid in
+    match Itbl.find_opt st.decided key with
+    | Some v -> v
+    | None ->
+        let fa = aff_term st.ctx a and fb = aff_term st.ctx b in
+        let v =
+          match norm_eq (reduce st.basis (Affine.sub fa fb)) with
+          | `Decided v -> v
+          | `Atom atom -> (
+              match (base_of st.ctx a, base_of st.ctx b) with
+              | Obj o1, Obj o2 when Affine.compare_sym o1 o2 <> 0 -> false
+              | _ -> (
+                  match Atom_map.find_opt atom st.asm with
+                  | Some v -> v
+                  | None -> raise (Need_atom atom)))
+        in
+        Itbl.add st.decided key v;
+        v
 
 let rec is_boolish (t : term) =
   match t.node with
@@ -637,9 +667,20 @@ let pp_atom ppf = function
   | Aeq f -> Fmt.pf ppf "0 = %a" Affine.pp f
   | Atruth tid -> Fmt.pf ppf "t%d" tid
 
-let render_assumptions asm =
+(* [names] memoises each atom's rendering for one exploration: every
+   leaf path renders its whole assumption set. *)
+let render_assumptions names asm =
   List.map
-    (fun (a, v) -> Fmt.str "%s%a" (if v then "" else "!") pp_atom a)
+    (fun (a, v) ->
+      let name =
+        match Atom_map.find_opt a !names with
+        | Some name -> name
+        | None ->
+            let name = Fmt.str "%a" pp_atom a in
+            names := Atom_map.add a name !names;
+            name
+      in
+      if v then name else "!" ^ name)
     (Atom_map.bindings asm)
 
 let render_obs buf (r : run) =
@@ -669,7 +710,7 @@ exception Too_many_paths
 (* Check one fully-split path; raises [Need_atom] when a new split is
    required.  Recording into the digest buffers happens only after all
    raising work is done, so re-explored prefixes never record twice. *)
-let check_path st ~before ~after ~exit_buf ~store_buf : string option =
+let check_path st ~names ~before ~after ~exit_buf ~store_buf : string option =
   let ra = exec st before in
   let rb = exec st after in
   let ca = mem_classes st ra.mem in
@@ -679,7 +720,7 @@ let check_path st ~before ~after ~exit_buf ~store_buf : string option =
     | Some d -> Some d
     | None -> compare_classes st ca cb
   in
-  let prefix = String.concat " & " (render_assumptions st.asm) in
+  let prefix = String.concat " & " (render_assumptions names st.asm) in
   Buffer.add_string exit_buf ("{" ^ prefix ^ "} ");
   render_obs exit_buf ra;
   Buffer.add_char exit_buf '\n';
@@ -692,8 +733,13 @@ let explore ?(max_paths = 4096) ~is_addr_param ~(before : Tree.t)
     ~(after : Tree.t) () : outcome * stats * digests =
   let ctx = create ~is_addr_param in
   let exit_buf = Buffer.create 256 and store_buf = Buffer.create 256 in
+  let names = ref Atom_map.empty in
   let paths = ref 0 and splits = ref 0 in
   let found = ref None in
+  (* Every assumption set replays both trees from the first instruction:
+     an assumed-true equality rebuilds the basis in atom order and can
+     re-decide compares the prefix already made, so resuming at the
+     split point would not be exact. *)
   let rec go asm =
     if !found <> None then ()
     else if !paths >= max_paths then raise Too_many_paths
@@ -701,12 +747,14 @@ let explore ?(max_paths = 4096) ~is_addr_param ~(before : Tree.t)
       match basis_of_asm asm with
       | None -> () (* infeasible assumption set: no concrete run reaches it *)
       | Some basis -> (
-          let st = { ctx; asm; basis; residuals = [] } in
-          match check_path st ~before ~after ~exit_buf ~store_buf with
+          let st =
+            { ctx; asm; basis; residuals = []; decided = Itbl.create 16 }
+          in
+          match check_path st ~names ~before ~after ~exit_buf ~store_buf with
           | None -> incr paths
           | Some detail ->
               incr paths;
-              found := Some (render_assumptions asm, detail)
+              found := Some (render_assumptions names asm, detail)
           | exception Need_atom a ->
               incr splits;
               go (Atom_map.add a true asm);

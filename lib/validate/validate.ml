@@ -77,7 +77,7 @@ let check_trees ?(max_paths = default_max_paths) ?(samples = default_samples)
 
 let check_application ?max_paths ?samples ~func ~(before : Tree.t)
     (app : Heuristic.application) (after : Tree.t) : report =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Spd_telemetry.Clock.now () in
   let verdict, stats, digests =
     check_trees ?max_paths ?samples ~before ~after ()
   in
@@ -90,7 +90,7 @@ let check_application ?max_paths ?samples ~func ~(before : Tree.t)
     stats;
     exit_digest = digests.Symexec.exit_digest;
     store_digest = digests.Symexec.store_digest;
-    time_ms = (Unix.gettimeofday () -. t0) *. 1000.;
+    time_ms = (Spd_telemetry.Clock.now () -. t0) *. 1000.;
   }
 
 (** Counts of (proved, refuted, unknown) verdicts in a ledger. *)

@@ -1,10 +1,11 @@
-(** Regenerate the golden-schedule corpus ([make golden-promote]).
+(** Regenerate the golden corpus ([make golden-promote]).
 
-    Renders every (workload, width) document with the same
-    {!Golden_render} the test suite diffs against, and writes the files
-    into the directory named on the command line (default
-    [test/golden]).  Run it after an {e intentional} scheduler or DDG
-    change, eyeball the git diff of the grids, and commit. *)
+    Renders every (workload, width) schedule document and the
+    validation ledger with the same {!Golden_render} the test suite
+    diffs against, and writes the files into the directory named on the
+    command line (default [test/golden]).  Run it after an
+    {e intentional} scheduler, DDG or validator change, eyeball the git
+    diff, and commit. *)
 
 let () =
   let dir =
@@ -16,19 +17,22 @@ let () =
         exit 2
   in
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  let write name doc =
+    let path = Filename.concat dir name in
+    let oc = open_out_bin path in
+    Fun.protect
+      ~finally:(fun () -> close_out_noerr oc)
+      (fun () -> output_string oc doc);
+    Printf.printf "golden_promote: wrote %s (%d bytes)\n%!" path
+      (String.length doc)
+  in
   List.iter
     (fun workload ->
       List.iter
         (fun width ->
-          let path =
-            Filename.concat dir (Golden_render.file_name ~workload ~width)
-          in
-          let doc = Golden_render.render ~workload ~width in
-          let oc = open_out_bin path in
-          Fun.protect
-            ~finally:(fun () -> close_out_noerr oc)
-            (fun () -> output_string oc doc);
-          Printf.printf "golden_promote: wrote %s (%d bytes)\n%!" path
-            (String.length doc))
+          write
+            (Golden_render.file_name ~workload ~width)
+            (Golden_render.render ~workload ~width))
         Golden_render.widths)
-    Spd_workloads.Registry.names
+    Spd_workloads.Registry.names;
+  write Golden_render.validate_file (Golden_render.render_validate ())

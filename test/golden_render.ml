@@ -1,4 +1,4 @@
-(** Shared renderer for the golden-schedule corpus.
+(** Shared renderer for the golden corpus.
 
     One text document per (workload, width): every tree of the SPEC
     pipeline's program rendered as a cycle-by-FU occupancy grid.  The
@@ -6,7 +6,9 @@
     committed under [test/golden/]; [make golden-promote] regenerates
     the files with the same renderer, so an intentional scheduler change
     is a one-command re-bless while an accidental one fails [dune
-    runtest] with a readable grid diff.
+    runtest] with a readable grid diff.  A further document,
+    [validate.txt], pins the translation validator's ledger
+    ([test_validate] diffs it the same way).
 
     The rendering must stay byte-deterministic: trees in program order,
     fixed-width columns sized from the grid's own labels, no timestamps
@@ -76,4 +78,108 @@ let render ~workload ~width : string =
   Spd_ir.Prog.iter_trees
     (fun func tree -> render_tree buf ~func (Schedule.of_tree ~descr tree))
     prepared.Pipeline.prog;
+  Buffer.contents buf
+
+(* ------------------------------------------------------------------ *)
+(* Diffing a rendering against its golden file *)
+
+let slurp path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+(* first differing line, so a failure names the tree or application *)
+let first_diff a b =
+  let la = String.split_on_char '\n' a and lb = String.split_on_char '\n' b in
+  let rec go n = function
+    | x :: xs, y :: ys when String.equal x y -> go (n + 1) (xs, ys)
+    | x :: _, y :: _ -> Some (n, x, y)
+    | [], y :: _ -> Some (n, "<end of golden file>", y)
+    | x :: _, [] -> Some (n, x, "<end of rendering>")
+    | [], [] -> None
+  in
+  go 1 (la, lb)
+
+(** [None] when [got] is byte-identical to the golden file at [path];
+    otherwise the failure message, naming the first differing line. *)
+let drift ~what path got =
+  if not (Sys.file_exists path) then
+    Some
+      (Printf.sprintf "%s missing — run `make golden-promote` and commit" path)
+  else
+    match first_diff (slurp path) got with
+    | None -> None
+    | Some (line, want, have) ->
+        Some
+          (Printf.sprintf
+             "%s drifted from %s at line %d:\n  golden: %s\n  got:    %s\n\
+              If the change is intentional, re-bless with `make \
+              golden-promote`."
+             what path line want have)
+
+(* ------------------------------------------------------------------ *)
+(* The validation ledger *)
+
+(** Every SpD application the heuristic performs on [src], as
+    [(func, before, application, after)] in application order: the
+    SPEC chain (forwarding, arc annotation, static disambiguation, the
+    NAIVE profile) with a recording checker. *)
+let spec_pairs ?(mem_latency = 2) src =
+  let lowered = Spd_lang.Lower.compile src in
+  let cleaned = Spd_analysis.Forwarding.run lowered in
+  let naive = Spd_analysis.Memarcs.annotate cleaned in
+  let static = Spd_disambig.Static_disambig.run naive in
+  let profile = Pipeline.profile_of static in
+  let pairs = ref [] in
+  let checker ~func ~before app after =
+    pairs := (func, before, app, after) :: !pairs
+  in
+  ignore (Spd_core.Heuristic.run ~profile ~checker ~mem_latency static);
+  List.rev !pairs
+
+let validate_file = "validate.txt"
+
+(** One line per SpD application of every paper workload plus
+    matmul300, at both paper memory latencies: workload, latency,
+    function, tree, arc, kind, verdict, the exploration statistics and
+    both digests, then the corpus totals.  Pins the validator's
+    exploration exactly: the digests cover every path's assumption set
+    in DFS order. *)
+let render_validate () : string =
+  let module V = Spd_validate.Validate in
+  let buf = Buffer.create 8192 in
+  Buffer.add_string buf
+    "# golden validation ledger: every SpD application, SPEC heuristic\n\
+     # workload latency func tree src->dst kind verdict paths splits terms \
+     exit_digest store_digest\n";
+  let apps = ref 0 and paths = ref 0 and splits = ref 0 and terms = ref 0 in
+  List.iter
+    (fun workload ->
+      let src =
+        (Spd_workloads.Registry.by_name workload).Spd_workloads.Workload.source
+      in
+      List.iter
+        (fun mem_latency ->
+          List.iter
+            (fun (func, before, app, after) ->
+              let r = V.check_application ~func ~before app after in
+              let s = r.V.stats in
+              incr apps;
+              paths := !paths + s.V.paths;
+              splits := !splits + s.V.splits;
+              terms := !terms + s.V.terms;
+              Printf.bprintf buf "%s %d %s %d %d->%d %s %s %d %d %d %s %s\n"
+                workload mem_latency func r.V.tree_id (fst r.V.arc)
+                (snd r.V.arc)
+                (Spd_harness.Why.kind_name r.V.kind)
+                (Spd_validate.Verdict.name r.V.verdict)
+                s.V.paths s.V.splits s.V.terms r.V.exit_digest
+                r.V.store_digest)
+            (spec_pairs ~mem_latency src))
+        [ 2; 6 ])
+    (Spd_workloads.Registry.names @ [ "matmul300" ]);
+  Printf.bprintf buf
+    "# total: %d applications, %d paths, %d splits, %d terms\n" !apps !paths
+    !splits !terms;
   Buffer.contents buf

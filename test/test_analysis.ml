@@ -20,9 +20,28 @@ let sym_gen =
         return A.Affine.Sframe;
       ])
 
-let affine_gen =
+(* Symbols that stress the order: negative registers, the empty global
+   name and names sharing a prefix. *)
+let wide_sym_gen =
   QCheck.Gen.(
-    let term = pair sym_gen (int_range (-5) 5) in
+    oneof
+      [
+        map (fun r -> A.Affine.Sreg r) (int_range (-50) 50);
+        map (fun r -> A.Affine.Sreg r) int;
+        map
+          (fun g -> A.Affine.Sglobal g)
+          (oneof
+             [
+               oneofl [ ""; "a"; "ab"; "abc"; "b"; "g"; "g1"; "g10"; "g2" ];
+               string_size ~gen:(oneofl [ 'a'; 'b'; '\000'; '\255' ])
+                 (int_bound 3);
+             ]);
+        return A.Affine.Sframe;
+      ])
+
+let affine_gen_of ?(coeff = QCheck.Gen.int_range (-5) 5) sym_gen =
+  QCheck.Gen.(
+    let term = pair sym_gen coeff in
     map2
       (fun c terms ->
         List.fold_left
@@ -31,6 +50,7 @@ let affine_gen =
       (int_range (-20) 20)
       (list_size (int_bound 4) term))
 
+let affine_gen = affine_gen_of sym_gen
 let affine_arb = QCheck.make ~print:(Fmt.to_to_string A.Affine.pp) affine_gen
 
 let prop_sub_self =
@@ -41,6 +61,48 @@ let prop_add_comm =
   QCheck.Test.make ~name:"affine: a + b = b + a" ~count:300
     QCheck.(pair affine_arb affine_arb)
     (fun (a, b) -> A.Affine.equal (A.Affine.add a b) (A.Affine.add b a))
+
+let prop_compare_sym_order =
+  QCheck.Test.make ~name:"affine: compare_sym has the sign of compare"
+    ~count:1000
+    (QCheck.make
+       ~print:
+         QCheck.Print.(
+           pair (Fmt.to_to_string A.Affine.pp_sym)
+             (Fmt.to_to_string A.Affine.pp_sym))
+       QCheck.Gen.(
+         (* a shared pool makes equal and near-equal pairs common *)
+         list_repeat 6 wide_sym_gen >>= fun pool ->
+         pair (oneofl pool) (oneofl pool)))
+    (fun (x, y) ->
+      Int.compare (A.Affine.compare_sym x y) 0
+      = Int.compare (Stdlib.compare x y) 0)
+
+let prop_sub_one_pass =
+  QCheck.Test.make ~name:"affine: sub a b = add a (neg b)" ~count:500
+    (let gen =
+       affine_gen_of
+         ~coeff:QCheck.Gen.(oneof [ int_range (-5) 5; int ])
+         QCheck.Gen.(
+           oneof
+             [
+               map (fun r -> A.Affine.Sreg r) (int_range (-3) 3);
+               return (A.Affine.Sglobal "");
+               return A.Affine.Sframe;
+             ])
+     in
+     QCheck.make
+       ~print:
+         QCheck.Print.(
+           pair (Fmt.to_to_string A.Affine.pp) (Fmt.to_to_string A.Affine.pp))
+       QCheck.Gen.(
+         (* b often shares a's terms, so coefficients cancel *)
+         gen >>= fun a ->
+         map
+           (fun (b, shared) -> (a, if shared then A.Affine.add a b else b))
+           (pair gen bool)))
+    (fun (a, b) ->
+      A.Affine.equal (A.Affine.sub a b) (A.Affine.add a (A.Affine.neg b)))
 
 let prop_scale_distributes =
   QCheck.Test.make ~name:"affine: k(a+b) = ka + kb" ~count:300
@@ -283,6 +345,8 @@ let tests =
     qcase prop_sub_self;
     qcase prop_add_comm;
     qcase prop_scale_distributes;
+    qcase prop_compare_sym_order;
+    qcase prop_sub_one_pass;
     case "affine analysis of subscripts" test_affine_analyze;
     case "memarcs pair construction" test_memarcs_pairs;
     case "ddg asap chain" test_ddg_asap;

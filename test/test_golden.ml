@@ -11,39 +11,11 @@
 
 let case name f = Alcotest.test_case name `Quick f
 
-let slurp path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-(* first differing line, for a failure message that names the tree *)
-let first_diff a b =
-  let la = String.split_on_char '\n' a and lb = String.split_on_char '\n' b in
-  let rec go n = function
-    | x :: xs, y :: ys when String.equal x y -> go (n + 1) (xs, ys)
-    | x :: _, y :: _ -> Some (n, x, y)
-    | [], y :: _ -> Some (n, "<end of golden file>", y)
-    | x :: _, [] -> Some (n, x, "<end of rendering>")
-    | [], [] -> None
-  in
-  go 1 (la, lb)
-
 let check_workload workload width () =
   let path = Filename.concat "golden" (Golden_render.file_name ~workload ~width) in
-  if not (Sys.file_exists path) then
-    Alcotest.failf "%s missing — run `make golden-promote` and commit" path;
-  let golden = slurp path in
-  let got = Golden_render.render ~workload ~width in
-  if not (String.equal golden got) then
-    match first_diff golden got with
-    | Some (line, want, have) ->
-        Alcotest.failf
-          "schedule drifted from %s at line %d:@.  golden: %s@.  got:    \
-           %s@.If the change is intentional, re-bless with `make \
-           golden-promote`."
-          path line want have
-    | None -> Alcotest.failf "schedule drifted from %s" path
+  Option.iter Alcotest.fail
+    (Golden_render.drift ~what:"schedule" path
+       (Golden_render.render ~workload ~width))
 
 let tests =
   List.concat_map

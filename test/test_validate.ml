@@ -17,23 +17,6 @@ let qcase = QCheck_alcotest.to_alcotest
 let with_session = Engine.Session.with_session
 
 (* ------------------------------------------------------------------ *)
-(* Capturing (before, application, after) triples: run the heuristic
-   exactly as the SPEC pipeline does, with a recording checker. *)
-
-let spec_pairs ?(mem_latency = 2) src =
-  let lowered = compile src in
-  let cleaned = Spd_analysis.Forwarding.run lowered in
-  let naive = Spd_analysis.Memarcs.annotate cleaned in
-  let static = Spd_disambig.Static_disambig.run naive in
-  let profile = Pipeline.profile_of static in
-  let pairs = ref [] in
-  let checker ~func ~before app after =
-    pairs := (func, before, app, after) :: !pairs
-  in
-  ignore (Spd_core.Heuristic.run ~profile ~checker ~mem_latency static);
-  List.rev !pairs
-
-(* ------------------------------------------------------------------ *)
 (* Every SpD application across the full paper grid proves. *)
 
 let test_paper_grid_proved () =
@@ -70,6 +53,19 @@ let test_paper_grid_proved () =
     H.Report.latencies
 
 (* ------------------------------------------------------------------ *)
+(* The ledger of every application on the paper workloads and
+   matmul300, at both latencies, is byte-identical to the committed
+   golden file: verdicts, path/split/term counts and both digests.  Any
+   change to what the explorer visits, or in which order, shows up
+   here; re-bless an intentional one with [make golden-promote]. *)
+
+let test_golden_ledger () =
+  Option.iter Alcotest.fail
+    (Golden_render.drift ~what:"validation ledger"
+       (Filename.concat "golden" Golden_render.validate_file)
+       (Golden_render.render_validate ()))
+
+(* ------------------------------------------------------------------ *)
 (* Miscompile fixtures: surgically broken transforms must be refuted,
    and the counterexample must concretize to a real divergence. *)
 
@@ -82,7 +78,7 @@ let fixture_pair what want =
     | (_, before, _, after) :: rest ->
         if want after then (before, after) else pick rest
   in
-  pick (spec_pairs w.source)
+  pick (Golden_render.spec_pairs w.source)
 
 let has_guarded_store (t : Spd_ir.Tree.t) =
   Array.exists
@@ -178,7 +174,7 @@ let prop_proved_implies_concrete_equality =
                        %d): %s"
                       func seed d
               done)
-        (spec_pairs src);
+        (Golden_render.spec_pairs src);
       true)
 
 (* ------------------------------------------------------------------ *)
@@ -241,6 +237,7 @@ let test_certify_acceptable () =
 let tests =
   [
     case "paper grid: every application proved" test_paper_grid_proved;
+    case "ledger matches the golden file" test_golden_ledger;
     case "refutes a flipped store guard" test_refutes_flipped_guard;
     case "refutes swapped select arms" test_refutes_swapped_select;
     qcase prop_proved_implies_concrete_equality;
