@@ -1,7 +1,8 @@
 # Convenience targets; `make check` is the CI entry point: full build,
 # the test suite, a 200-seed differential fuzz smoke, a table6_3 smoke
 # run twice — the second pass must be served entirely from the warm
-# _spd_cache/ — a telemetry smoke that lints the trace and JSON
+# _spd_cache/ (its --timings must read preparations 0 and simulations
+# 0, or the check fails) — a telemetry smoke that lints the trace and JSON
 # report output with the in-repo JSON reader, and a translation-
 # validation smoke that certifies every SpD application on the paper
 # grid with the symbolic equivalence checker.
@@ -134,7 +135,13 @@ check: all
 	$(DUNE) runtest
 	$(MAKE) fuzz-smoke
 	$(DUNE) exec bin/spd.exe -- report table6_3 --jobs 2
-	$(DUNE) exec bin/spd.exe -- report table6_3 --jobs 2 --timings
+	$(DUNE) exec bin/spd.exe -- report table6_3 --jobs 2 --timings \
+	  > $(SMOKE_DIR)/spd_warm_rerun.txt
+	cat $(SMOKE_DIR)/spd_warm_rerun.txt
+	@grep -Eq '^preparations +0$$' $(SMOKE_DIR)/spd_warm_rerun.txt \
+	  && grep -Eq '^simulations +0$$' $(SMOKE_DIR)/spd_warm_rerun.txt \
+	  || { echo "check: the table6_3 rerun was not served entirely" \
+	    "from the warm _spd_cache/"; exit 1; }
 	$(MAKE) telemetry-smoke
 	$(MAKE) bench-diff-smoke
 	$(MAKE) perf-smoke

@@ -904,19 +904,7 @@ let cache_cmd =
     (* register the engine counters so the snapshot carries the
        spd.engine.cache.* names even before any cell fires them *)
     Spd_harness.Engine.register_metrics ();
-    let entries = ref 0 and bytes = ref 0 in
-    (match Sys.readdir dir with
-    | names ->
-        Array.iter
-          (fun n ->
-            if Filename.check_suffix n ".cache" then begin
-              incr entries;
-              match Unix.stat (Filename.concat dir n) with
-              | st -> bytes := !bytes + st.Unix.st_size
-              | exception Unix.Unix_error _ -> ()
-            end)
-          names
-    | exception Sys_error _ -> ());
+    let entries, bytes = Spd_harness.Engine.cache_usage dir in
     let counter name =
       match List.assoc_opt name (Metrics.snapshot ()) with
       | Some (Metrics.Counter n) -> n
@@ -929,8 +917,8 @@ let cache_cmd =
               [
                 ("schema", Json.String "spd-cache/1");
                 ("dir", Json.String dir);
-                ("entries", Json.Int !entries);
-                ("bytes", Json.Int !bytes);
+                ("entries", Json.Int entries);
+                ("bytes", Json.Int bytes);
                 ( "version",
                   Json.String Spd_harness.Engine.cache_version );
                 ("hits", Json.Int (counter "spd.engine.cache.hits"));
@@ -940,8 +928,8 @@ let cache_cmd =
               ]))
     else begin
       Fmt.pr "dir        %s@." dir;
-      Fmt.pr "entries    %d@." !entries;
-      Fmt.pr "bytes      %d@." !bytes;
+      Fmt.pr "entries    %d@." entries;
+      Fmt.pr "bytes      %d@." bytes;
       Fmt.pr "version    %s@." Spd_harness.Engine.cache_version;
       Fmt.pr "hits       %d@." (counter "spd.engine.cache.hits");
       Fmt.pr "misses     %d@." (counter "spd.engine.cache.misses");
@@ -969,8 +957,8 @@ let cache_cmd =
       Cmd.v
         (Cmd.info "stats"
            ~doc:
-             "Entry count, total bytes, cache format version and the \
-              process's live \
+             "Records across the cache's packs, the packs' total bytes, \
+              the cache format version and the process's live \
               $(b,spd.engine.cache.hits)/$(b,misses)/$(b,evictions) \
               counters (also part of the Prometheus exposition).")
         Term.(const stats_run $ dir_arg $ json_arg);

@@ -15,8 +15,8 @@
     - {b a content-addressed on-disk result cache}: the digest of the
       workload source, the pipeline fingerprint and the machine
       description addresses the resulting cycle count / SpD summary
-      under [_spd_cache/], so warm re-runs skip lowering, profiling,
-      SpD and scheduling entirely;
+      in the packs under [_spd_cache/], so warm re-runs skip lowering,
+      profiling, SpD and scheduling entirely;
     - {b per-stage wall-clock instrumentation}, surfaced through
       {!Session.stats} and rendered by [Report.timings].
 
@@ -31,14 +31,16 @@ module W = Spd_workloads
    "3": [Dynamics] entries; SpD applications carry their predicate
    register.  "4": [Decisions] entries; memory arcs carry their
    ambiguity provenance.  "5": [D_verdicts] entries — the
-   translation-validation ledger. *)
-let cache_version = "5"
+   translation-validation ledger.  "6": records live in packs of many
+   records each, instead of one file per entry. *)
+let cache_version = "6"
 
 (* Engine-level metrics, mirrored alongside the per-session [Stats]
    counters so a metrics snapshot covers multi-session processes too. *)
 module M = Spd_telemetry.Metrics
 module Log = Spd_telemetry.Log
 module Clock = Spd_telemetry.Clock
+module Trace = Spd_telemetry.Trace
 
 let m_lowerings = M.counter_handle "spd.engine.lowerings"
 let m_preparations = M.counter_handle "spd.engine.preparations"
@@ -384,12 +386,13 @@ module Stats = struct
     preparations : int;  (** pipelines actually run (not cache hits) *)
     simulations : int;
         (** instrumented runs of prepared programs actually performed
-            (the [Simulate] stage); each prices its program at every
-            width.  NAIVE's reference run, which prices NAIVE, STATIC
-            and PERFECT, is the [Profile] stage of a preparation *)
+            (the [Simulate] stage), one per distinct SPEC program; each
+            prices its program at every width.  NAIVE's reference run,
+            which prices NAIVE, STATIC, PERFECT and a SPEC program that
+            applies nothing, is the [Profile] stage of a preparation *)
     disk_hits : int;  (** results served from the on-disk cache *)
     disk_misses : int;  (** on-disk lookups that fell through *)
-    disk_evictions : int;  (** corrupt on-disk entries evicted and recomputed *)
+    disk_evictions : int;  (** corrupt on-disk records evicted and recomputed *)
     cell_retries : int;  (** failed attempts that were retried *)
     cell_failures : int;  (** cells that exhausted their attempts *)
     stage_seconds : (Pipeline.stage * float) list;
@@ -421,6 +424,97 @@ module Stats = struct
 end
 
 (* ------------------------------------------------------------------ *)
+(* On-disk packs.  The cache directory holds packs; a pack is a run of
+   records, each a cell's address (the hex MD5 of its payload) followed
+   by its checksummed entry:
+
+     <address> spd-cache <version> <md5-of-body> <body-length>\n<body>
+
+   The header's length frames the record; the version, the checksum and
+   the unmarshal are checked when the record is read.  Packs are written
+   whole, through a unique temporary file and an atomic rename, so no
+   reader ever observes a torn pack. *)
+
+module Pack = struct
+  (* [iter s f] calls [f address version entry] on every record of pack
+     [s].  A header that is cut short or malformed ends the pack — the
+     records past it are lost — while a body cut short is handed over
+     short, so reading it fails the length check. *)
+  let iter s f =
+    let n = String.length s in
+    let rec go i =
+      match String.index_from_opt s i '\n' with
+      | None -> ()
+      | Some j -> (
+          match String.split_on_char ' ' (String.sub s i (j - i)) with
+          | [ address; "spd-cache"; version; _; len ] -> (
+              match int_of_string_opt len with
+              | Some len when len >= 0 ->
+                  let start = i + String.length address + 1 in
+                  let stop = min n (j + 1 + len) in
+                  f address version (String.sub s start (stop - start));
+                  if stop < n then go stop
+              | _ -> ())
+          | _ -> ())
+    in
+    if n > 0 then go 0
+
+  (* every pack of [dir] with its bytes, by name; a pack removed between
+     listing and reading (a concurrent flush) is skipped *)
+  let read_all dir =
+    match Sys.readdir dir with
+    | exception Sys_error _ -> []
+    | names ->
+        Array.sort String.compare names;
+        Array.to_list names
+        |> List.filter_map (fun name ->
+               if not (Filename.check_suffix name ".pack") then None
+               else
+                 match
+                   In_channel.with_open_bin (Filename.concat dir name)
+                     In_channel.input_all
+                 with
+                 | s -> Some (name, s)
+                 | exception Sys_error _ -> None)
+
+  let write_seq = Atomic.make 0
+
+  (* Write [records] as one pack, sorted by address and named by the
+     digest of its bytes, and return its name. *)
+  let write dir records =
+    let buf = Buffer.create 4096 in
+    List.iter
+      (fun (address, entry) ->
+        Buffer.add_string buf address;
+        Buffer.add_char buf ' ';
+        Buffer.add_string buf entry)
+      (List.sort (fun (a, _) (b, _) -> String.compare a b) records);
+    let bytes = Buffer.contents buf in
+    let name = Digest.to_hex (Digest.string bytes) ^ ".pack" in
+    let path = Filename.concat dir name in
+    let tmp =
+      Printf.sprintf "%s.%d.%d.tmp" path (Unix.getpid ())
+        (Atomic.fetch_and_add write_seq 1)
+    in
+    (try
+       Out_channel.with_open_bin tmp (fun oc ->
+           Out_channel.output_string oc bytes);
+       Sys.rename tmp path
+     with e ->
+       (try Sys.remove tmp with Sys_error _ -> ());
+       raise e);
+    name
+end
+
+let cache_usage dir =
+  List.fold_left
+    (fun (records, bytes) (_, s) ->
+      let n = ref 0 in
+      Pack.iter s (fun _ _ _ -> incr n);
+      (records + !n, bytes + String.length s))
+    (0, 0) (Pack.read_all dir)
+
+(* ------------------------------------------------------------------ *)
 
 module Session = struct
   (* The internal memo key: cell coordinates plus the per-request
@@ -444,6 +538,21 @@ module Session = struct
     | D_decisions of Spd_core.Heuristic.decision list
     | D_verdicts of Spd_validate.Validate.report list
 
+  (* The session's view of the cache directory: the records of the
+     packs it loaded, minus the ones it evicted, plus the ones it wrote.
+     Loaded on first access; [flush] writes the new records as a pack of
+     their own, [close] compacts the view into one pack. *)
+  type disk = {
+    dir : string;
+    mu : Mutex.t;  (* guards the mutable state below *)
+    mutable loaded : bool;
+    records : (string, string) Hashtbl.t;  (* address -> entry *)
+    fresh : (string, string) Hashtbl.t;  (* written, in no pack yet *)
+    mutable packs : string list;  (* the packs [records] stands for *)
+    mutable changed : bool;  (* written or evicted since it was loaded *)
+    writing : Mutex.t;  (* one pack write at a time *)
+  }
+
   type t = {
     jobs : int;
     retries : int;  (* attempts per cell before recording a failure *)
@@ -452,11 +561,16 @@ module Session = struct
         (* the default configuration under the session's timer, budgets
            (its [deadline] is the per-cell wall-clock budget) and
            checker fault *)
-    cache_dir : string option;  (* None = on-disk cache disabled *)
+    disk : disk option;  (* None = on-disk cache disabled *)
     pool : Pool.t;
     lowered_memo : (string, Spd_ir.Prog.t) Memo.t;
+    front_memo : (string, Spd_ir.Prog.t) Memo.t;
     prep_memo : (key, Pipeline.prepared) Memo.t;
     reference_memo : (key, Pipeline.reference) Memo.t;
+    run_memo :
+      ( Digest.t * int option * float option,
+        Pipeline.run_identity * Pipeline.run )
+      Memo.t;
     cycles_memo : (key * Spd_machine.Descr.width, int outcome) Memo.t;
     summary_memo : (key, (int * (int * int * int)) outcome) Memo.t;
     dynamics_memo : (key, Pipeline.dynamics outcome) Memo.t;
@@ -514,11 +628,19 @@ module Session = struct
           deadline;
           checker_fault = Some (fun () -> Faults.checker_raise faults);
         };
-      cache_dir = (if disk_cache then try_prepare_dir cache_dir else None);
+      disk =
+        Option.map
+          (fun dir ->
+            { dir; mu = Mutex.create (); loaded = false;
+              records = Hashtbl.create 512; fresh = Hashtbl.create 16;
+              packs = []; changed = false; writing = Mutex.create () })
+          (if disk_cache then try_prepare_dir cache_dir else None);
       pool = Pool.create ~size:jobs;
       lowered_memo = Memo.create 16;
+      front_memo = Memo.create 16;
       prep_memo = Memo.create 64;
       reference_memo = Memo.create 16;
+      run_memo = Memo.create 32;
       cycles_memo = Memo.create 256;
       summary_memo = Memo.create 64;
       dynamics_memo = Memo.create 64;
@@ -537,7 +659,72 @@ module Session = struct
       stage_runs;
     }
 
-  let close t = Pool.close t.pool
+  (* [records] as a new pack, or [None] when the write failed *)
+  let write_pack d records =
+    Trace.with_span ~name:"cache.flush" (fun () ->
+        match Pack.write d.dir records with
+        | name -> Some name
+        | exception (Sys_error msg | Failure msg) ->
+            Log.warn "engine.cache.flush"
+              [ ("error", Spd_telemetry.Json.String msg) ];
+            None)
+
+  (* Write the records written since the last flush as one new pack, so
+     a request costs one small file whatever the cache holds.  A failed
+     write is left to [close], which writes every record. *)
+  let flush t =
+    match t.disk with
+    | Some d when Mutex.protect d.mu (fun () -> Hashtbl.length d.fresh > 0) ->
+        Mutex.protect d.writing @@ fun () ->
+        let fresh =
+          Mutex.protect d.mu (fun () ->
+              let l = Hashtbl.fold (fun a e acc -> (a, e) :: acc) d.fresh [] in
+              Hashtbl.reset d.fresh;
+              l)
+        in
+        if fresh <> [] then
+          write_pack d fresh
+          |> Option.iter (fun name ->
+                 Mutex.protect d.mu (fun () -> d.packs <- name :: d.packs))
+    | _ -> ()
+
+  (* Write the session's whole view as one pack, then remove the packs
+     it stands for: a concurrent writer's packs stay, and the next
+     session that loads both and writes merges them.  A session that
+     neither wrote nor evicted a record writes nothing. *)
+  let compact t =
+    match t.disk with
+    | None -> ()
+    | Some d ->
+        Mutex.protect d.writing @@ fun () ->
+        let snapshot =
+          Mutex.protect d.mu (fun () ->
+              if not d.changed then None
+              else begin
+                d.changed <- false;
+                Hashtbl.reset d.fresh;
+                Some
+                  ( Hashtbl.fold (fun a e acc -> (a, e) :: acc) d.records [],
+                    d.packs )
+              end)
+        in
+        Option.iter
+          (fun (records, packs) ->
+            match write_pack d records with
+            | Some name ->
+                Mutex.protect d.mu (fun () -> d.packs <- [ name ]);
+                List.iter
+                  (fun p ->
+                    if p <> name then
+                      try Sys.remove (Filename.concat d.dir p)
+                      with Sys_error _ -> ())
+                  packs
+            | None -> Mutex.protect d.mu (fun () -> d.changed <- true))
+          snapshot
+
+  let close t =
+    Pool.close t.pool;
+    compact t
 
   let with_session t f =
     Fun.protect ~finally:(fun () -> close t) (fun () -> f t)
@@ -640,22 +827,19 @@ module Session = struct
     attempt 1
 
   (* ---------------------------------------------------------------- *)
-  (* On-disk cache.  Keys are the MD5 of a canonical payload string;
-     writes go through a unique temporary file and an atomic rename, so
-     concurrent domains (or processes) never observe torn entries.
+  (* On-disk cache.  A cell's address is the MD5 of a canonical payload
+     string; its record lives in the session's view of the packs
+     ([disk]), which the first access loads and [flush] and [close]
+     write back.
 
-     The atomic rename cannot protect an entry *after* it landed —
-     truncation, bit rot, a format change.  Every entry therefore
+     The atomic rename cannot protect a pack *after* it landed —
+     truncation, bit rot, a format change.  Every record therefore
      carries a one-line header [spd-cache <version> <md5-of-body>
-     <body-length>] ahead of the Marshal'd body; a reader that finds a
+     <body-length>] ahead of its Marshal'd body; a read that finds a
      version mismatch, a short body, a checksum mismatch or an
-     undecodable payload logs the reason, evicts the entry and lets the
-     caller recompute — the cache heals itself instead of crashing. *)
-
-  let write_seq = Atomic.make 0
-
-  let disk_path dir payload =
-    Filename.concat dir (Digest.to_hex (Digest.string payload) ^ ".cache")
+     undecodable payload logs the reason, evicts the record and lets the
+     caller recompute — [close] drops it, so the cache heals itself
+     instead of crashing. *)
 
   let encode_entry (v : disk_value) =
     let body = Marshal.to_string v [] in
@@ -694,13 +878,40 @@ module Session = struct
       Bytes.to_string b
     end
 
-  let evict t path reason =
+  (* [f] under the disk's lock, after loading every pack on first use.
+     Records of another cache version are left out of the view, so the
+     session's [close] drops them. *)
+  let with_disk d f =
+    Mutex.protect d.mu @@ fun () ->
+    if not d.loaded then begin
+      d.loaded <- true;
+      Trace.with_span ~name:"cache.load" (fun () ->
+          List.iter
+            (fun (name, s) ->
+              Pack.iter s (fun address version entry ->
+                  if version = cache_version then
+                    Hashtbl.replace d.records address entry);
+              d.packs <- name :: d.packs)
+            (Pack.read_all d.dir))
+    end;
+    f d
+
+  let address payload = Digest.to_hex (Digest.string payload)
+
+  let evict t d address stored reason =
     Log.warn "engine.cache.evict"
       [
-        ("entry", Spd_telemetry.Json.String (Filename.basename path));
+        ("entry", Spd_telemetry.Json.String address);
         ("reason", Spd_telemetry.Json.String reason);
       ];
-    (try Sys.remove path with Sys_error _ -> ());
+    with_disk d (fun d ->
+        (* unless a concurrent write has replaced it already *)
+        match Hashtbl.find_opt d.records address with
+        | Some e when e == stored ->
+            Hashtbl.remove d.records address;
+            Hashtbl.remove d.fresh address;
+            d.changed <- true
+        | _ -> ());
     bump t (fun t ->
         t.disk_evictions <- t.disk_evictions + 1;
         t.disk_misses <- t.disk_misses + 1);
@@ -708,43 +919,36 @@ module Session = struct
     mark m_cache_misses
 
   let disk_read t payload : disk_value option =
-    match t.cache_dir with
+    match t.disk with
     | None -> None
-    | Some dir -> (
-        let path = disk_path dir payload in
-        match In_channel.with_open_bin path In_channel.input_all with
-        | exception Sys_error _ ->
+    | Some d -> (
+        let address = address payload in
+        match with_disk d (fun d -> Hashtbl.find_opt d.records address) with
+        | None ->
             bump t (fun t -> t.disk_misses <- t.disk_misses + 1);
             mark m_cache_misses;
             None
-        | s -> (
-            let s =
-              if Faults.corrupt_cache_read t.faults then corrupt_bytes s
-              else s
+        | Some stored -> (
+            let entry =
+              if Faults.corrupt_cache_read t.faults then corrupt_bytes stored
+              else stored
             in
-            match decode_entry s with
+            match decode_entry entry with
             | Ok v ->
                 bump t (fun t -> t.disk_hits <- t.disk_hits + 1);
                 mark m_cache_hits;
                 Some v
-            | Error reason -> evict t path reason; None))
+            | Error reason -> evict t d address stored reason; None))
 
   let disk_write t payload (v : disk_value) =
-    match t.cache_dir with
+    match t.disk with
     | None -> ()
-    | Some dir -> (
-        let path = disk_path dir payload in
-        let tmp =
-          Printf.sprintf "%s.%d.%d.%d.tmp" path (Unix.getpid ())
-            (Domain.self () :> int)
-            (Atomic.fetch_and_add write_seq 1)
-        in
-        try
-          Out_channel.with_open_bin tmp (fun oc ->
-              Out_channel.output_string oc (encode_entry v));
-          Sys.rename tmp path
-        with Sys_error _ | Unix.Unix_error _ -> (
-          try Sys.remove tmp with Sys_error _ -> ()))
+    | Some d ->
+        let address = address payload and entry = encode_entry v in
+        with_disk d (fun d ->
+            Hashtbl.replace d.records address entry;
+            Hashtbl.replace d.fresh address entry;
+            d.changed <- true)
 
   (* The full content address of a grid cell: cache format version,
      digest of the workload source, pipeline kind and configuration
@@ -818,20 +1022,57 @@ module Session = struct
         | None -> ());
         prog)
 
+  (* the validated NAIVE program of a benchmark: every preparation and
+     the reference run start from it *)
+  let front t bench =
+    Memo.get t.front_memo bench (fun () ->
+        Pipeline.front ~config:t.config (lowered t bench))
+
+  (* the [run_memo] key of a run identity under [config]'s budgets *)
+  let run_key identity (config : Pipeline.Config.t) =
+    ( Digest.string (Marshal.to_string identity [ Marshal.No_sharing ]),
+      config.fuel,
+      config.deadline )
+
   (* NAIVE's instrumented run under a budget: it depends on neither the
-     memory latency nor the pipeline, so one serves the bench *)
+     memory latency nor the pipeline, so one serves the bench.  It is
+     also the run of a SPEC program that applies nothing and keeps
+     NAIVE's code, so it seeds [run_memo] under NAIVE's identity. *)
   let reference_cell t (k : key) =
     let k = { k with latency = 0; kind = Pipeline.Naive } in
     Memo.get t.reference_memo k (fun () ->
-        let config = config_for t k in
-        Pipeline.reference ~config (Pipeline.naive ~config (lowered t k.bench)))
+        let config = config_for t k and naive = front t k.bench in
+        let r = Pipeline.reference ~config naive in
+        let identity = Pipeline.run_identity naive [] in
+        ignore
+          (Memo.get t.run_memo (run_key identity config) (fun () ->
+               (identity, r.Pipeline.run)));
+        r)
+
+  (* SPEC's checking run, made once per run identity and budget: SPEC
+     programs whose SpD choices do not depend on the memory latency, a
+     validated preparation beside its plain one, and a SPEC program that
+     applies nothing beside NAIVE execute the same code under the same
+     watches.  A digest keys the memo; a hit confirms the identities are
+     structurally equal. *)
+  let shared_run t (p : Pipeline.prepared) =
+    let identity = Pipeline.run_identity p.prog p.applications in
+    let ((digest, _, _) as key) = run_key identity p.config in
+    let stored, run =
+      Memo.get t.run_memo key (fun () -> (identity, Pipeline.run p))
+    in
+    if stored != identity && compare stored identity <> 0 then
+      failwith
+        ("Engine: two run identities share the digest " ^ Digest.to_hex digest);
+    run
 
   let prepare t (k : key) ~config =
     let lowered = lowered t k.bench in
     bump t (fun t -> t.preparations <- t.preparations + 1);
     mark m_preparations;
-    Pipeline.prepare ~config ~reference:(fun () -> reference_cell t k) k.kind
-      lowered
+    Pipeline.prepare ~config ~front:(front t k.bench)
+      ~reference:(fun () -> reference_cell t k)
+      ~run:(shared_run t) k.kind lowered
 
   let prepared_cell t (k : key) =
     Memo.get t.prep_memo k (fun () -> prepare t k ~config:(config_for t k))
@@ -842,7 +1083,7 @@ module Session = struct
   (* The instrumented run whose histogram prices a cell at every width.
      NAIVE, STATIC and PERFECT execute NAIVE's code, arcs aside (their
      preparations check it), so they share the reference run; SPEC's is
-     the run its checked preparation made. *)
+     the run its checked preparation shares or made. *)
   let run_cell t (k : key) =
     match k.kind with
     | Pipeline.Spec -> Pipeline.run (prepared_cell t k)

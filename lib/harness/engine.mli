@@ -10,6 +10,12 @@
     on-disk result cache under [_spd_cache/], and per-stage wall-clock
     instrumentation.
 
+    The disk cache is a directory of packs.  A session loads every pack
+    on its first cache access — its view is fixed from then on, so it
+    does not see records other processes write later — serves reads and
+    takes writes in memory, and {!Session.close} writes its view back
+    as one pack.
+
     Work is requested through one typed entry point:
     {!Session.submit} takes an ['a {!Query.t}] — artefact kind, cell
     coordinates, optional per-request budgets — and returns an
@@ -22,8 +28,9 @@
     Failures are contained per cell: a cell that keeps raising after
     its retry budget is recorded as a {!failure} and surfaced as a
     [Failed] {!outcome}; the rest of the batch still completes.  The
-    on-disk cache is self-healing — corrupt or truncated entries are
-    detected by checksum, evicted and recomputed.
+    on-disk cache is self-healing — corrupt or truncated records are
+    detected by checksum, evicted, recomputed and dropped when the
+    session closes.
 
     Results are deterministic in the number of jobs: the schedule
     changes only who computes a value, never the value. *)
@@ -32,6 +39,11 @@
     entry format change in a way that affects emitted numbers or
     decoding; invalidates the on-disk cache. *)
 val cache_version : string
+
+(** [cache_usage dir] is the number of records in the packs of cache
+    directory [dir] and the packs' total size in bytes; [(0, 0)] when
+    [dir] does not exist. *)
+val cache_usage : string -> int * int
 
 (** Force registration of the engine-level counters — among them
     [spd.engine.cache.{hits,misses,evictions}], which [spd cache stats]
@@ -139,14 +151,16 @@ module Stats : sig
     preparations : int;  (** pipelines actually run (not cache hits) *)
     simulations : int;
         (** instrumented runs of prepared programs actually performed
-            (the [Simulate] stage): one per SPEC program, whose path
-            histogram prices it at every width.  NAIVE, STATIC and
-            PERFECT are priced from NAIVE's reference run, made once per
-            benchmark in the [Profile] stage *)
+            (the [Simulate] stage): one per distinct SPEC program — its
+            code and watched SpD applications — whose path histogram
+            prices it at every width.  NAIVE, STATIC and PERFECT, and a
+            SPEC program that applies nothing, are priced from NAIVE's
+            reference run, made once per benchmark in the [Profile]
+            stage *)
     disk_hits : int;  (** results served from the on-disk cache *)
     disk_misses : int;  (** on-disk lookups that fell through *)
     disk_evictions : int;
-        (** corrupt on-disk entries evicted and recomputed *)
+        (** corrupt on-disk records evicted and recomputed *)
     cell_retries : int;  (** failed attempts that were retried *)
     cell_failures : int;  (** cells that exhausted their attempts *)
     stage_seconds : (Pipeline.stage * float) list;
@@ -175,7 +189,9 @@ module Session : sig
 
       [disk_cache] (default [false]) enables the content-addressed
       result cache in [cache_dir] (default ["_spd_cache"], created on
-      demand; silently disabled if the directory cannot be used).
+      demand; silently disabled if the directory cannot be used).  New
+      records reach the disk when the session is flushed or closed
+      ({!flush}, {!close}).
 
       [retries] (default [1]) is the number of attempts per cell before
       a failure is recorded.  [deadline] is a per-cell wall-clock budget
@@ -199,8 +215,19 @@ module Session : sig
     ?faults:Faults.t ->
     unit -> t
 
-  (** Join the session's worker domains.  The session remains usable
-      sequentially afterwards. *)
+  (** Write the disk-cache records written since the last flush as one
+      new pack (a temporary file and an atomic rename); a long-lived
+      session calls it to land its work early.  Does nothing when there
+      are none.  Never raises: a failed write is logged, and {!close}
+      writes the records anyway. *)
+  val flush : t -> unit
+
+  (** Join the session's worker domains, then write the session's view
+      of the disk cache back as one pack — the records of the packs it
+      loaded, minus the ones it evicted, plus the ones it wrote — and
+      remove the packs it loaded or flushed.  Packs another process wrote
+      meanwhile stay.  Writes nothing unless the session wrote or evicted
+      a record.  The session remains usable sequentially afterwards. *)
   val close : t -> unit
 
   (** [with_session s f] runs [f s] and closes [s] afterwards, whether

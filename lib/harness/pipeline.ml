@@ -210,6 +210,14 @@ let naive ?(config = Config.default) (lowered : Prog.t) : Prog.t =
   in
   Memarcs.annotate cleaned
 
+(* the NAIVE program, structurally validated: what every preparation of
+   one lowered program starts from *)
+let front ?config (lowered : Prog.t) : Prog.t =
+  Spd_telemetry.Trace.with_span ~name:"harness.front" (fun () ->
+      let p = naive ?config lowered in
+      Prog.validate p;
+      p)
+
 let reference ?(config = Config.default) (naive : Prog.t) : reference =
   let profile = Spd_sim.Profile.create () in
   { run = instrumented config Profile ~profile ~applications:[] naive; profile }
@@ -335,11 +343,28 @@ let transform_checker ~func:_ ~(before : Spd_ir.Tree.t)
 let code_of (p : Prog.t) =
   Prog.map_trees (fun _ t -> { t with Tree.arcs = [] }) p
 
-(** The equivalence check of [config.check]: NAIVE, STATIC and PERFECT
-    must be [naive]'s code with arcs ignored; SPEC is run once,
-    instrumented, and must behave like [reference ()]'s run, which it
-    returns. *)
-let check ~naive ~(reference : unit -> reference) (p : prepared) : run option =
+type run_identity =
+  Prog.t * (string * int * Reg.t * Memdep.kind * (int * int)) list
+
+(* Everything an instrumented run of [prog] watching [applications]
+   reads, budgets aside: the code it executes and, per application, what
+   [instrumented] hands the interpreter and copies into the dynamics.
+   Two runs with equal identities are equal. *)
+let run_identity (prog : Prog.t) (applications : Heuristic.application list)
+    : run_identity =
+  ( code_of prog,
+    List.map
+      (fun (a : Heuristic.application) ->
+        (a.func, a.tree_id, a.predicate, a.kind, a.arc))
+      applications )
+
+(* a fresh instrumented run of [p]'s code, timed as [Simulate] *)
+let fresh_run (p : prepared) : run =
+  instrumented p.config Simulate ~applications:p.applications p.prog
+
+(* [check], SPEC's run made by [run] *)
+let check_with ~run ~naive ~(reference : unit -> reference) (p : prepared) :
+    run option =
   match p.kind with
   | Naive | Static | Perfect ->
       if compare (code_of naive) (code_of p.prog) <> 0 then
@@ -349,9 +374,7 @@ let check ~naive ~(reference : unit -> reference) (p : prepared) : run option =
                 (name p.kind)));
       None
   | Spec ->
-      let run =
-        instrumented p.config Simulate ~applications:p.applications p.prog
-      in
+      let run = run p in
       let expected = (reference ()).run in
       if (expected.ret, expected.output) <> (run.ret, run.output) then
         raise
@@ -359,17 +382,29 @@ let check ~naive ~(reference : unit -> reference) (p : prepared) : run option =
              (Fmt.str "pipeline %s changed program behaviour" (name p.kind)));
       Some run
 
+(** The equivalence check of [config.check]: NAIVE, STATIC and PERFECT
+    must be [naive]'s code with arcs ignored; SPEC is run once,
+    instrumented, and must behave like [reference ()]'s run, which it
+    returns. *)
+let check ~naive ~reference p = check_with ~run:fresh_run ~naive ~reference p
+
 (** Build pipeline [kind] from a lowered program (no arcs yet) under
-    [config] (default {!Config.default}).  [reference] supplies the NAIVE
-    reference run; without it the preparation makes its own when it
-    needs one. *)
-let prepare ?(config = Config.default) ?reference:shared (kind : kind)
-    (lowered : Prog.t) : prepared =
+    [config] (default {!Config.default}).  [front] is the program's
+    validated NAIVE front end, [reference] its NAIVE reference run and
+    [run] SPEC's checking run; without them the preparation makes its
+    own when it needs one. *)
+let prepare ?(config = Config.default) ?front:shared_front ?reference:shared
+    ?(run = fresh_run) (kind : kind) (lowered : Prog.t) : prepared =
   let { Config.check = checked; validate; spd_params; graft = _; mem_latency;
         fuel = _; deadline = _; timer = _; checker_fault } =
     config
   in
-  let naive = naive ~config lowered in
+  (* a shared front end was validated when it was made *)
+  let naive, validated =
+    match shared_front with
+    | Some n -> (n, true)
+    | None -> (naive ~config lowered, false)
+  in
   (* the NAIVE reference run: made at most once, and only when read *)
   let made = ref None in
   let reference () =
@@ -448,12 +483,12 @@ let prepare ?(config = Config.default) ?reference:shared (kind : kind)
         let profile = (reference ()).profile in
         (time config Spd (fun () -> Static.perfect ~profile naive), [], [], [])
   in
-  Prog.validate prog;
+  if not (validated && prog == naive) then Prog.validate prog;
   let p =
     { kind; config; mem_latency; prog; applications; decisions; verdicts;
       run = None }
   in
-  let run = if checked then check ~naive ~reference p else None in
+  let run = if checked then check_with ~run ~naive ~reference p else None in
   (* NAIVE, STATIC and PERFECT execute NAIVE's code: its run is theirs *)
   let run =
     match (run, !made) with
@@ -465,9 +500,7 @@ let prepare ?(config = Config.default) ?reference:shared (kind : kind)
 (** The instrumented run that prices [p]: the one its preparation made,
     or a fresh one. *)
 let run (p : prepared) : run =
-  match p.run with
-  | Some r -> r
-  | None -> instrumented p.config Simulate ~applications:p.applications p.prog
+  match p.run with Some r -> r | None -> fresh_run p
 
 (** [p]'s cycles on [width] functional units, from [r], a run of [p]'s
     code: schedule, then fold [r]'s histogram with the schedule. *)
@@ -477,7 +510,8 @@ let price (p : prepared) (r : run) ~(width : Spd_machine.Descr.width) : int =
     time p.config Schedule (fun () ->
         Spd_machine.Timing_builder.program descr p.prog)
   in
-  Spd_sim.Histogram.price r.histogram timing
+  Spd_telemetry.Trace.with_span ~name:"sim.price" (fun () ->
+      Spd_sim.Histogram.price r.histogram timing)
 
 (** Cycle count of a prepared program on [width] functional units. *)
 let cycles (p : prepared) ~width : int = price p (run p) ~width

@@ -136,6 +136,10 @@ type reference = { run : run; profile : Spd_sim.Profile.t }
     ([config.graft]), then all-pairs memory arcs. *)
 val naive : ?config:Config.t -> Spd_ir.Prog.t -> Spd_ir.Prog.t
 
+(** The front end of {!prepare}: {!naive}, then {!Spd_ir.Prog.validate},
+    under a [harness.front] trace span.  Raises {!Spd_ir.Prog.Invalid}. *)
+val front : ?config:Config.t -> Spd_ir.Prog.t -> Spd_ir.Prog.t
+
 (** Run a NAIVE program once, instrumented and profiled (the [Profile]
     stage). *)
 val reference : ?config:Config.t -> Spd_ir.Prog.t -> reference
@@ -176,6 +180,19 @@ exception Behaviour_mismatch of string
     protected cell runner contains it to the affected grid cell. *)
 exception Validation_failed of string
 
+(** What an instrumented run of a program is a function of, budgets
+    aside: its code with arcs dropped, and per watched SpD application
+    the function, tree, predicate register, dependence kind and arc.
+    Runs with structurally equal identities are equal — same return
+    value, output, traversals, histogram and dynamics — whatever the
+    memory latency they were prepared for. *)
+type run_identity
+
+(** [run_identity prog applications] is the identity of a run of
+    [prog] watching [applications]. *)
+val run_identity :
+  Spd_ir.Prog.t -> Heuristic.application list -> run_identity
+
 (** The whole-program check {!prepare} applies under [config.check]:
     NAIVE, STATIC and PERFECT must equal [naive] with arcs ignored; SPEC
     is run once, instrumented (the [Simulate] stage), and its return
@@ -188,12 +205,17 @@ val check :
     [config] (default {!Config.default}).  [config.check] runs {!check}
     — the paper validated SpD output the same way — and every accepted
     SpD application through the per-application transform checker.
-    [reference] supplies the NAIVE reference run of the same program
-    and configuration; without it the preparation makes one when it
-    needs it (SPEC and PERFECT). *)
+    Callers that prepare one program many times share the work:
+    [front] is {!front} of the same program and configuration
+    (default: {!naive}, made here), [reference] its NAIVE reference run
+    (default: made when first needed, by SPEC and PERFECT), and [run]
+    makes the run SPEC's check reads (default: a fresh one, the
+    [Simulate] stage). *)
 val prepare :
   ?config:Config.t ->
+  ?front:Spd_ir.Prog.t ->
   ?reference:(unit -> reference) ->
+  ?run:(prepared -> run) ->
   kind -> Spd_ir.Prog.t -> prepared
 
 (** The instrumented run that prices a prepared program: the one its
@@ -202,7 +224,8 @@ val run : prepared -> run
 
 (** [price p r ~width] schedules [p] on [width] functional units and
     folds the histogram of [r] — a run of [p]'s code — with the
-    schedule: exactly the cycles [Spd_sim.Interp.run ~timing] charges. *)
+    schedule (a [sim.price] trace span): exactly the cycles
+    [Spd_sim.Interp.run ~timing] charges. *)
 val price : prepared -> run -> width:Spd_machine.Descr.width -> int
 
 (** Cycle count of a prepared program on [width] functional units:

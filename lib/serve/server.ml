@@ -660,6 +660,10 @@ let respond t ~id req : Json.t * bool =
             | Some msg -> err Protocol.server_error msg
             | None -> err Protocol.server_error (Printexc.to_string e))
       in
+      (* a request that wrote cache records lands them on disk, as one
+         small pack, before it is answered; any other request writes
+         nothing *)
+      Engine.Session.flush t.session;
       let dt = Clock.now () -. t0 in
       Metrics.observe (Metrics.get m_request_seconds) dt;
       Metrics.observe (rpc_latency meth) dt;

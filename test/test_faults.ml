@@ -218,60 +218,190 @@ let test_report_renders_na () =
     | _ -> false)
 
 (* ------------------------------------------------------------------ *)
-(* Self-healing cache: truncate one entry and bit-flip another; a warm
-   rerun must detect both, evict, recompute and emit identical bytes. *)
+(* Self-healing cache, at record level: flip a byte inside one record's
+   body and cut the pack inside a later record; a warm rerun must evict
+   both, miss the records past the cut, recompute and emit identical
+   bytes, and its flush must leave one healed pack. *)
 
-let flip_byte path =
-  let s = In_channel.with_open_bin path In_channel.input_all in
-  let b = Bytes.of_string s in
-  let i = Bytes.length b / 2 in
-  Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0xff));
-  Out_channel.with_open_bin path (fun oc ->
-      Out_channel.output_bytes oc b)
-
-let truncate_file path =
-  let s = In_channel.with_open_bin path In_channel.input_all in
-  Out_channel.with_open_bin path (fun oc ->
-      Out_channel.output_string oc
-        (String.sub s 0 (String.length s / 2)))
-
-let test_cache_self_healing () =
+let cache_dir name =
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "spd_heal_test_%d" (Unix.getpid ()))
+      (Printf.sprintf "spd_%s_%d" name (Unix.getpid ()))
   in
   Test_harness.rm_rf dir;
+  dir
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let write_file path s =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
+
+(* the records of a pack, read independently of the engine: for each,
+   where its body starts and how long it is, from the header
+   [<address> spd-cache <version> <md5> <length>] *)
+let pack_records s =
+  let rec go i acc =
+    match String.index_from_opt s i '\n' with
+    | None -> List.rev acc
+    | Some j -> (
+        match String.split_on_char ' ' (String.sub s i (j - i)) with
+        | [ _; "spd-cache"; _; _; len ] ->
+            let len = int_of_string len in
+            go (j + 1 + len) ((j + 1, len) :: acc)
+        | _ -> Alcotest.failf "malformed pack header at byte %d" i)
+  in
+  go 0 []
+
+let count suffix dir = List.length (Test_harness.files_with suffix dir)
+
+let the_pack dir =
+  match Test_harness.files_with ".pack" dir with
+  | [ p ] -> Filename.concat dir p
+  | ps -> Alcotest.failf "expected one pack, found %d" (List.length ps)
+
+let test_cache_self_healing () =
+  let dir = cache_dir "heal_test" in
   Fun.protect ~finally:(fun () -> Test_harness.rm_rf dir) @@ fun () ->
   let render s = Test_harness.render (H.Report.table6_3 s) in
-  let cold =
-    Test_harness.with_session
-      (Engine.Session.create ~jobs:2 ~disk_cache:true ~cache_dir:dir ())
-      render
+  let session () =
+    Engine.Session.create ~jobs:2 ~disk_cache:true ~cache_dir:dir ()
   in
-  let entries =
-    Sys.readdir dir |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".cache")
-    |> List.sort compare
-    |> List.map (Filename.concat dir)
-  in
-  check_bool "cold run wrote cache entries" true (List.length entries >= 2);
-  truncate_file (List.nth entries 0);
-  flip_byte (List.nth entries 1);
-  let s = Engine.Session.create ~jobs:2 ~disk_cache:true ~cache_dir:dir () in
+  let cold = Test_harness.with_session (session ()) render in
+  let pack = the_pack dir in
+  let bytes = read_file pack in
+  let records = pack_records bytes in
+  check_int "cold pack holds every cell" 22 (List.length records);
+  let flipped, flipped_len = List.nth records 2 in
+  let cut, cut_len = List.nth records 10 in
+  let b = Bytes.of_string bytes in
+  let i = flipped + (flipped_len / 2) in
+  Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0xff));
+  write_file pack (Bytes.sub_string b 0 (cut + (cut_len / 2)));
+  let s = session () in
   let warm = Test_harness.with_session s render in
   let st = Engine.Session.stats s in
-  check_int "both corrupt entries evicted" 2 st.Engine.Stats.disk_evictions;
+  check_int "flipped and cut records evicted" 2 st.Engine.Stats.disk_evictions;
+  check_int "the other records before the cut served" 9
+    st.Engine.Stats.disk_hits;
+  check_int "records past the cut missed" 13 st.Engine.Stats.disk_misses;
   check_bool "evicted cells recomputed" true
     (st.Engine.Stats.preparations > 0);
   check_bool "healed output bit-identical to cold" true
     (String.equal cold warm);
   (* third run: fully healed, nothing to evict or recompute *)
-  let s3 = Engine.Session.create ~jobs:2 ~disk_cache:true ~cache_dir:dir () in
+  let s3 = session () in
   let again = Test_harness.with_session s3 render in
   let st3 = Engine.Session.stats s3 in
   check_int "healed cache: no evictions" 0 st3.Engine.Stats.disk_evictions;
   check_int "healed cache: no recomputation" 0 st3.Engine.Stats.preparations;
+  check_int "healed cache: one pack" 1 (count ".pack" dir);
+  check_int "healed cache: no temporary file" 0 (count ".tmp" dir);
+  check_int "healed pack holds every cell" 22
+    (List.length (pack_records (read_file (the_pack dir))));
   check_bool "healed cache output identical" true (String.equal cold again)
+
+(* A record of another cache version is never served: a reading session
+   skips it without evicting anything, and the next writing session's
+   pack drops it. *)
+let test_cache_foreign_version () =
+  let dir = cache_dir "version_test" in
+  Fun.protect ~finally:(fun () -> Test_harness.rm_rf dir) @@ fun () ->
+  let session () =
+    Engine.Session.create ~jobs:2 ~disk_cache:true ~cache_dir:dir ()
+  in
+  let render s = Test_harness.render (H.Report.table6_3 s) in
+  let cold = Test_harness.with_session (session ()) render in
+  let pack = the_pack dir in
+  let bytes = read_file pack in
+  let body, len = List.hd (pack_records bytes) in
+  (* the first record again, under the same address and another version *)
+  let foreign =
+    match String.split_on_char ' ' (String.sub bytes 0 (body - 1)) with
+    | [ address; magic; _; md5; length ] ->
+        String.concat " " [ address; magic; "0"; md5; length ]
+        ^ "\n" ^ String.sub bytes body len
+    | _ -> Alcotest.fail "malformed first record"
+  in
+  write_file pack (bytes ^ foreign);
+  let versions () =
+    let s = read_file (the_pack dir) in
+    List.map
+      (fun (body, _) ->
+        let start =
+          match String.rindex_from_opt s (body - 2) '\n' with
+          | Some i -> i + 1
+          | None -> 0
+        in
+        List.nth (String.split_on_char ' ' (String.sub s start (body - start))) 2)
+      (pack_records s)
+  in
+  check_int "the foreign record is in the pack" 1
+    (List.length (List.filter (( = ) "0") (versions ())));
+  let s = session () in
+  let warm = Test_harness.with_session s render in
+  let st = Engine.Session.stats s in
+  check_int "reading: nothing evicted" 0 st.Engine.Stats.disk_evictions;
+  check_int "reading: every cell served" 22 st.Engine.Stats.disk_hits;
+  check_bool "reading: output identical" true (String.equal cold warm);
+  Test_harness.with_session (session ()) (fun s ->
+      ignore
+        (ask s ~bench:"moment" ~latency:2
+           (Engine.Query.Cycles
+              { kind = H.Pipeline.Naive; width = Spd_machine.Descr.Fus 4 })));
+  check_bool "writing: the foreign record is gone" true
+    (List.for_all (( = ) Engine.cache_version) (versions ()));
+  check_int "writing: every current record kept" 23
+    (List.length (versions ()))
+
+(* Two sessions load the same pack, write different cells and flush into
+   one directory: each flush removes only the pack it loaded, so a third
+   session serves the union without preparing anything. *)
+let test_cache_concurrent_writers () =
+  let dir = cache_dir "writers_test" in
+  Fun.protect ~finally:(fun () -> Test_harness.rm_rf dir) @@ fun () ->
+  let session () =
+    Engine.Session.create ~jobs:1 ~disk_cache:true ~cache_dir:dir ()
+  in
+  let naive4 =
+    Engine.Query.Cycles
+      { kind = H.Pipeline.Naive; width = Spd_machine.Descr.Fus 4 }
+  in
+  let counts s = ask s ~bench:"perm" ~latency:6 Engine.Query.Spd_counts in
+  let growth s = ask s ~bench:"tree" ~latency:2 Engine.Query.Code_growth in
+  let seed_cycles =
+    Test_harness.with_session (session ()) (fun s ->
+        ask s ~bench:"moment" ~latency:2 naive4)
+  in
+  let a = session () and b = session () in
+  let perm_counts = counts a and tree_growth = growth b in
+  Engine.Session.close a;
+  Engine.Session.close b;
+  check_int "one pack per writer" 2 (count ".pack" dir);
+  let c = session () in
+  Test_harness.with_session c (fun c ->
+      check_int "seed cell served" seed_cycles
+        (ask c ~bench:"moment" ~latency:2 naive4);
+      check_bool "first writer's cell served" true (counts c = perm_counts);
+      check_bool "second writer's cell served" true
+        (Float.equal (growth c) tree_growth));
+  let st = Engine.Session.stats c in
+  check_int "union served without preparing" 0 st.Engine.Stats.preparations;
+  check_int "every cell a disk hit" 4 st.Engine.Stats.disk_hits;
+  check_int "a reading session writes nothing" 2 (count ".pack" dir)
+
+(* [spd cache stats] counts records across packs and their bytes *)
+let test_cache_usage () =
+  let dir = cache_dir "usage_test" in
+  Fun.protect ~finally:(fun () -> Test_harness.rm_rf dir) @@ fun () ->
+  check_bool "no directory, no records" true (Engine.cache_usage dir = (0, 0));
+  Test_harness.with_session
+    (Engine.Session.create ~jobs:2 ~disk_cache:true ~cache_dir:dir ())
+    (fun s -> ignore (Test_harness.render (H.Report.table6_3 s)));
+  let entries, bytes = Engine.cache_usage dir in
+  check_int "a cold table6_3 writes 22 records" 22 entries;
+  check_int "bytes are the pack's size"
+    (String.length (read_file (the_pack dir)))
+    bytes
 
 (* The cache-corrupt fault: corrupt the Nth cache *read*, so a warm run
    heals exactly that one entry. *)
@@ -312,5 +442,10 @@ let tests =
     case "engine: contained cell failure" test_contained_failure;
     case "report: n/a cells and failure appendix" test_report_renders_na;
     case "cache: self-healing after corruption" test_cache_self_healing;
+    case "cache: foreign-version records dropped"
+      test_cache_foreign_version;
+    case "cache: concurrent writers keep the union"
+      test_cache_concurrent_writers;
+    case "cache: stats count pack records" test_cache_usage;
     case "cache: cache-corrupt fault injection" test_cache_corrupt_fault;
   ]

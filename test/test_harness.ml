@@ -260,6 +260,11 @@ let rm_rf dir =
     Sys.rmdir dir
   end
 
+(* the names in [dir] ending in [suffix] *)
+let files_with suffix dir =
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f suffix)
+
 let test_engine_determinism () =
   let seq = with_session (Engine.Session.create ~jobs:1 ()) grid_render in
   let par = with_session (Engine.Session.create ~jobs:4 ()) grid_render in
@@ -355,6 +360,87 @@ let test_engine_disk_cache () =
   check_bool "warm run served from disk" true (st2.Engine.Stats.disk_hits > 0);
   check_bool "warm output bit-identical to cold" true
     (String.equal cold warm)
+
+(* Run identity: the SPEC run a session shares — between latencies
+   whose SpD choices agree, and with NAIVE's reference run where SpD
+   applies nothing — is exactly the run of each preparation it serves:
+   same return value, output, traversals and dynamics, and the same
+   cycles at every width when it prices an independently prepared SPEC
+   program. *)
+let test_shared_run_identity () =
+  with_session (Engine.Session.create ~jobs:2 ()) @@ fun s ->
+  let widths =
+    Spd_machine.Descr.Infinite
+    :: List.init 8 (fun i -> Spd_machine.Descr.Fus (i + 1))
+  in
+  List.iter
+    (fun (w : Spd_workloads.Workload.t) ->
+      List.iter
+        (fun latency ->
+          let what = Printf.sprintf "%s@%d" w.name latency in
+          let shared =
+            Pipeline.run
+              (Engine.Session.prepared s ~bench:w.name ~latency Pipeline.Spec)
+          in
+          let p =
+            Pipeline.prepare
+              ~config:(Pipeline.Config.v ~check:false ~mem_latency:latency ())
+              Pipeline.Spec (compile w.source)
+          in
+          let fresh = Pipeline.run p in
+          check_bool (what ^ ": return value and output") true
+            (compare (shared.ret, shared.output) (fresh.ret, fresh.output) = 0);
+          check_int (what ^ ": traversals") fresh.traversals shared.traversals;
+          check_bool (what ^ ": dynamics") true
+            (compare shared.dynamics fresh.dynamics = 0);
+          List.iter
+            (fun width ->
+              check_int
+                (Fmt.str "%s: cycles at %a" what Spd_machine.Descr.pp_width
+                   width)
+                (Pipeline.price p fresh ~width)
+                (Pipeline.price p shared ~width))
+            widths)
+        [ 2; 6 ])
+    Spd_workloads.Registry.all
+
+(* One interpreter run per distinct program: a cold paper grid runs
+   NAIVE once per benchmark (11) and SPEC once per distinct SPEC program
+   (13), and writes its 289 records as one pack; a warm one runs
+   nothing and reads every record. *)
+let test_paper_grid_runs () =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "spd_grid_runs_test_%d" (Unix.getpid ()))
+  in
+  rm_rf dir;
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let runs () =
+    match List.assoc_opt "spd.sim.runs" (Spd_telemetry.Metrics.snapshot ()) with
+    | Some (Spd_telemetry.Metrics.Counter n) -> n
+    | _ -> 0
+  in
+  let report () =
+    let s = Engine.Session.create ~jobs:2 ~disk_cache:true ~cache_dir:dir () in
+    let before = runs () in
+    with_session s (fun s ->
+        ignore
+          (H.Artefact.to_json ~session:s
+             (H.Artefact.of_names H.Artefact.paper_set)));
+    (Engine.Session.stats s, runs () - before)
+  in
+  let files suffix = List.length (files_with suffix dir) in
+  let cold, cold_runs = report () in
+  check_int "cold: simulations" 13 cold.Engine.Stats.simulations;
+  check_int "cold: interpreter runs" 24 cold_runs;
+  check_int "cold: disk misses" 289 cold.Engine.Stats.disk_misses;
+  check_int "cold: one pack" 1 (files ".pack");
+  check_int "cold: no temporary file" 0 (files ".tmp");
+  let warm, warm_runs = report () in
+  check_int "warm: simulations" 0 warm.Engine.Stats.simulations;
+  check_int "warm: interpreter runs" 0 warm_runs;
+  check_int "warm: disk hits" 289 warm.Engine.Stats.disk_hits;
+  check_int "warm: still one pack" 1 (files ".pack")
 
 let test_parallel_map_order () =
   let s = Engine.Session.create ~jobs:4 () in
@@ -559,6 +645,9 @@ let tests =
     case "Stats.pp stable across jobs" test_stats_pp_stable_across_jobs;
     case "spd-dynamics counters" test_spd_dynamics_counts;
     case "engine on-disk cache" test_engine_disk_cache;
+    case "shared SPEC run = fresh run (identity oracle)"
+      test_shared_run_identity;
+    case "paper grid: one run per distinct program" test_paper_grid_runs;
     case "why JSON deterministic (jobs, cache)" test_why_json_deterministic;
     case "why ledger = spd-counts row" test_why_agrees_with_counts;
   ]

@@ -26,10 +26,12 @@ let tmp_socket () =
 (* start a fresh daemon on a fresh session; always stopped and cleaned
    up, even when the test body raises *)
 let with_server ?(workers = 2) ?(jobs = 2) ?conn_timeout ?drain_deadline
-    ?max_pending ?faults ?slow_ms f =
+    ?max_pending ?faults ?slow_ms ?cache_dir f =
   let path = tmp_socket () in
   let addr = Protocol.Unix_path path in
-  let session = Engine.Session.create ~jobs ~disk_cache:false () in
+  let session =
+    Engine.Session.create ~jobs ~disk_cache:(cache_dir <> None) ?cache_dir ()
+  in
   let server =
     Server.start ~workers ?conn_timeout ?drain_deadline ?max_pending ?faults
       ?slow_ms ~session addr
@@ -329,6 +331,37 @@ let test_report_byte_identical () =
   check_string "served report = direct to_json"
     (Json.to_string (drop_member "metrics" direct))
     (Json.to_string (drop_member "metrics" served))
+
+(* A request that writes cache records lands them on disk before it is
+   answered, as one small pack of its own; a request served from memory
+   writes nothing; closing the daemon's session compacts the packs into
+   one. *)
+let test_request_flushes_cache () =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "spd_serve_cache_test_%d" (Unix.getpid ()))
+  in
+  Test_harness.rm_rf dir;
+  Fun.protect ~finally:(fun () -> Test_harness.rm_rf dir) @@ fun () ->
+  let packs () = Test_harness.files_with ".pack" dir in
+  (with_server ~cache_dir:dir @@ fun ~addr ~session:_ ~server:_ ->
+   ignore (call_ok addr "query" query_params);
+   check_int "the answered cell is on disk" 1 (fst (Engine.cache_usage dir));
+   let first = packs () in
+   ignore (call_ok addr "query" query_params);
+   check_bool "a memoized answer writes nothing" true (packs () = first);
+   ignore
+     (call_ok addr "query"
+        (Json.Obj
+           [
+             ("bench", Json.String "moment");
+             ("latency", Json.Int 2);
+             ("artefact", Json.String "spd-counts");
+           ]));
+   check_int "the next write adds a pack of its own" 2 (List.length (packs ()));
+   check_int "holding only the new cell" 2 (fst (Engine.cache_usage dir)));
+  check_int "closing compacts to one pack" 1 (List.length (packs ()));
+  check_int "which keeps both cells" 2 (fst (Engine.cache_usage dir))
 
 let test_errors () =
   with_server @@ fun ~addr ~session:_ ~server:_ ->
@@ -704,6 +737,7 @@ let tests =
     case "100-request burst = one computation" test_concurrent_burst_dedup;
     case "fuel quota isolates a tenant" test_quota_isolation;
     case "served report is byte-identical" test_report_byte_identical;
+    case "a writing request flushes the cache" test_request_flushes_cache;
     case "JSON-RPC errors and recovery" test_errors;
     case "shutdown method stops the daemon" test_shutdown_method;
     case "oversized Content-Length is refused" test_oversized_content_length;
