@@ -3,9 +3,11 @@
 # run twice — the second pass must be served entirely from the warm
 # _spd_cache/ (its --timings must read preparations 0 and simulations
 # 0, or the check fails) — a telemetry smoke that lints the trace and JSON
-# report output with the in-repo JSON reader, and a translation-
+# report output with the in-repo JSON reader, a translation-
 # validation smoke that certifies every SpD application on the paper
-# grid with the symbolic equivalence checker.
+# grid with the symbolic equivalence checker, and last the hot-path
+# throughput gate (perf-smoke), so a failing gate does not keep the
+# daemon and validation smokes from running.
 
 DUNE ?= dune
 SMOKE_DIR ?= /tmp
@@ -144,11 +146,11 @@ check: all
 	    "from the warm _spd_cache/"; exit 1; }
 	$(MAKE) telemetry-smoke
 	$(MAKE) bench-diff-smoke
-	$(MAKE) perf-smoke
 	$(MAKE) serve-smoke
 	$(MAKE) chaos-smoke
 	$(MAKE) obs-smoke
 	$(MAKE) validate-smoke
+	$(MAKE) perf-smoke
 
 bench:
 	$(DUNE) exec bin/spd.exe -- report all --timings

@@ -52,14 +52,6 @@ let m_cell_retries = M.counter_handle "spd.engine.cells.retried"
 let m_cell_failures = M.counter_handle "spd.engine.cells.failed"
 let m_queries = M.counter_handle "spd.engine.queries"
 
-let m_stage_seconds =
-  List.map
-    (fun st ->
-      ( st,
-        M.histogram_handle ~buckets:M.time_buckets
-          ("spd.engine.stage_seconds." ^ Pipeline.stage_name st) ))
-    Pipeline.stages
-
 let mark c = M.incr (M.get c)
 
 (** Force registration of the engine-level counters (including the
@@ -72,8 +64,7 @@ let register_metrics () =
       m_lowerings; m_preparations; m_simulations; m_cache_hits;
       m_cache_misses; m_cache_evictions; m_cell_retries; m_cell_failures;
       m_queries;
-    ];
-  List.iter (fun (_, h) -> ignore (M.get h)) m_stage_seconds
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Promise-style memo table, safe for concurrent use from domains.  The
@@ -395,8 +386,6 @@ module Stats = struct
     disk_evictions : int;  (** corrupt on-disk records evicted and recomputed *)
     cell_retries : int;  (** failed attempts that were retried *)
     cell_failures : int;  (** cells that exhausted their attempts *)
-    stage_seconds : (Pipeline.stage * float) list;
-        (** cumulative wall clock per pipeline stage, across all domains *)
   }
 
   (* Sorted [key=value] rendering.  [jobs] is deliberately excluded:
@@ -558,9 +547,9 @@ module Session = struct
     retries : int;  (* attempts per cell before recording a failure *)
     faults : Faults.t;
     config : Pipeline.Config.t;
-        (* the default configuration under the session's timer, budgets
-           (its [deadline] is the per-cell wall-clock budget) and
-           checker fault *)
+        (* the default configuration under the session's budgets (its
+           [deadline] is the per-cell wall-clock budget) and checker
+           fault *)
     disk : disk option;  (* None = on-disk cache disabled *)
     pool : Pool.t;
     lowered_memo : (string, Spd_ir.Prog.t) Memo.t;
@@ -579,14 +568,13 @@ module Session = struct
     stats_mu : Mutex.t;
     mutable lowerings : int;
     mutable preparations : int;
+    mutable simulations : int;
     mutable disk_hits : int;
     mutable disk_misses : int;
     mutable disk_evictions : int;
     mutable cell_retries : int;
     mutable cell_failures : int;
     mutable failures : failure list;
-    stage_seconds : float array;  (* indexed by Pipeline.stage_index *)
-    stage_runs : int array;  (* instrumented stages entered, same index *)
   }
 
   let try_prepare_dir dir =
@@ -602,18 +590,6 @@ module Session = struct
       | Some j -> max 1 j
       | None -> Domain.recommended_domain_count ()
     in
-    let stats_mu = Mutex.create () in
-    let stage_seconds = Array.make (List.length Pipeline.stages) 0.0 in
-    let stage_runs = Array.make (List.length Pipeline.stages) 0 in
-    let timer stage dt =
-      Mutex.lock stats_mu;
-      let i = Pipeline.stage_index stage in
-      stage_seconds.(i) <- stage_seconds.(i) +. dt;
-      stage_runs.(i) <- stage_runs.(i) + 1;
-      Mutex.unlock stats_mu;
-      if stage = Pipeline.Simulate then mark m_simulations;
-      M.observe (M.get (List.assoc stage m_stage_seconds)) dt
-    in
     (* an armed fuel fault is the tightest budget *)
     let fuel = match Faults.fuel faults with Some _ as f -> f | None -> fuel in
     {
@@ -623,7 +599,6 @@ module Session = struct
       config =
         {
           Pipeline.Config.default with
-          timer = Some timer;
           fuel;
           deadline;
           checker_fault = Some (fun () -> Faults.checker_raise faults);
@@ -646,17 +621,16 @@ module Session = struct
       dynamics_memo = Memo.create 64;
       decisions_memo = Memo.create 64;
       verdicts_memo = Memo.create 64;
-      stats_mu;
+      stats_mu = Mutex.create ();
       lowerings = 0;
       preparations = 0;
+      simulations = 0;
       disk_hits = 0;
       disk_misses = 0;
       disk_evictions = 0;
       cell_retries = 0;
       cell_failures = 0;
       failures = [];
-      stage_seconds;
-      stage_runs;
     }
 
   (* [records] as a new pack, or [None] when the write failed *)
@@ -743,16 +717,12 @@ module Session = struct
         Stats.jobs = t.jobs;
         lowerings = t.lowerings;
         preparations = t.preparations;
-        simulations = t.stage_runs.(Pipeline.stage_index Pipeline.Simulate);
+        simulations = t.simulations;
         disk_hits = t.disk_hits;
         disk_misses = t.disk_misses;
         disk_evictions = t.disk_evictions;
         cell_retries = t.cell_retries;
         cell_failures = t.cell_failures;
-        stage_seconds =
-          List.map
-            (fun st -> (st, t.stage_seconds.(Pipeline.stage_index st)))
-            Pipeline.stages;
       }
     in
     Mutex.unlock t.stats_mu;
@@ -1013,14 +983,7 @@ module Session = struct
     Memo.get t.lowered_memo bench (fun () ->
         bump t (fun t -> t.lowerings <- t.lowerings + 1);
         mark m_lowerings;
-        let t0 = Clock.now () in
-        let prog =
-          Spd_lang.Lower.compile (W.Registry.by_name bench).source
-        in
-        (match t.config.timer with
-        | Some cb -> cb Pipeline.Lower (Clock.now () -. t0)
-        | None -> ());
-        prog)
+        Pipeline.lower (W.Registry.by_name bench).source)
 
   (* the validated NAIVE program of a benchmark: every preparation and
      the reference run start from it *)
@@ -1059,7 +1022,11 @@ module Session = struct
     let identity = Pipeline.run_identity p.prog p.applications in
     let ((digest, _, _) as key) = run_key identity p.config in
     let stored, run =
-      Memo.get t.run_memo key (fun () -> (identity, Pipeline.run p))
+      Memo.get t.run_memo key (fun () ->
+          let run = Pipeline.run p in
+          bump t (fun t -> t.simulations <- t.simulations + 1);
+          mark m_simulations;
+          (identity, run))
     in
     if stored != identity && compare stored identity <> 0 then
       failwith

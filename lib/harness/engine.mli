@@ -163,8 +163,6 @@ module Stats : sig
         (** corrupt on-disk records evicted and recomputed *)
     cell_retries : int;  (** failed attempts that were retried *)
     cell_failures : int;  (** cells that exhausted their attempts *)
-    stage_seconds : (Pipeline.stage * float) list;
-        (** cumulative wall clock per pipeline stage, across all domains *)
   }
 
   (** The counters as a sorted association list, [jobs] excluded — every

@@ -51,12 +51,43 @@ let stage_name = function
   | Schedule -> "schedule"
   | Simulate -> "simulate"
 
-let stage_index = function
-  | Lower -> 0
-  | Profile -> 1
-  | Spd -> 2
-  | Schedule -> 3
-  | Simulate -> 4
+module M = Spd_telemetry.Metrics
+module Clock = Spd_telemetry.Clock
+
+(* one process-wide histogram per stage: every run of a stage, in a
+   session or not, is observed once *)
+let m_stage_seconds =
+  List.map
+    (fun st ->
+      ( st,
+        M.histogram_handle ~buckets:M.time_buckets
+          ("spd.engine.stage_seconds." ^ stage_name st) ))
+    stages
+
+let observe_stage stage dt =
+  M.observe (M.get (List.assoc stage m_stage_seconds)) dt
+
+let stage_seconds () =
+  List.map (fun (st, h) -> (st, (M.hist_value (M.get h)).sum)) m_stage_seconds
+
+(* Every instrumented stage is also a trace span, so a --trace run shows
+   the stage breakdown nested under its grid cell's span. *)
+let time stage f =
+  Spd_telemetry.Trace.with_span ~name:("stage:" ^ stage_name stage)
+    (fun () ->
+      let t0 = Clock.now () in
+      let r = f () in
+      observe_stage stage (Clock.now () -. t0);
+      r)
+
+(* Lowering is observed without a [stage:lower] span: the benchmark
+   harness books [spd.engine.stage_seconds.lower] to its lowering layer
+   itself, so a span would count it twice. *)
+let lower source =
+  let t0 = Clock.now () in
+  let prog = Spd_lang.Lower.compile source in
+  observe_stage Lower (Clock.now () -. t0);
+  prog
 
 (* ------------------------------------------------------------------ *)
 
@@ -76,8 +107,6 @@ module Config = struct
             timing); [None] = the simulator's default *)
     deadline : float option;
         (** wall-clock budget in seconds for every simulator run *)
-    timer : (stage -> float -> unit) option;
-        (** called with the elapsed seconds of every instrumented stage *)
     checker_fault : (unit -> unit) option;
         (** consulted at every per-application checker invocation; the
             engine wires the session's [checker-raise] fault here *)
@@ -85,16 +114,15 @@ module Config = struct
 
   let default =
     { check = true; validate = false; spd_params = None; graft = false;
-      mem_latency = 2; fuel = None; deadline = None; timer = None;
-      checker_fault = None }
+      mem_latency = 2; fuel = None; deadline = None; checker_fault = None }
 
   let v ?(check = true) ?(validate = false) ?spd_params ?(graft = false)
-      ?fuel ?deadline ?timer ?checker_fault ?(mem_latency = 2) () =
+      ?fuel ?deadline ?checker_fault ?(mem_latency = 2) () =
     { check; validate; spd_params; graft; mem_latency; fuel; deadline;
-      timer; checker_fault }
+      checker_fault }
 
   (* The canonical encoding of the semantic fields (everything except
-     [timer], [checker_fault], [fuel] and [deadline] — the budgets can
+     [checker_fault], [fuel] and [deadline] — the budgets can
      only turn a result into a failure, never change a successfully
      computed value, so they do not participate in cache addressing).
      [validate] is likewise excluded: validation never changes the
@@ -112,19 +140,6 @@ module Config = struct
     Printf.sprintf "check=%b;graft=%b;lat=%d;params=%s" t.check t.graft
       t.mem_latency params
 end
-
-(* Every instrumented stage is also a trace span, so a --trace run shows
-   the stage breakdown nested under its grid cell's span. *)
-let time (config : Config.t) stage f =
-  Spd_telemetry.Trace.with_span ~name:("stage:" ^ stage_name stage)
-    (fun () ->
-      match config.timer with
-      | None -> f ()
-      | Some cb ->
-          let t0 = Spd_telemetry.Clock.now () in
-          let r = f () in
-          cb stage (Spd_telemetry.Clock.now () -. t0);
-          r)
 
 (* ------------------------------------------------------------------ *)
 (* Instrumented runs *)
@@ -168,7 +183,7 @@ let instrumented (config : Config.t) stage ?profile ~applications prog : run
       applications
   in
   let r =
-    time config stage (fun () ->
+    time stage (fun () ->
         Spd_sim.Interp.run ~histogram ?profile
           ?spd:(if applications = [] then None else Some spd)
           ?fuel:config.fuel ?deadline:config.deadline prog)
@@ -250,8 +265,6 @@ let rejection_labels =
     "max-applications"; "max-expansion";
   ]
 
-module M = Spd_telemetry.Metrics
-
 let m_candidates = M.counter_handle "spd.heuristic.candidates"
 let m_applied = M.counter_handle "spd.heuristic.applied"
 
@@ -273,12 +286,13 @@ let observe_verdict (v : Spd_validate.Verdict.t) =
        | Spd_validate.Verdict.Unknown _ -> m_unknown))
 
 (** Force registration of the [spd.heuristic.*] and [spd.validate.*]
-    counters. *)
+    counters and the stage histograms. *)
 let register_metrics () =
   List.iter
     (fun h -> ignore (M.get h))
     ([ m_candidates; m_applied; m_proved; m_refuted; m_unknown ]
-    @ List.map snd m_rejected)
+    @ List.map snd m_rejected);
+  List.iter (fun (_, h) -> ignore (M.get h)) m_stage_seconds
 
 (* the counter suffix for a rejection (metric names avoid ':') *)
 let rejection_label : Heuristic.verdict -> string option =
@@ -396,7 +410,7 @@ let check ~naive ~reference p = check_with ~run:fresh_run ~naive ~reference p
 let prepare ?(config = Config.default) ?front:shared_front ?reference:shared
     ?(run = fresh_run) (kind : kind) (lowered : Prog.t) : prepared =
   let { Config.check = checked; validate; spd_params; graft = _; mem_latency;
-        fuel = _; deadline = _; timer = _; checker_fault } =
+        fuel = _; deadline = _; checker_fault } =
     config
   in
   (* a shared front end was validated when it was made *)
@@ -420,9 +434,9 @@ let prepare ?(config = Config.default) ?front:shared_front ?reference:shared
   let prog, applications, decisions, verdicts =
     match kind with
     | Naive -> (naive, [], [], [])
-    | Static -> (time config Spd (fun () -> Static.run naive), [], [], [])
+    | Static -> (time Spd (fun () -> Static.run naive), [], [], [])
     | Spec ->
-        let static = time config Spd (fun () -> Static.run naive) in
+        let static = time Spd (fun () -> Static.run naive) in
         (* STATIC only relabels NAIVE's arcs, so NAIVE's profile is
            STATIC's *)
         let profile = (reference ()).profile in
@@ -473,7 +487,7 @@ let prepare ?(config = Config.default) ?front:shared_front ?reference:shared
           else None
         in
         let prog, apps, ds =
-          time config Spd (fun () ->
+          time Spd (fun () ->
               Heuristic.run ~profile ?checker ?params:spd_params ~mem_latency
                 static)
         in
@@ -481,7 +495,7 @@ let prepare ?(config = Config.default) ?front:shared_front ?reference:shared
         (prog, apps, ds, List.rev !acc)
     | Perfect ->
         let profile = (reference ()).profile in
-        (time config Spd (fun () -> Static.perfect ~profile naive), [], [], [])
+        (time Spd (fun () -> Static.perfect ~profile naive), [], [], [])
   in
   if not (validated && prog == naive) then Prog.validate prog;
   let p =
@@ -507,7 +521,7 @@ let run (p : prepared) : run =
 let price (p : prepared) (r : run) ~(width : Spd_machine.Descr.width) : int =
   let descr = { Spd_machine.Descr.width; mem_latency = p.mem_latency } in
   let timing =
-    time p.config Schedule (fun () ->
+    time Schedule (fun () ->
         Spd_machine.Timing_builder.program descr p.prog)
   in
   Spd_telemetry.Trace.with_span ~name:"sim.price" (fun () ->

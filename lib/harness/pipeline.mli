@@ -28,14 +28,23 @@ val pp : Format.formatter -> kind -> unit
 (** {1 Stages}
 
     The instrumented stages of a pipeline run, in execution order:
-    lowering (performed by the engine before {!prepare}), profiling,
-    the disambiguation transforms (static tests + SpD), scheduling and
-    timed simulation. *)
+    lowering ({!lower}, which the engine calls before {!prepare}),
+    profiling, the disambiguation transforms (static tests + SpD),
+    scheduling and timed simulation.  Every run of a stage, in an
+    engine session or not, is observed once in the process-wide
+    histogram [spd.engine.stage_seconds.<name>]; every stage but
+    lowering is also a [stage:<name>] trace span. *)
 
 type stage = Lower | Profile | Spd | Schedule | Simulate
-val stages : stage list
 val stage_name : stage -> string
-val stage_index : stage -> int
+
+(** Cumulative wall clock per stage in this process, across all
+    domains: the sums of the stage histograms. *)
+val stage_seconds : unit -> (stage * float) list
+
+(** Compile a source program to IR, observed as the [Lower] stage.
+    Raises the front end's errors. *)
+val lower : string -> Spd_ir.Prog.t
 
 (** {1 Configuration}
 
@@ -61,16 +70,13 @@ module Config : sig
             timing); [None] = the simulator's default *)
     deadline : float option;
         (** wall-clock budget in seconds for every simulator run *)
-    timer : (stage -> float -> unit) option;
-        (** called with the elapsed seconds of every instrumented stage *)
     checker_fault : (unit -> unit) option;
         (** consulted at every per-application checker invocation; the
             engine wires the session's [checker-raise] fault here *)
   }
 
   (** [check = true], no validation, no parameter overrides, no
-      grafting, 2-cycle memory, no budgets, no timer, no checker
-      fault. *)
+      grafting, 2-cycle memory, no budgets, no checker fault. *)
   val default : t
 
   (** Build a configuration naming only the fields that differ from
@@ -82,13 +88,12 @@ module Config : sig
     ?graft:bool ->
     ?fuel:int ->
     ?deadline:float ->
-    ?timer:(stage -> float -> unit) ->
     ?checker_fault:(unit -> unit) ->
     ?mem_latency:int ->
     unit -> t
 
   (** Canonical encoding of the semantic fields (everything except
-      [timer], [checker_fault], [fuel] and [deadline] — budgets can only
+      [checker_fault], [fuel] and [deadline] — budgets can only
       turn a result into a failure, never change a successfully computed
       value); [validate] is likewise excluded, since validation never
       changes the prepared program.  Two configurations with equal
@@ -163,8 +168,9 @@ type prepared = {
 
 (** Force registration of the [spd.heuristic.{candidates,applied,
     rejected.<reason>}] and [spd.validate.{proved,refuted,unknown}]
-    counters, so a metrics snapshot carries them before any SPEC
-    pipeline fires them ([spd serve] calls this at startup). *)
+    counters and the [spd.engine.stage_seconds.<stage>] histograms, so a
+    metrics snapshot carries them before any pipeline fires them
+    ([spd serve] calls this at startup). *)
 val register_metrics : unit -> unit
 
 (** Profile a program: run it once with instrumentation. *)

@@ -522,11 +522,11 @@ let spd_validate_tables s =
       rows;
   ]
 
-(** Engine report: per-stage wall clock and the session's counters.
-    Seconds are wall-clock, hence run-dependent; the counter table is
-    deterministic (and excludes the job count, see {!Engine.Stats}). *)
+(** Engine report: per-stage wall clock of the process and the
+    session's counters.  Seconds are wall-clock, hence run-dependent;
+    the counter table is deterministic (and excludes the job count, see
+    {!Engine.Stats}). *)
 let timings_tables s =
-  let st = Engine.Session.stats s in
   [
     Table.v ~id:"timings.stages"
       ~title:"Engine: per-stage wall clock (cumulative, all domains)"
@@ -534,12 +534,12 @@ let timings_tables s =
       (List.map
          (fun (stage, secs) ->
            Table.row (Pipeline.stage_name stage) [ Table.Num secs ])
-         st.stage_seconds);
+         (Pipeline.stage_seconds ()));
     Table.v ~id:"timings.engine" ~title:"Engine: session counters"
       ~label_header:"Counter" ~columns:[ "Value" ]
       (List.map
          (fun (k, v) -> Table.row k [ Table.Int v ])
-         (Engine.Stats.to_alist st));
+         (Engine.Stats.to_alist (Engine.Session.stats s)));
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -167,33 +167,42 @@ let req_string name p =
   | Some s -> s
   | None -> bad "missing required parameter %S" name
 
+(* A JSON number as an int of at least [least]: integral and below
+   [max_int], past which [int_of_float] does not round-trip *)
+let int_at_least least j =
+  match Json.to_number j with
+  | Some v
+    when Float.is_integer v
+         && v >= float_of_int least
+         && v < Float.of_int max_int ->
+      Some (int_of_float v)
+  | _ -> None
+
 (* positive integer, with the same hint wording as the CLI's --fuel /
    --jobs flags (Cliflags) *)
 let opt_pos_int name p =
   match Json.member name p with
   | None | Some Json.Null -> None
   | Some j -> (
-      match Json.to_number j with
-      | Some v when Float.is_integer v && v >= 1.0 ->
-          Some (int_of_float v)
-      | Some v -> bad "%S expects a positive integer, got %g" name v
-      | None -> bad "%S expects a positive integer" name)
+      match (int_at_least 1 j, Json.to_number j) with
+      | Some n, _ -> Some n
+      | None, Some v -> bad "%S expects a positive integer, got %g" name v
+      | None, None -> bad "%S expects a positive integer" name)
 
 let opt_nat name p =
   match Json.member name p with
   | None | Some Json.Null -> None
   | Some j -> (
-      match Json.to_number j with
-      | Some v when Float.is_integer v && v >= 0.0 ->
-          Some (int_of_float v)
-      | _ -> bad "%S expects a non-negative integer" name)
+      match int_at_least 0 j with
+      | Some n -> Some n
+      | None -> bad "%S expects a non-negative integer" name)
 
 let opt_pos_float name p =
   match Json.member name p with
   | None | Some Json.Null -> None
   | Some j -> (
       match Json.to_number j with
-      | Some v when v > 0.0 -> Some v
+      | Some v when v > 0.0 && Float.is_finite v -> Some v
       | Some v ->
           bad "%S expects a positive number of seconds, got %g" name v
       | None -> bad "%S expects a positive number of seconds" name)
@@ -234,10 +243,9 @@ let opt_width p =
   | None | Some Json.Null -> None
   | Some (Json.String "inf") -> Some Spd_machine.Descr.Infinite
   | Some j -> (
-      match Json.to_number j with
-      | Some v when Float.is_integer v && v >= 1.0 ->
-          Some (Spd_machine.Descr.Fus (int_of_float v))
-      | _ -> bad "\"width\" expects a positive integer or \"inf\"")
+      match int_at_least 1 j with
+      | Some n -> Some (Spd_machine.Descr.Fus n)
+      | None -> bad "\"width\" expects a positive integer or \"inf\"")
 
 let opt_min_int a b =
   match (a, b) with
@@ -578,7 +586,7 @@ let dispatch t meth params : Json.t =
               (List.map
                  (fun (stage, secs) ->
                    (Pipeline.stage_name stage, Json.Float secs))
-                 st.Engine.Stats.stage_seconds) );
+                 (Pipeline.stage_seconds ())) );
           ( "failures",
             Json.List
               (List.map
@@ -601,11 +609,6 @@ let app_error_message = function
   | Spd_sim.Interp.Sim_error (k, ctx) ->
       Some (Fmt.str "runtime error: %a" Spd_sim.Interp.pp_error (k, ctx))
   | _ -> None
-
-(* cumulative per-stage wall clock of the shared session; two
-   snapshots bracket a request for the slow-request breakdown *)
-let stage_totals t =
-  (Engine.Session.stats t.session).Engine.Stats.stage_seconds
 
 let stage_delta before after =
   List.filter_map
@@ -635,8 +638,12 @@ let respond t ~id req : Json.t * bool =
   | Some meth ->
       Metrics.incr (Metrics.get m_requests);
       let t0 = Clock.now () in
+      (* two readings of the process's stage totals bracket a request
+         for the slow-request breakdown *)
       let stages0 =
-        match t.slow_ms with None -> [] | Some _ -> stage_totals t
+        match t.slow_ms with
+        | None -> []
+        | Some _ -> Pipeline.stage_seconds ()
       in
       let err code msg =
         Metrics.incr (Metrics.get m_errors);
@@ -676,7 +683,7 @@ let respond t ~id req : Json.t * bool =
         ];
       (match t.slow_ms with
       | Some slow when dt *. 1000.0 >= slow ->
-          (* stage deltas are session-wide, so under concurrency they
+          (* stage deltas are process-wide, so under concurrency they
              include work other requests did in the window — an
              attribution hint, not an exact profile *)
           Log.warn "rpc.slow"
@@ -684,7 +691,8 @@ let respond t ~id req : Json.t * bool =
               ("method", Json.String meth);
               ("ms", Json.Float (dt *. 1000.0));
               ("threshold_ms", Json.Float slow);
-              ("stages", Json.Obj (stage_delta stages0 (stage_totals t)));
+              ( "stages",
+                Json.Obj (stage_delta stages0 (Pipeline.stage_seconds ())) );
             ]
       | _ -> ());
       (resp, meth = "shutdown" && ok)

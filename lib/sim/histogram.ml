@@ -16,8 +16,7 @@
 
     Trees whose commit outcome packs into a {!key} are counted under
     that key.  The others — more than {!max_guarded_stores} guarded
-    stores, or a guarded store the interpreter evaluates on its generic
-    path — are counted under their exact commit set, so pricing stays
+    stores — are counted under their exact commit set, so pricing stays
     exact for every tree. *)
 
 (* guarded stores representable in a packed key, leaving room for the

@@ -11,8 +11,7 @@
 
     Paths of trees whose commit outcome packs into a {!key} are counted
     under that key; the other trees (more than {!max_guarded_stores}
-    guarded stores, or a guarded store on the interpreter's generic
-    path) under their exact commit set. *)
+    guarded stores) under their exact commit set. *)
 
 (** Guarded stores representable in a packed {!key} (40): the paths of
     a tree with more are counted with {!add_exact}. *)

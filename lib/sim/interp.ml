@@ -17,11 +17,13 @@
     disambiguator's input); and a {!Histogram} of paths, which prices
     the run on every machine without running it again.
 
-    Internally each tree is compiled once per run into a flat array of
-    specialized operations (register numbers resolved, store guards
-    encoded as ints, memory/store positions pre-indexed) so the traversal
-    loop allocates nothing and dispatches one shallow match per
-    instruction. *)
+    Internally each tree is compiled once per run, before the first
+    traversal, into a flat array of specialized operations (register
+    numbers resolved, store guards encoded as ints, memory/store
+    positions pre-indexed) so the traversal loop allocates nothing and
+    dispatches one shallow match per instruction.  An instruction or
+    exit with no specialized form fails the run there, with
+    [Malformed]. *)
 
 open Spd_ir
 
@@ -42,6 +44,9 @@ type error_kind =
   | No_such_tree of int
   | Globals_exceed_memory
   | Eval_error of string  (** a pure-evaluation fault, e.g. division by zero *)
+  | Malformed of string
+      (** an instruction or exit of a shape the interpreter does not
+          execute, found when its tree is compiled *)
 
 type error_context = {
   in_func : string option;
@@ -64,6 +69,7 @@ let pp_error_kind ppf = function
   | No_such_tree id -> Fmt.pf ppf "no such tree %d" id
   | Globals_exceed_memory -> Fmt.pf ppf "globals exceed memory"
   | Eval_error msg -> Fmt.pf ppf "%s" msg
+  | Malformed what -> Fmt.pf ppf "malformed %s" what
 
 let pp_error ppf (kind, ctx) =
   pp_error_kind ppf kind;
@@ -156,10 +162,9 @@ type traversal_cost =
    Register numbers, guard polarities and memory-op positions are
    resolved once per run so the traversal loop is allocation free.  A
    guard is one int: 0 = unguarded, [g+1] = positive on register [g],
-   [-(g+1)] = negative.  Any instruction or exit whose shape falls
-   outside the specialized constructors compiles to a [CGen]/[XGen]
-   fallback that interprets the original form with the historical code
-   path, byte for byte. *)
+   [-(g+1)] = negative.  The shapes below are the ones {!Insn.make} and
+   {!Prog.validate} admit; any other raises [Malformed] with the tree's
+   context. *)
 
 type cop =
   | CLoad of { pos : int; addr : int; dst : int }
@@ -187,7 +192,6 @@ type cop =
   | CSelect of { dst : int; p : int; a : int; b : int }
   | CItof of { dst : int; a : int }
   | CFtoi of { dst : int; a : int }
-  | CGen of { pos : int }  (** generic fallback *)
 
 type cexit =
   | XJump of {
@@ -214,7 +218,6 @@ type cexit =
       scratch : Value.t array;
     }
   | XRet of { value : int (** -1 none *) }
-  | XGen  (** generic fallback: interpret the source exit *)
 
 type carc = {
   arc : Memdep.t;
@@ -242,8 +245,7 @@ type ctree = {
   mutable hist : Histogram.tree option;  (** resolved on first use *)
   packed : bool;
       (** the commit outcome packs into a {!Histogram.key}: at most
-          {!Histogram.max_guarded_stores} guarded stores, none of them
-          on the generic path *)
+          {!Histogram.max_guarded_stores} guarded stores *)
 }
 
 let enc_guard = function
@@ -256,35 +258,38 @@ let guard_ok (rf : Value.t array) g =
   let v = Value.is_true rf.(abs g - 1) in
   if g > 0 then v else not v
 
-let compile_exit (fi : finfo) (e : Tree.exit) : cexit =
-  let params_of target =
-    if target >= 0 && target < Array.length fi.by_id then
-      match fi.by_id.(target) with
-      | Some (t : Tree.t) -> Some t.params
-      | None -> None
-    else None
+let compile_exit finfos (fi : finfo) ctx (e : Tree.exit) : cexit =
+  let malformed fmt =
+    Fmt.kstr
+      (fun what ->
+        fail
+          ~ctx:{ ctx with at_op = Some (Fmt.str "%a" Tree.pp_exit e) }
+          (Malformed what))
+      fmt
   in
-  (* the historical copy pairs each arg with the target param of the
-     same rank; more args than params is a runtime error the generic
-     path reproduces *)
+  let params_of target =
+    match
+      if target >= 0 && target < Array.length fi.by_id then fi.by_id.(target)
+      else None
+    with
+    | Some (t : Tree.t) -> t.params
+    | None -> malformed "exit to unknown tree %d" target
+  in
+  (* each arg is copied to the target param of the same rank; a call's
+     continuation has one param more, receiving the return value *)
   let copy_pairs params args =
     let n = List.length args in
-    if n <= List.length params then begin
-      let dsts = Array.make n 0 and srcs = Array.make n 0 in
-      List.iteri (fun i p -> if i < n then dsts.(i) <- p) params;
-      List.iteri (fun i r -> srcs.(i) <- r) args;
-      Some (dsts, srcs, Array.make n Value.zero)
-    end
-    else None
+    if n > List.length params then
+      malformed "exit with %d arguments for %d parameters" n
+        (List.length params);
+    let dsts = Array.make n 0 in
+    List.iteri (fun i p -> if i < n then dsts.(i) <- p) params;
+    (dsts, Array.of_list args, Array.make n Value.zero)
   in
   match e.kind with
-  | Tree.Jump { target; args } -> (
-      match params_of target with
-      | Some params -> (
-          match copy_pairs params args with
-          | Some (dsts, srcs, scratch) -> XJump { target; dsts; srcs; scratch }
-          | None -> XGen)
-      | None -> XGen)
+  | Tree.Jump { target; args } ->
+      let dsts, srcs, scratch = copy_pairs (params_of target) args in
+      XJump { target; dsts; srcs; scratch }
   | Tree.Call
       {
         callee = ("print_int" | "print_float") as callee;
@@ -292,45 +297,49 @@ let compile_exit (fi : finfo) (e : Tree.exit) : cexit =
         return_to;
         cont_args;
         _;
-      } -> (
-      match (call_args, params_of return_to) with
-      | arg :: _, Some params -> (
-          match copy_pairs params cont_args with
-          | Some (dsts, srcs, scratch) ->
-              XPrint
-                {
-                  as_float = String.equal callee "print_float";
-                  arg;
-                  return_to;
-                  dsts;
-                  srcs;
-                  scratch;
-                }
-          | None -> XGen)
-      | _ -> XGen)
-  | Tree.Call { callee; call_args; ret; return_to; cont_args } -> (
-      match params_of return_to with
-      | Some params -> (
-          match copy_pairs params cont_args with
-          | Some (dsts, srcs, scratch) ->
-              XCall
-                {
-                  callee;
-                  call_srcs = Array.of_list call_args;
-                  ret = (match ret with Some r -> r | None -> -1);
-                  return_to;
-                  dsts;
-                  srcs;
-                  scratch;
-                }
-          | None -> XGen)
-      | None -> XGen)
+      } ->
+      let arg =
+        match call_args with
+        | arg :: _ -> arg
+        | [] -> malformed "call of %s without an argument" callee
+      in
+      let dsts, srcs, scratch = copy_pairs (params_of return_to) cont_args in
+      XPrint
+        {
+          as_float = String.equal callee "print_float";
+          arg;
+          return_to;
+          dsts;
+          srcs;
+          scratch;
+        }
+  | Tree.Call { callee; call_args; ret; return_to; cont_args } ->
+      (* an unknown callee fails when the call executes *)
+      (match Hashtbl.find_opt finfos callee with
+      | Some (g : finfo)
+        when List.compare_lengths g.func.fparams call_args <> 0 ->
+          malformed "call of %s with %d arguments for %d parameters" callee
+            (List.length call_args) (List.length g.func.fparams)
+      | _ -> ());
+      let dsts, srcs, scratch = copy_pairs (params_of return_to) cont_args in
+      XCall
+        {
+          callee;
+          call_srcs = Array.of_list call_args;
+          ret = (match ret with Some r -> r | None -> -1);
+          return_to;
+          dsts;
+          srcs;
+          scratch;
+        }
   | Tree.Return { value } ->
       XRet { value = (match value with Some r -> r | None -> -1) }
 
-let compile_tree (fi : finfo) (tree : Tree.t) : ctree =
+let compile_tree finfos (fi : finfo) (tree : Tree.t) : ctree =
+  let ctx =
+    { in_func = Some fi.func.fname; in_tree = Some tree.id; at_op = None }
+  in
   let gctr = ref 0 in
-  let gen_gstore = ref false in
   let stores = ref [] and gstores = ref [] and mems = ref [] in
   let compile_insn pos (insn : Insn.t) : cop =
     match (insn.op, insn.srcs, insn.dst) with
@@ -370,18 +379,9 @@ let compile_tree (fi : finfo) (tree : Tree.t) : ctree =
     | Opcode.Itof, [ a ], Some dst -> CItof { dst; a }
     | Opcode.Ftoi, [ a ], Some dst -> CFtoi { dst; a }
     | _ ->
-        if Insn.is_mem insn then mems := pos :: !mems;
-        if Insn.is_store insn then begin
-          stores := pos :: !stores;
-          if insn.guard <> None then begin
-            (* a guarded store on the generic path never reaches the
-               commit mask, so the tree's paths cannot be packed *)
-            gen_gstore := true;
-            gstores := pos :: !gstores;
-            incr gctr
-          end
-        end;
-        CGen { pos }
+        fail
+          ~ctx:{ ctx with at_op = Some (Fmt.str "%a" Insn.pp insn) }
+          (Malformed "instruction")
   in
   let code = Array.mapi compile_insn tree.insns in
   (* positions were consed in reverse *)
@@ -399,7 +399,7 @@ let compile_tree (fi : finfo) (tree : Tree.t) : ctree =
     tree;
     code;
     xguards = Array.map (fun (e : Tree.exit) -> enc_guard e.xguard) tree.exits;
-    cexits = Array.map (compile_exit fi) tree.exits;
+    cexits = Array.map (compile_exit finfos fi ctx) tree.exits;
     store_pos = rev_array !stores;
     gstore_pos = rev_array !gstores;
     mem_pos = rev_array !mems;
@@ -411,7 +411,7 @@ let compile_tree (fi : finfo) (tree : Tree.t) : ctree =
     watch_resolved = false;
     ttime = None;
     hist = None;
-    packed = (not !gen_gstore) && !gctr <= Histogram.max_guarded_stores;
+    packed = !gctr <= Histogram.max_guarded_stores;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -535,7 +535,7 @@ let run ?timing ?(traversal_cost : traversal_cost option)
     (fun (name, _) ->
       let fi = Hashtbl.find finfos name in
       let arr =
-        Array.map (Option.map (fun t -> compile_tree fi t)) fi.by_id
+        Array.map (Option.map (fun t -> compile_tree finfos fi t)) fi.by_id
       in
       Hashtbl.replace cts_of name arr)
     prog.funcs;
@@ -626,81 +626,6 @@ let run ?timing ?(traversal_cost : traversal_cost option)
         else r.noalias_commits <- r.noalias_commits + 1)
       tw.watched
   in
-  (* the historical parallel-copy and transition code, used by the XGen
-     fallback for exits whose shape the compiler does not specialize *)
-  let generic_transition (tree : Tree.t) rf taken =
-    let copy_into target_params args =
-      let values = List.map (fun r -> rf.(r)) args in
-      List.iter2
-        (fun p v -> rf.(p) <- v)
-        (List.filteri (fun i _ -> i < List.length values) target_params)
-        values
-    in
-    match tree.exits.(taken).Tree.kind with
-    | Tree.Jump { target; args } ->
-        let tgt =
-          match !fi.by_id.(target) with
-          | Some t -> t
-          | None -> failc (No_such_tree target)
-        in
-        copy_into tgt.params args;
-        tree_id := target
-    | Tree.Call { callee = "print_int"; call_args; return_to; cont_args; _ }
-      ->
-        output := Value.Int (Value.to_int rf.(List.hd call_args)) :: !output;
-        let tgt = Option.get !fi.by_id.(return_to) in
-        copy_into tgt.params cont_args;
-        tree_id := return_to
-    | Tree.Call { callee = "print_float"; call_args; return_to; cont_args; _ }
-      ->
-        output :=
-          Value.Float (Value.to_float rf.(List.hd call_args)) :: !output;
-        let tgt = Option.get !fi.by_id.(return_to) in
-        copy_into tgt.params cont_args;
-        tree_id := return_to
-    | Tree.Call { callee; call_args; ret; return_to; cont_args } ->
-        let tgt = Option.get !fi.by_id.(return_to) in
-        copy_into tgt.params cont_args;
-        let callee_fi = finfo callee in
-        let arg_values = List.map (fun r -> rf.(r)) call_args in
-        stack :=
-          {
-            saved_regs = rf;
-            saved_fp = !fp;
-            saved_sp = !sp;
-            saved_fi = !fi;
-            ret_reg = ret;
-            resume = return_to;
-          }
-          :: !stack;
-        if List.length !stack > 100_000 then
-          failc (Call_depth_exceeded 100_000);
-        fi := callee_fi;
-        cts := Hashtbl.find cts_of callee;
-        regs := Array.make callee_fi.nregs Value.zero;
-        List.iter2
-          (fun p v -> !regs.(p) <- v)
-          callee_fi.func.fparams arg_values;
-        fp := !sp - callee_fi.func.frame_words;
-        sp := !fp;
-        if !sp <= globals_end then failc Stack_overflow;
-        tree_id := callee_fi.func.entry
-    | Tree.Return { value } -> (
-        let v = match value with Some r -> rf.(r) | None -> Value.zero in
-        match !stack with
-        | [] -> finished := Some v
-        | frame :: rest ->
-            stack := rest;
-            regs := frame.saved_regs;
-            fp := frame.saved_fp;
-            sp := frame.saved_sp;
-            fi := frame.saved_fi;
-            cts := Hashtbl.find cts_of frame.saved_fi.func.fname;
-            (match frame.ret_reg with
-            | Some r -> !regs.(r) <- v
-            | None -> ());
-            tree_id := frame.resume)
-  in
   (* staged parallel copy: read every source, then write every target *)
   let do_copy rf dsts srcs scratch =
     let n = Array.length srcs in
@@ -768,39 +693,6 @@ let run ?timing ?(traversal_cost : traversal_cost option)
               failc
                 ~op:(Fmt.str "%a" Opcode.pp ct.tree.insns.(pos).Insn.op)
                 (Eval_error msg))
-      | CGen { pos } -> (
-          let insn = ct.tree.insns.(pos) in
-          let guard_holds (g : Insn.guard option) =
-            match g with
-            | None -> true
-            | Some { greg; positive } ->
-                let v = Value.is_true rf.(greg) in
-                if positive then v else not v
-          in
-          match insn.op with
-          | Opcode.Load ->
-              let a = Value.to_int rf.(Insn.addr insn) in
-              addr_buf.(pos) <- a;
-              active_buf.(pos) <- true;
-              rf.(Option.get insn.dst) <- load a
-          | Opcode.Store ->
-              let a = Value.to_int rf.(Insn.addr insn) in
-              addr_buf.(pos) <- a;
-              let active = guard_holds insn.guard in
-              active_buf.(pos) <- active;
-              if active then store a rf.(Insn.store_value insn)
-          | Opcode.Addrof (Opcode.Global g) ->
-              rf.(Option.get insn.dst) <- Value.Int (global_addr g)
-          | Opcode.Addrof (Opcode.Frame off) ->
-              rf.(Option.get insn.dst) <- Value.Int (!fp + off)
-          | _ -> (
-              let srcs = List.map (fun r -> rf.(r)) insn.srcs in
-              match Eval.eval_pure insn.op srcs with
-              | v -> rf.(Option.get insn.dst) <- v
-              | exception Eval.Runtime_error msg ->
-                  failc
-                    ~op:(Fmt.str "%a" Spd_ir.Opcode.pp insn.op)
-                    (Eval_error msg)))
     done;
     (* choose the taken exit *)
     let n_exits = Array.length ct.xguards in
@@ -925,18 +817,9 @@ let run ?timing ?(traversal_cost : traversal_cost option)
         if List.length !stack > 100_000 then
           failc (Call_depth_exceeded 100_000);
         let newregs = Array.make callee_fi.nregs Value.zero in
-        (let rec fill ps i =
-           match ps with
-           | [] ->
-               if i <> Array.length call_srcs then invalid_arg "List.iter2"
-           | p :: tl ->
-               if i >= Array.length call_srcs then invalid_arg "List.iter2"
-               else begin
-                 newregs.(p) <- rf.(call_srcs.(i));
-                 fill tl (i + 1)
-               end
-         in
-         fill callee_fi.func.fparams 0);
+        List.iteri
+          (fun i p -> newregs.(p) <- rf.(call_srcs.(i)))
+          callee_fi.func.fparams;
         fi := callee_fi;
         cts := Hashtbl.find cts_of callee;
         regs := newregs;
@@ -959,7 +842,6 @@ let run ?timing ?(traversal_cost : traversal_cost option)
             | Some r -> !regs.(r) <- v
             | None -> ());
             tree_id := frame.resume)
-    | XGen -> generic_transition ct.tree rf !taken
   done;
   M.incr (M.get m_runs);
   M.incr ~by:!traversals (M.get m_traversals);

@@ -35,6 +35,11 @@ type error_kind =
   | No_such_tree of int
   | Globals_exceed_memory
   | Eval_error of string  (** a pure-evaluation fault, e.g. division by zero *)
+  | Malformed of string
+      (** an instruction or exit of a shape {!Spd_ir.Insn.make} and
+          {!Spd_ir.Prog.validate} do not admit; {!run} compiles every
+          tree before the first traversal, so it raises this before the
+          program executes *)
 
 type error_context = {
   in_func : string option;
@@ -96,7 +101,10 @@ type traversal_cost =
     fuel, _)].  [deadline] is a budget in seconds of elapsed time,
     read from the monotonic {!Spd_telemetry.Clock.now} every few
     thousand traversals; exceeding it raises
-    [Sim_error (Deadline_exceeded d, _)].  [spd] registers watches on
+    [Sim_error (Deadline_exceeded d, _)].  An instruction or exit of a
+    shape the interpreter does not execute raises
+    [Sim_error (Malformed _, _)], naming its function and tree, before
+    the first traversal.  [spd] registers watches on
     SpD-transformed regions; their alias/no-alias commit and squash
     counters are filled in as the program runs.
 

@@ -81,6 +81,9 @@ val hist_of_json : Json.t -> hist option
 (** Merged view of every registered metric, sorted by name. *)
 val snapshot : unit -> snapshot
 
+(** Merged view of one histogram. *)
+val hist_value : histogram -> hist
+
 (** Zero every registered metric; handles stay valid. *)
 val reset : unit -> unit
 

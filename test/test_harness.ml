@@ -405,9 +405,10 @@ let test_shared_run_identity () =
     Spd_workloads.Registry.all
 
 (* One interpreter run per distinct program: a cold paper grid runs
-   NAIVE once per benchmark (11) and SPEC once per distinct SPEC program
-   (13), and writes its 289 records as one pack; a warm one runs
-   nothing and reads every record. *)
+   NAIVE once per benchmark (11, the [profile] stage) and SPEC once per
+   distinct SPEC program (13, the [simulate] stage), and writes its 289
+   records as one pack; a warm one runs nothing and reads every
+   record. *)
 let test_paper_grid_runs () =
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
@@ -415,28 +416,45 @@ let test_paper_grid_runs () =
   in
   rm_rf dir;
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  let runs () =
-    match List.assoc_opt "spd.sim.runs" (Spd_telemetry.Metrics.snapshot ()) with
-    | Some (Spd_telemetry.Metrics.Counter n) -> n
-    | _ -> 0
+  let counts () =
+    let snap = Spd_telemetry.Metrics.snapshot () in
+    let stage name =
+      match
+        List.assoc_opt ("spd.engine.stage_seconds." ^ name) snap
+      with
+      | Some (Spd_telemetry.Metrics.Hist h) -> h.count
+      | _ -> 0
+    in
+    ( (match List.assoc_opt "spd.sim.runs" snap with
+      | Some (Spd_telemetry.Metrics.Counter n) -> n
+      | _ -> 0),
+      stage "simulate",
+      stage "profile" )
   in
   let report () =
     let s = Engine.Session.create ~jobs:2 ~disk_cache:true ~cache_dir:dir () in
-    let before = runs () in
+    let runs0, simulate0, profile0 = counts () in
     with_session s (fun s ->
         ignore
           (H.Artefact.to_json ~session:s
              (H.Artefact.of_names H.Artefact.paper_set)));
-    (Engine.Session.stats s, runs () - before)
+    let runs1, simulate1, profile1 = counts () in
+    ( Engine.Session.stats s,
+      runs1 - runs0,
+      simulate1 - simulate0,
+      profile1 - profile0 )
   in
   let files suffix = List.length (files_with suffix dir) in
-  let cold, cold_runs = report () in
+  let cold, cold_runs, cold_simulate, cold_profile = report () in
   check_int "cold: simulations" 13 cold.Engine.Stats.simulations;
+  check_int "cold: simulate stage runs = simulations"
+    cold.Engine.Stats.simulations cold_simulate;
+  check_int "cold: profile stage runs = reference runs" 11 cold_profile;
   check_int "cold: interpreter runs" 24 cold_runs;
   check_int "cold: disk misses" 289 cold.Engine.Stats.disk_misses;
   check_int "cold: one pack" 1 (files ".pack");
   check_int "cold: no temporary file" 0 (files ".tmp");
-  let warm, warm_runs = report () in
+  let warm, warm_runs, _, _ = report () in
   check_int "warm: simulations" 0 warm.Engine.Stats.simulations;
   check_int "warm: interpreter runs" 0 warm_runs;
   check_int "warm: disk hits" 289 warm.Engine.Stats.disk_hits;

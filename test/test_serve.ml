@@ -136,6 +136,22 @@ let eventually ?(timeout = 5.0) pred =
   in
   go ()
 
+(* one [query] whose params are sent as raw JSON text, so numbers the
+   encoder never writes (1e999) reach the daemon as written *)
+let raw_query addr params =
+  let fd = raw_connect addr in
+  Fun.protect ~finally:(fun () -> raw_close fd) @@ fun () ->
+  let body =
+    Printf.sprintf {|{"jsonrpc":"2.0","id":1,"method":"query","params":%s}|}
+      params
+  in
+  raw_send fd
+    (Printf.sprintf "Content-Length: %d\r\n\r\n%s" (String.length body) body);
+  match Protocol.read_frame_r (Protocol.reader (Unix.read fd)) with
+  | Ok (Some resp) -> resp
+  | Ok None -> Alcotest.fail "daemon closed the connection"
+  | Error e -> Alcotest.failf "bad response frame: %s" e
+
 (* the worker must still serve a fresh connection after whatever the
    previous test paragraph did to its sibling *)
 let assert_still_serving addr =
@@ -381,6 +397,28 @@ let test_errors () =
         (Test_harness.contains e "-32602"
         && Test_harness.contains e "nosuch")
   | Ok _ -> Alcotest.fail "unknown bench should be rejected");
+  (* numbers past the int range, or not finite, are refused as invalid
+     params instead of wrapping to 0 or running unbounded *)
+  List.iter
+    (fun (number, want) ->
+      let error =
+        member "error"
+          (raw_query addr
+             (Printf.sprintf
+                {|{"bench":"moment","artefact":"cycles","pipeline":"spec",%s}|}
+                number))
+      in
+      check_int (number ^ " is -32602") Protocol.invalid_params
+        (int_of_float (num (member "code" error)));
+      check_bool (number ^ ": " ^ want) true
+        (Test_harness.contains (str (member "message" error)) want))
+    [
+      ({|"width":1e19|}, {|"width" expects a positive integer or "inf"|});
+      ( {|"width":4,"latency":1e19|},
+        {|"latency" expects a positive integer, got 1e+19|} );
+      ( {|"width":4,"deadline":1e999|},
+        {|"deadline" expects a positive number of seconds, got inf|} );
+    ];
   (* the connection survives errors: a good request still works *)
   match Protocol.call c "ping" (Json.Obj []) with
   | Ok _ -> ()
@@ -656,9 +694,25 @@ let test_slow_request_log () =
   ( with_server ~slow_ms:0.0001 @@ fun ~addr ~session:_ ~server:_ ->
     let c = connect addr in
     Fun.protect ~finally:(fun () -> Protocol.close c) @@ fun () ->
-    (match Protocol.call c "query" query_params with
-    | Ok _ -> ()
-    | Error e -> Alcotest.failf "query: %s" e);
+    let query_rid =
+      match Protocol.call c "query" query_params with
+      | Ok _ -> Protocol.last_rid c
+      | Error e -> Alcotest.failf "query: %s" e
+    in
+    let run_rid =
+      match
+        Protocol.call c "run"
+          (Json.Obj
+             [
+               ( "source",
+                 Json.String
+                   "int main() { int a[4]; int i; for (i = 0; i < 4; i = \
+                    i + 1) a[i] = i; return a[3]; }" );
+             ])
+      with
+      | Ok _ -> Protocol.last_rid c
+      | Error e -> Alcotest.failf "run: %s" e
+    in
     Log.flush ();
     let lines = In_channel.with_open_text path In_channel.input_lines in
     let slow =
@@ -682,8 +736,7 @@ let test_slow_request_log () =
     | None -> Alcotest.fail "no rpc.slow record for the query"
     | Some d ->
         check_bool "slow record carries the echoed rid" true
-          (Option.bind (Json.member "rid" d) Json.to_string_opt
-          = Protocol.last_rid c);
+          (Option.bind (Json.member "rid" d) Json.to_string_opt = query_rid);
         check_bool "stage breakdown present" true
           (match Json.member "stages" d with
           | Some (Json.Obj _) -> true
@@ -691,7 +744,23 @@ let test_slow_request_log () =
         check_bool "ms recorded" true
           (match Option.bind (Json.member "ms" d) Json.to_number with
           | Some ms -> ms >= 0.0
-          | None -> false) )
+          | None -> false);
+        (* an inline run prepares outside the session's grid cells; its
+           stages are in the breakdown all the same *)
+        match
+          List.find_opt
+            (fun d ->
+              Option.bind (Json.member "rid" d) Json.to_string_opt = run_rid)
+            slow
+        with
+        | None -> Alcotest.fail "no rpc.slow record for the run"
+        | Some d ->
+            check_bool "run breakdown has a positive simulate entry" true
+              (match
+                 Option.bind (Json.member "stages" d) (Json.member "simulate")
+               with
+              | Some j -> Option.value ~default:0.0 (Json.to_number j) > 0.0
+              | None -> false) )
 
 (* the spd top data layer over a live daemon: sampling, windowing,
    rendering *)

@@ -326,12 +326,13 @@ int main() {
     (max_guarded prog > Sim.Histogram.max_guarded_stores);
   ignore (check_priced "wide tree" prog)
 
-(* a guarded store outside the compiled store shape (here: one that
-   also names a destination) runs on the interpreter's generic path,
-   which the packed commit mask does not see *)
-let test_price_generic_store () =
-  let src =
-    {|
+(* a shape the interpreter does not execute fails the run before the
+   first traversal, naming its function and tree: a guarded store that
+   also names a destination, and a jump to a tree that does not exist *)
+let test_malformed_rejected () =
+  let prog =
+    compile
+      {|
 int a[8];
 int main() {
   int i; int s;
@@ -344,40 +345,58 @@ int main() {
 }
 |}
   in
-  let generic = ref None in
-  let prog =
-    Prog.map_trees
-      (fun _ (t : Tree.t) ->
-        let spare = Reg.Set.fold max (Tree.all_regs t) 0 + 1 in
-        let insns =
-          Array.mapi
-            (fun pos (i : Insn.t) ->
-              if !generic = None && Insn.is_store i && i.guard <> None
-              then begin
-                generic := Some (t.id, pos);
-                { i with dst = Some spare }
-              end
-              else i)
-            t.insns
-        in
-        { t with insns })
-      (compile src)
+  (* rewrite the first tree of [main] that [edit] changes *)
+  let rewrite edit =
+    let edited = ref None in
+    let prog =
+      Prog.map_trees
+        (fun fname (t : Tree.t) ->
+          match !edited with
+          | None when fname = "main" -> (
+              match edit t with
+              | Some t' ->
+                  edited := Some t.id;
+                  t'
+              | None -> t)
+          | _ -> t)
+        prog
+    in
+    (prog, Option.get !edited)
   in
-  let tree_id, pos = Option.get !generic in
-  let r, histogram = check_priced "generic store" prog in
-  check_int "same result as the compiled store" (ret_int src)
-    (Value.to_int r.Sim.Interp.ret);
-  (* its commit outcome is part of the key: the store's paths split *)
-  let paths =
-    List.filter
-      (fun (p : Sim.Histogram.path) -> p.tree_id = tree_id)
-      (Sim.Histogram.paths histogram)
+  let rejected what (prog, tree_id) =
+    match Sim.Interp.run prog with
+    | exception Sim.Interp.Sim_error (Sim.Interp.Malformed _, ctx) ->
+        check_bool (what ^ ": names main") true (ctx.in_func = Some "main");
+        check_bool (what ^ ": names the tree") true
+          (ctx.in_tree = Some tree_id);
+        check_bool (what ^ ": names the shape") true (ctx.at_op <> None)
+    | exception e ->
+        Alcotest.failf "%s: wrong exception: %s" what (Printexc.to_string e)
+    | _ -> Alcotest.failf "%s: ran" what
   in
-  let commits =
-    List.map (fun (p : Sim.Histogram.path) -> List.mem pos p.committed) paths
-  in
-  check_bool "paths with and without the store's commit" true
-    (List.mem true commits && List.mem false commits)
+  rejected "store with a destination"
+    (rewrite (fun t ->
+         let spare = Reg.Set.fold max (Tree.all_regs t) 0 + 1 in
+         match
+           Array.find_index
+             (fun (i : Insn.t) -> Insn.is_store i && i.guard <> None)
+             t.insns
+         with
+         | None -> None
+         | Some pos ->
+             let insns = Array.copy t.insns in
+             insns.(pos) <- { (insns.(pos)) with dst = Some spare };
+             Some { t with insns }));
+  rejected "jump to a missing tree"
+    (rewrite (fun t ->
+         let retarget (e : Tree.exit) =
+           match e.kind with
+           | Tree.Jump j ->
+               { e with kind = Tree.Jump { j with target = 1_000_000 } }
+           | _ -> e
+         in
+         let exits = Array.map retarget t.exits in
+         if exits = t.exits then None else Some { t with exits }))
 
 let tests =
   [
@@ -396,6 +415,6 @@ let tests =
     case "histogram key packing is injective" test_histogram_key_packing;
     case "histogram key bounds" test_histogram_key_bounds;
     case "pricing: tree beyond the packed key" test_price_wide_tree;
-    case "pricing: guarded store on the generic path"
-      test_price_generic_store;
+    case "malformed instruction and exit are rejected"
+      test_malformed_rejected;
   ]
