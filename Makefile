@@ -2,8 +2,10 @@
 # the test suite, a 200-seed differential fuzz smoke, a table6_3 smoke
 # run twice — the second pass must be served entirely from the warm
 # _spd_cache/ (its --timings must read preparations 0 and simulations
-# 0, or the check fails) — a telemetry smoke that lints the trace and JSON
-# report output with the in-repo JSON reader, a translation-
+# 0, or the check fails) — a zero --mem-latency or --width refused with
+# exit 124 and the shared positive-integer wording, a telemetry smoke
+# that lints the trace and JSON report output with the in-repo JSON
+# reader, a translation-
 # validation smoke that certifies every SpD application on the paper
 # grid with the symbolic equivalence checker, and last the hot-path
 # throughput gate (perf-smoke), so a failing gate does not keep the
@@ -105,18 +107,19 @@ chaos-smoke:
 # under a mixed RPC burst.  Asserts rid echoing on every envelope,
 # exact per-method latency histogram counts with a sane p95, a
 # monotone Prometheus exposition whose +Inf bucket equals _count, a
-# served `why` decision ledger and `validate` verdict ledger
-# byte-identical to the `spd why` / `spd validate` CLI documents, one
-# `spd top` frame, and a structured log + trace profile that agree
-# with the responses; then lints the spd-log/1 lines, the trace, the
-# saved envelope and the spd-decisions/1 + spd-validate/1 ledgers with
-# the in-repo reader.
+# served `explain` document, `why` decision ledger and `validate`
+# verdict ledger byte-identical to the `spd explain` / `spd why` /
+# `spd validate` CLI documents, one `spd top` frame, and a structured
+# log + trace profile that agree with the responses; then lints the
+# spd-log/1 lines, the trace, the saved envelope and the
+# spd-explain/1, spd-decisions/1 + spd-validate/1 documents with the
+# in-repo reader.
 obs-smoke:
 	$(DUNE) exec test/obs_smoke.exe -- $(SMOKE_DIR)
 	$(DUNE) exec test/json_lint.exe -- \
 	  $(SMOKE_DIR)/spd_obs_log.jsonl $(SMOKE_DIR)/spd_obs_trace.json \
-	  $(SMOKE_DIR)/spd_obs_envelope.json $(SMOKE_DIR)/spd_obs_why.json \
-	  $(SMOKE_DIR)/spd_obs_validate.json
+	  $(SMOKE_DIR)/spd_obs_envelope.json $(SMOKE_DIR)/spd_obs_explain.json \
+	  $(SMOKE_DIR)/spd_obs_why.json $(SMOKE_DIR)/spd_obs_validate.json
 
 # Translation-validation smoke: certify the full paper grid with the
 # symbolic equivalence checker (`spd report --validate` exits 2 on any
@@ -144,6 +147,16 @@ check: all
 	  && grep -Eq '^simulations +0$$' $(SMOKE_DIR)/spd_warm_rerun.txt \
 	  || { echo "check: the table6_3 rerun was not served entirely" \
 	    "from the warm _spd_cache/"; exit 1; }
+	@for cmd in "why moment -m 0" "explain moment -w 0" \
+	    "run examples/kernels/moment.c -w 0"; do \
+	  $(DUNE) exec bin/spd.exe -- $$cmd 2> $(SMOKE_DIR)/spd_bad_flag.txt; \
+	  status=$$?; \
+	  if [ $$status -ne 124 ] \
+	    || ! grep -q 'expects a positive integer' $(SMOKE_DIR)/spd_bad_flag.txt; \
+	  then echo "check: spd $$cmd exited $$status without the" \
+	    "positive-integer refusal"; cat $(SMOKE_DIR)/spd_bad_flag.txt; \
+	    exit 1; fi; \
+	done
 	$(MAKE) telemetry-smoke
 	$(MAKE) bench-diff-smoke
 	$(MAKE) serve-smoke

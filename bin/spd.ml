@@ -51,21 +51,49 @@ let pipeline_arg =
     & info [ "p"; "pipeline" ] ~docv:"PIPELINE"
         ~doc:"Disambiguation pipeline: naive, static, spec or perfect.")
 
+(* budget, pool and width flags shared by the subcommands; parsing
+   lives in Cliflags so every subcommand rejects the same spellings with
+   the same wording *)
+
+let pos_int_conv flag =
+  Arg.conv
+    ( (fun s ->
+        Result.map_error
+          (fun e -> `Msg e)
+          (Spd_harness.Cliflags.pos_int ~flag s)),
+      Fmt.int )
+
+let pos_float_conv flag =
+  Arg.conv
+    ( (fun s ->
+        Result.map_error
+          (fun e -> `Msg e)
+          (Spd_harness.Cliflags.pos_float ~flag s)),
+      Fmt.float )
+
 let mem_latency_arg =
   Arg.(
     value
-    & opt int 2
+    & opt (pos_int_conv "--mem-latency") 2
     & info [ "m"; "mem-latency" ] ~docv:"CYCLES"
         ~doc:"Memory latency in cycles (the paper uses 2 and 6).")
 
 let width_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some (pos_int_conv "--width")) None
     & info [ "w"; "width" ] ~docv:"FUS"
         ~doc:
           "Number of universal functional units (default: infinite \
            machine).")
+
+(* [--width] of the subcommands that default to the paper's 5 FUs *)
+let fus_arg =
+  Arg.(
+    value
+    & opt (pos_int_conv "--width") 5
+    & info [ "w"; "width" ] ~docv:"FUS"
+        ~doc:"Number of universal functional units (default 5).")
 
 let file_arg =
   Arg.(
@@ -73,23 +101,16 @@ let file_arg =
     & pos 0 (some file) None
     & info [] ~docv:"FILE" ~doc:"Mini-C source file.")
 
+(* front-end and simulator errors exit 1 with the daemon's wording *)
 let handle_errors f =
-  try f () with
-  | Spd_lang.Lexer.Error (msg, line) ->
-      Fmt.epr "lexical error, line %d: %s@." line msg;
-      exit 1
-  | Spd_lang.Parser.Error (msg, line) ->
-      Fmt.epr "syntax error, line %d: %s@." line msg;
-      exit 1
-  | Spd_lang.Typecheck.Error msg ->
-      Fmt.epr "type error: %s@." msg;
-      exit 1
-  | Spd_lang.Lower.Error msg ->
-      Fmt.epr "lowering error: %s@." msg;
-      exit 1
-  | Spd_sim.Interp.Sim_error (kind, ctx) ->
-      Fmt.epr "runtime error: %a@." Spd_sim.Interp.pp_error (kind, ctx);
-      exit 1
+  try f ()
+  with e -> (
+    let bt = Printexc.get_raw_backtrace () in
+    match Spd_harness.Cliflags.error_message e with
+    | Some msg ->
+        Fmt.epr "%s@." msg;
+        exit 1
+    | None -> Printexc.raise_with_backtrace e bt)
 
 let prepare_src ~mem_latency pipeline src =
   Pipeline.prepare
@@ -142,30 +163,8 @@ let faults_arg =
            starts with KEY, e.g. adi/2/SPEC), $(b,fuel:N) (tight \
            simulator budget), $(b,cycles-inflate:PCT) (inflate \
            reported cycle counts — for exercising the regression \
-           tracker), $(b,worker-raise:N) (crash the daemon worker on \
-           the first N connections — for exercising supervision) and \
-           the chaos-client budgets $(b,conn-torn-frame:N), \
-           $(b,conn-garbage-header:N), $(b,conn-stall:N).")
-
-(* budget/pool flags shared by [spd report] and [spd serve]; parsing
-   lives in Cliflags so every subcommand rejects the same spellings with
-   the same wording *)
-
-let pos_int_conv flag =
-  Arg.conv
-    ( (fun s ->
-        Result.map_error
-          (fun e -> `Msg e)
-          (Spd_harness.Cliflags.pos_int ~flag s)),
-      Fmt.int )
-
-let pos_float_conv flag =
-  Arg.conv
-    ( (fun s ->
-        Result.map_error
-          (fun e -> `Msg e)
-          (Spd_harness.Cliflags.pos_float ~flag s)),
-      Fmt.float )
+           tracker) and $(b,worker-raise:N) (crash the daemon worker on \
+           the first N connections — for exercising supervision).")
 
 let jobs_arg =
   Arg.(
@@ -265,11 +264,15 @@ let run_cmd =
        ~doc:"Compile, disambiguate, schedule and simulate a mini-C file.")
     Term.(const run $ file_arg $ pipeline_arg $ mem_latency_arg $ width_arg)
 
-let workload_names () =
-  Spd_workloads.Registry.names
-  @ List.map
-      (fun (w : Spd_workloads.Workload.t) -> w.name)
-      Spd_workloads.Registry.extras
+let workload_names = Spd_harness.Cliflags.workload_names
+
+(* refuse an unknown workload with the daemon's wording *)
+let require_workload name =
+  match Spd_harness.Cliflags.check_workload name with
+  | Ok () -> ()
+  | Error msg ->
+      Fmt.epr "%s@." msg;
+      exit 1
 
 let bench_run_cmd =
   let run name mem_latency width =
@@ -322,7 +325,9 @@ let bench_diff_cmd =
         Fmt.epr "bench diff: %s@." msg;
         exit 1
     | Ok d ->
-        Benchdiff.render format Fmt.stdout d;
+        Artefact.render_doc format Fmt.stdout
+          ~tables:(fun () -> [ Benchdiff.to_table d ])
+          ~json:(fun () -> Benchdiff.to_json d);
         if d.Benchdiff.regressions > 0 then exit 2
   in
   let old_arg =
@@ -429,18 +434,12 @@ let bench_micro_cmd =
   let module Microbench = Spd_harness.Microbench in
   let run names mem_latency width min_time baseline max_drop format =
     handle_errors (fun () ->
-        let known = workload_names () in
-        List.iter
-          (fun n ->
-            if not (List.mem n known) then begin
-              Fmt.epr "unknown workload %S (one of: %s)@." n
-                (String.concat ", " known);
-              exit 1
-            end)
-          names;
+        List.iter require_workload names;
         let workloads = match names with [] -> None | ns -> Some ns in
         let t = Microbench.run ~mem_latency ~width ~min_time ?workloads () in
-        Microbench.render format Fmt.stdout t;
+        Spd_harness.Artefact.render_doc format Fmt.stdout
+          ~tables:(fun () -> Microbench.to_tables t)
+          ~json:(fun () -> Microbench.to_json t);
         match baseline with
         | None -> ()
         | Some file -> (
@@ -494,13 +493,6 @@ let bench_micro_cmd =
             "Minimum wall clock accumulated per measured stage (default \
              0.3).")
   in
-  let width_arg =
-    Arg.(
-      value
-      & opt int 5
-      & info [ "w"; "width" ] ~docv:"FUS"
-          ~doc:"Number of universal functional units (default 5).")
-  in
   let baseline_arg =
     Arg.(
       value
@@ -528,7 +520,7 @@ let bench_micro_cmd =
           emit an spd-micro/1 document; optionally gate against a \
           committed baseline snapshot.")
     Term.(
-      const run $ names_arg $ mem_latency_arg $ width_arg $ min_time_arg
+      const run $ names_arg $ mem_latency_arg $ fus_arg $ min_time_arg
       $ baseline_arg $ max_drop_arg
       $ format_arg
           ~doc:
@@ -609,7 +601,9 @@ let report_cmd =
                 (match format with
                 | Artefact.Pretty ->
                     if timings && name <> Some "timings" then
-                      Spd_harness.Report.timings session Fmt.stdout ();
+                      List.iter
+                        (Spd_harness.Table.pp Fmt.stdout)
+                        (Spd_harness.Report.timings_tables session);
                     Spd_harness.Report.failure_appendix session Fmt.stdout ()
                 | _ -> ());
                 Spd_harness.Engine.Session.failures session <> []))
@@ -677,40 +671,39 @@ let report_cmd =
              spd-report/1 document with every table, the failures and a \
              metrics snapshot) or $(b,csv) (long format).")
 
-let explain_cmd =
-  let module Explain = Spd_harness.Explain in
-  let run list_only name fn tree width mem_latency format =
-    if list_only then Spd_harness.Artefact.pp_list Fmt.stdout ()
-    else
-      match name with
-      | None ->
-          Fmt.epr "spd explain: missing WORKLOAD (one of: %s)@."
-            (String.concat ", " (workload_names ()));
-          exit 1
-      | Some name ->
-          if not (List.mem name (workload_names ())) then begin
-            Fmt.epr "unknown workload %S (one of: %s)@." name
-              (String.concat ", " (workload_names ()));
-            exit 1
-          end;
-          handle_errors (fun () ->
-              let t = Explain.analyze ~width ~mem_latency name in
-              (match (fn, tree) with
-              | None, None -> ()
-              | _ ->
-                  if Explain.selected ?fn ?tree t = [] then begin
-                    Fmt.epr "no tree matches the --fn/--tree filters@.";
-                    exit 1
-                  end);
-              Explain.render ?fn ?tree format Fmt.stdout t)
+(* [spd explain], [spd why] and [spd validate]: one workload's analysis,
+   read through an engine session and narrowed by [--fn]/[--tree].
+   [session] makes the session from the subcommand's own flags,
+   [analyze] runs the analysis on it; [entry] names what the filters
+   select, for the refusal of a filter that matches nothing. *)
+let introspection_cmd ~name ~doc ~schema ~entry ~session ~analyze ~selected
+    ~tables ~to_json =
+  let module Engine = Spd_harness.Engine in
+  let run workload fn tree session analyze format =
+    match workload with
+    | None ->
+        Fmt.epr "spd %s: missing WORKLOAD (one of: %s)@." name
+          (String.concat ", " (workload_names ()));
+        exit 1
+    | Some workload ->
+        require_workload workload;
+        handle_errors (fun () ->
+            Engine.Session.with_session (session ()) (fun session ->
+                match analyze session workload with
+                | exception Engine.Cell_failed f ->
+                    Fmt.epr "%a@." Engine.pp_failure f;
+                    exit 2
+                | t ->
+                    if (fn <> None || tree <> None) && selected ?fn ?tree t = []
+                    then begin
+                      Fmt.epr "no %s matches the --fn/--tree filters@." entry;
+                      exit 1
+                    end;
+                    Spd_harness.Artefact.render_doc format Fmt.stdout
+                      ~tables:(fun () -> tables ?fn ?tree t)
+                      ~json:(fun () -> to_json ?fn ?tree t)))
   in
-  let list_arg =
-    Arg.(
-      value & flag
-      & info [ "list" ]
-          ~doc:"List the artefact registry with one-line descriptions.")
-  in
-  let name_arg =
+  let workload_arg =
     Arg.(
       value
       & pos 0 (some string) None
@@ -730,172 +723,72 @@ let explain_cmd =
       & opt (some int) None
       & info [ "t"; "tree" ] ~docv:"ID" ~doc:"Restrict to a tree id.")
   in
-  let width_arg =
-    Arg.(
-      value
-      & opt int 5
-      & info [ "w"; "width" ] ~docv:"FUS"
-          ~doc:"Number of universal functional units (default 5).")
-  in
-  Cmd.v
-    (Cmd.info "explain"
-       ~doc:
-         "Explain a workload's schedules: cycle-by-FU occupancy grids \
-          with SpD version annotations, critical-path cycle attribution \
-          per tree, and a per-region table whose cycles sum exactly to \
-          the simulated total.")
+  Cmd.v (Cmd.info name ~doc)
     Term.(
-      const run $ list_arg $ name_arg $ fn_arg $ tree_arg $ width_arg
-      $ mem_latency_arg
+      const run $ workload_arg $ fn_arg $ tree_arg $ session $ analyze
       $ format_arg
           ~doc:
-            "Output format: $(b,pretty) (default), $(b,json) (one \
-             spd-explain/1 document) or $(b,csv).")
+            (Printf.sprintf
+               "Output format: $(b,pretty) (default), $(b,json) (one %s \
+                document) or $(b,csv)."
+               schema))
+
+(* the session of [spd why] and [spd validate]: their ledgers are
+   disk-cacheable cells *)
+let cached_session =
+  Term.(
+    const (fun jobs no_cache () ->
+        Spd_harness.Engine.Session.create ?jobs ~disk_cache:(not no_cache) ())
+    $ jobs_arg $ no_cache_arg)
+
+let explain_cmd =
+  let module Explain = Spd_harness.Explain in
+  introspection_cmd ~name:"explain"
+    ~doc:
+      "Explain a workload's schedules: cycle-by-FU occupancy grids with \
+       SpD version annotations, critical-path cycle attribution per tree, \
+       and a per-region table whose cycles sum exactly to the simulated \
+       total."
+    ~schema:Explain.schema ~entry:"tree"
+    ~session:Term.(const (fun () -> Spd_harness.Engine.Session.create ()))
+    ~analyze:
+      Term.(
+        const (fun width mem_latency -> Explain.analyze ~width ~mem_latency)
+        $ fus_arg $ mem_latency_arg)
+    ~selected:Explain.selected ~tables:Explain.tables ~to_json:Explain.to_json
 
 let why_cmd =
   let module Why = Spd_harness.Why in
-  let run name fn tree mem_latency jobs no_cache format =
-    match name with
-    | None ->
-        Fmt.epr "spd why: missing WORKLOAD (one of: %s)@."
-          (String.concat ", " (workload_names ()));
-        exit 1
-    | Some name ->
-        if not (List.mem name (workload_names ())) then begin
-          Fmt.epr "unknown workload %S (one of: %s)@." name
-            (String.concat ", " (workload_names ()));
-          exit 1
-        end;
-        handle_errors (fun () ->
-            Spd_harness.Engine.Session.with_session
-              (Spd_harness.Engine.Session.create ?jobs
-                 ~disk_cache:(not no_cache) ())
-              (fun session ->
-                match Why.analyze ~mem_latency session name with
-                | exception Spd_harness.Engine.Cell_failed f ->
-                    Fmt.epr "%a@." Spd_harness.Engine.pp_failure f;
-                    exit 2
-                | t ->
-                    (match (fn, tree) with
-                    | None, None -> ()
-                    | _ ->
-                        if Why.selected ?fn ?tree t = [] then begin
-                          Fmt.epr
-                            "no ledger entry matches the --fn/--tree \
-                             filters@.";
-                          exit 1
-                        end);
-                    Why.render ?fn ?tree format Fmt.stdout t))
-  in
-  let name_arg =
-    Arg.(
-      value
-      & pos 0 (some string) None
-      & info [] ~docv:"WORKLOAD"
-          ~doc:"Workload name (the built-in benchmarks plus extras such \
-                as $(b,matmul300)).")
-  in
-  let fn_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "f"; "fn" ] ~docv:"NAME" ~doc:"Restrict to a function.")
-  in
-  let tree_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "t"; "tree" ] ~docv:"ID" ~doc:"Restrict to a tree id.")
-  in
-  Cmd.v
-    (Cmd.info "why"
-       ~doc:
-         "Explain the SpD guidance heuristic's decisions for a \
-          workload: per tree, every candidate ambiguous arc with its \
-          predicted gain, the static test that left it ambiguous, the \
-          budgets in force and the applied/rejected verdict, plus the \
-          rejection-reason histogram.")
-    Term.(
-      const run $ name_arg $ fn_arg $ tree_arg $ mem_latency_arg
-      $ jobs_arg $ no_cache_arg
-      $ format_arg
-          ~doc:
-            "Output format: $(b,pretty) (default), $(b,json) (one \
-             spd-decisions/1 document) or $(b,csv).")
+  introspection_cmd ~name:"why"
+    ~doc:
+      "Explain the SpD guidance heuristic's decisions for a workload: per \
+       tree, every candidate ambiguous arc with its predicted gain, the \
+       static test that left it ambiguous, the budgets in force and the \
+       applied/rejected verdict, plus the rejection-reason histogram."
+    ~schema:Why.schema ~entry:"ledger entry" ~session:cached_session
+    ~analyze:
+      Term.(
+        const (fun mem_latency -> Why.analyze ~mem_latency) $ mem_latency_arg)
+    ~selected:Why.selected ~tables:Why.tables ~to_json:Why.to_json
 
 let validate_cmd =
   let module Validation = Spd_harness.Validation in
-  let run name fn tree mem_latency jobs no_cache format =
-    match name with
-    | None ->
-        Fmt.epr "spd validate: missing WORKLOAD (one of: %s)@."
-          (String.concat ", " (workload_names ()));
-        exit 1
-    | Some name ->
-        if not (List.mem name (workload_names ())) then begin
-          Fmt.epr "unknown workload %S (one of: %s)@." name
-            (String.concat ", " (workload_names ()));
-          exit 1
-        end;
-        handle_errors (fun () ->
-            Spd_harness.Engine.Session.with_session
-              (Spd_harness.Engine.Session.create ?jobs
-                 ~disk_cache:(not no_cache) ())
-              (fun session ->
-                match Validation.analyze ~mem_latency session name with
-                | exception Spd_harness.Engine.Cell_failed f ->
-                    Fmt.epr "%a@." Spd_harness.Engine.pp_failure f;
-                    exit 2
-                | t ->
-                    (match (fn, tree) with
-                    | None, None -> ()
-                    | _ ->
-                        if Validation.selected ?fn ?tree t = [] then begin
-                          Fmt.epr
-                            "no validation entry matches the --fn/--tree \
-                             filters@.";
-                          exit 1
-                        end);
-                    Validation.render ?fn ?tree format Fmt.stdout t))
-  in
-  let name_arg =
-    Arg.(
-      value
-      & pos 0 (some string) None
-      & info [] ~docv:"WORKLOAD"
-          ~doc:"Workload name (the built-in benchmarks plus extras such \
-                as $(b,matmul300)).")
-  in
-  let fn_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "f"; "fn" ] ~docv:"NAME" ~doc:"Restrict to a function.")
-  in
-  let tree_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "t"; "tree" ] ~docv:"ID" ~doc:"Restrict to a tree id.")
-  in
-  Cmd.v
-    (Cmd.info "validate"
-       ~doc:
-         "Translation-validate a workload's SpD transform: for every \
-          applied speculation, symbolically prove the original and \
-          transformed trees equivalent (taken exit, live-out values, \
-          committed stores) on both sides of the speculated alias \
-          predicate.  Each application is $(b,proved), $(b,refuted) \
-          (with a concrete counterexample — the cell then fails and \
-          the exit status is 2) or $(b,unknown) (the proof hit a \
-          modelling limit; counted, never fatal).")
-    Term.(
-      const run $ name_arg $ fn_arg $ tree_arg $ mem_latency_arg
-      $ jobs_arg $ no_cache_arg
-      $ format_arg
-          ~doc:
-            "Output format: $(b,pretty) (default), $(b,json) (one \
-             spd-validate/1 document) or $(b,csv).")
+  introspection_cmd ~name:"validate"
+    ~doc:
+      "Translation-validate a workload's SpD transform: for every applied \
+       speculation, symbolically prove the original and transformed trees \
+       equivalent (taken exit, live-out values, committed stores) on both \
+       sides of the speculated alias predicate.  Each application is \
+       $(b,proved), $(b,refuted) (with a concrete counterexample — the cell \
+       then fails and the exit status is 2) or $(b,unknown) (the proof hit \
+       a modelling limit; counted, never fatal)."
+    ~schema:Validation.schema ~entry:"validation entry" ~session:cached_session
+    ~analyze:
+      Term.(
+        const (fun mem_latency -> Validation.analyze ~mem_latency)
+        $ mem_latency_arg)
+    ~selected:Validation.selected ~tables:Validation.tables
+    ~to_json:Validation.to_json
 
 let cache_cmd =
   let module Json = Spd_telemetry.Json in

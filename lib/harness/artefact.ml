@@ -167,3 +167,16 @@ let render ~session (format : format) ppf (arts : t list) =
       List.iter (fun a -> List.iter (Table.pp ppf) (a.tables session)) arts
   | Json -> Fmt.pf ppf "%s@." (Json.to_string (to_json ~session arts))
   | Csv -> render_csv ~session ppf arts
+
+(** Render one document: [Pretty] prints [tables ()], [Json] prints
+    [json ()] on one line, [Csv] prints the header and every line of
+    [tables ()]. *)
+let render_doc (format : format) ppf ~tables ~json =
+  match format with
+  | Pretty -> List.iter (Table.pp ppf) (tables ())
+  | Json -> Fmt.pf ppf "%s@." (Json.to_string (json ()))
+  | Csv ->
+      Fmt.pf ppf "%s@." Table.csv_header;
+      List.iter
+        (fun t -> List.iter (Fmt.pf ppf "%s@.") (Table.to_csv_lines t))
+        (tables ())

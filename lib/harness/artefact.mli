@@ -48,3 +48,15 @@ val to_json : session:Engine.Session.t -> t list -> Spd_telemetry.Json.t
     pseudo-table [metrics]. *)
 val render :
   session:Engine.Session.t -> format -> Format.formatter -> t list -> unit
+
+(** Render one document in [format]: [Pretty] prints [tables ()],
+    [Json] prints [json ()] on one line, [Csv] prints {!Table.csv_header}
+    and every line of [tables ()].  [spd explain], [spd why],
+    [spd validate], [spd bench diff] and [spd bench micro] print through
+    it. *)
+val render_doc :
+  format ->
+  Format.formatter ->
+  tables:(unit -> Table.t list) ->
+  json:(unit -> Spd_telemetry.Json.t) ->
+  unit

@@ -53,4 +53,3 @@ val diff_strings :
 
 val to_table : t -> Table.t
 val to_json : t -> Spd_telemetry.Json.t
-val render : Artefact.format -> Format.formatter -> t -> unit

@@ -18,7 +18,7 @@
       in the packs under [_spd_cache/], so warm re-runs skip lowering,
       profiling, SpD and scheduling entirely;
     - {b per-stage wall-clock instrumentation}, surfaced through
-      {!Session.stats} and rendered by [Report.timings].
+      {!Session.stats} and rendered by [Report.timings_tables].
 
     Results are deterministic in [jobs]: cells are pure, so the
     schedule changes only who computes a value, never the value. *)

@@ -253,14 +253,19 @@ module Session : sig
   (** {1 Pipeline materialization}
 
     The two compile-stage accessors that return in-memory programs
-    rather than query answers — used by the extension experiments, and
-    not servable over the wire.  Not failure-contained: an unknown
-    benchmark or compile error raises. *)
+    rather than query answers — used by the extension experiments and
+    by {!Explain} ([spd explain] and the daemon's [explain] method).
+    Not failure-contained: an unknown benchmark, a compile error or a
+    failed preparation raises, and the session re-raises it on every
+    later request for the same program. *)
 
   (** Lowered IR of a built-in benchmark. *)
   val lowered : t -> string -> Spd_ir.Prog.t
 
-  (** Prepared pipeline for a benchmark at a memory latency. *)
+  (** Prepared pipeline for a benchmark at a memory latency: the same
+      memoized preparation the cells read, made under the session's
+      budgets.  A SPEC preparation carries its checking run, shared
+      through the session ({!Pipeline.run} returns it). *)
   val prepared :
     t -> bench:string -> latency:int -> Pipeline.kind -> Pipeline.prepared
 

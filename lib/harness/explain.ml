@@ -1,9 +1,9 @@
 (** Schedule introspection and cycle attribution ([spd explain]).
 
-    For one workload, prepares the STATIC and SPEC pipelines, schedules
-    every SPEC tree on the requested machine, simulates with a profile,
-    and renders three kinds of artefact through the shared {!Table}
-    machinery:
+    For one workload, reads the STATIC and SPEC preparations and SPEC's
+    shared run from the engine session, schedules every SPEC tree on
+    the requested machine, and renders three kinds of artefact through
+    the shared {!Table} machinery:
 
     - per tree, the cycle-by-FU {b occupancy grid}, with guarded SpD
       operations annotated by their alias-predicate version
@@ -12,18 +12,24 @@
       partitioned into ambiguous-memory / dataflow / resource / branch
       intervals ({!Spd_machine.Critpath});
     - one program-wide {b region table}: per (function, tree), the
-      simulated traversals and cycles — summing {e exactly} to the
-      simulator's reported total — alongside the STATIC vs SPEC
-      schedule spans (the paper's per-region critical-path delta).
+      traversals and cycles priced from SPEC's run on the machine's
+      timing table ({!Spd_sim.Histogram.breakdown}) — summing {e
+      exactly} to the cycles every report prices — alongside the
+      STATIC vs SPEC schedule spans (the paper's per-region
+      critical-path delta).
 
-    All values are computed once and rendered as data, so the pretty,
-    JSON ([spd-explain/1]) and CSV outputs cannot drift apart. *)
+    The [spd explain] CLI and the daemon's [explain] method read the
+    same memoized preparations, so a daemon explains a workload at
+    every width from one pair of interpreter runs, within the session's
+    budgets.  All values are computed once and rendered as data, so the
+    pretty, JSON ([spd-explain/1]) and CSV outputs cannot drift
+    apart. *)
 
 module Descr = Spd_machine.Descr
 module Schedule = Spd_machine.Schedule
 module Critpath = Spd_machine.Critpath
+module Histogram = Spd_sim.Histogram
 module Json = Spd_telemetry.Json
-module W = Spd_workloads
 
 let schema = "spd-explain/1"
 
@@ -42,14 +48,14 @@ type tree_view = {
           arcs — the cost SpD attacks; the SPEC tree no longer carries
           the transformed arcs *)
   traversals : int;
-  cycles : int;  (** simulated cycles attributed to this tree *)
+  cycles : int;  (** the priced cycles of this tree's traversals *)
 }
 
 type t = {
   workload : string;
   width : int;
   mem_latency : int;
-  total_cycles : int;  (** the simulator's reported cycle count *)
+  total_cycles : int;  (** the run's priced cycles *)
   total_traversals : int;
   applications : Spd_core.Heuristic.application list;
   trees : tree_view list;  (** every tree of the program, in order *)
@@ -63,18 +69,21 @@ let trees_of prog =
   Spd_ir.Prog.iter_trees (fun func tree -> acc := (func, tree) :: !acc) prog;
   List.rev !acc
 
-(** Analyze [workload] on a [width]-unit machine.  Raises
-    [Invalid_argument] for an unknown workload name. *)
-let analyze ?(width = 5) ?(mem_latency = 2) workload : t =
-  let w = W.Registry.by_name workload in
-  let lowered = Spd_lang.Lower.compile w.W.Workload.source in
-  let config = Pipeline.Config.v ~mem_latency () in
-  let static = Pipeline.prepare ~config Pipeline.Static lowered in
-  let spec = Pipeline.prepare ~config Pipeline.Spec lowered in
+(** Analyze [workload] on a [width]-unit machine, reading the STATIC and
+    SPEC preparations and SPEC's run from [session].  Raises
+    [Invalid_argument] for an unknown workload name and whatever a
+    failed preparation raises. *)
+let analyze ?(width = 5) ?(mem_latency = 2) session workload : t =
+  let prepared =
+    Engine.Session.prepared session ~bench:workload ~latency:mem_latency
+  in
+  let static = prepared Pipeline.Static and spec = prepared Pipeline.Spec in
+  let run = Pipeline.run spec in
   let descr = Descr.fus width ~mem_latency in
-  let timing = Spd_machine.Timing_builder.program descr spec.Pipeline.prog in
-  let profile = Spd_sim.Profile.create () in
-  let result = Spd_sim.Interp.run ~timing ~profile spec.Pipeline.prog in
+  let costs =
+    Histogram.breakdown run.Pipeline.histogram
+      (Spd_machine.Timing_builder.program descr spec.Pipeline.prog)
+  in
   let static_spans = Hashtbl.create 32 in
   List.iter
     (fun (func, tree) ->
@@ -90,9 +99,13 @@ let analyze ?(width = 5) ?(mem_latency = 2) workload : t =
         let schedule = Schedule.of_tree ~descr tree in
         let critpath = Critpath.analyze schedule in
         let traversals, cycles =
-          match Spd_sim.Profile.find profile ~func ~tree_id:tree.id with
-          | Some stat ->
-              (stat.Spd_sim.Profile.traversals, stat.Spd_sim.Profile.cycles)
+          match
+            List.find_opt
+              (fun (c : Histogram.tree_cost) ->
+                c.func = func && c.tree_id = tree.id)
+              costs
+          with
+          | Some c -> (c.traversals, c.cycles)
           | None -> (0, 0)
         in
         let static_info = Hashtbl.find_opt static_spans (func, tree.id) in
@@ -112,8 +125,9 @@ let analyze ?(width = 5) ?(mem_latency = 2) workload : t =
     workload;
     width;
     mem_latency;
-    total_cycles = result.Spd_sim.Interp.cycles;
-    total_traversals = result.Spd_sim.Interp.traversals;
+    total_cycles =
+      List.fold_left (fun n (c : Histogram.tree_cost) -> n + c.cycles) 0 costs;
+    total_traversals = run.Pipeline.traversals;
     applications = spec.Pipeline.applications;
     trees;
   }
@@ -304,7 +318,7 @@ let tables ?fn ?tree (t : t) : Table.t list =
   @ [ regions_table t ]
 
 (* ------------------------------------------------------------------ *)
-(* Rendering *)
+(* JSON *)
 
 let to_json ?fn ?tree (t : t) : Json.t =
   Json.Obj
@@ -319,14 +333,3 @@ let to_json ?fn ?tree (t : t) : Json.t =
       ( "tables",
         Json.List (List.map Table.to_json (tables ?fn ?tree t)) );
     ]
-
-let render ?fn ?tree (format : Artefact.format) ppf (t : t) =
-  match format with
-  | Artefact.Pretty -> List.iter (Table.pp ppf) (tables ?fn ?tree t)
-  | Artefact.Json ->
-      Fmt.pf ppf "%s@." (Json.to_string (to_json ?fn ?tree t))
-  | Artefact.Csv ->
-      Fmt.pf ppf "%s@." Table.csv_header;
-      List.iter
-        (fun tbl -> List.iter (Fmt.pf ppf "%s@.") (Table.to_csv_lines tbl))
-        (tables ?fn ?tree t)

@@ -1,10 +1,13 @@
 (** Schedule introspection and cycle attribution ([spd explain]).
 
-    For one workload, prepares the STATIC and SPEC pipelines, schedules
-    every SPEC tree on the requested machine, simulates with a profile,
-    and renders cycle-by-FU occupancy grids, critical-path attributions
-    ({!Spd_machine.Critpath}) and a program-wide per-region table whose
-    cycle column sums exactly to the simulator's reported total. *)
+    For one workload, reads the STATIC and SPEC preparations and SPEC's
+    shared run from an engine session ({!Engine.Session.prepared},
+    {!Pipeline.run}), schedules every SPEC tree on the requested
+    machine, and renders cycle-by-FU occupancy grids, critical-path
+    attributions ({!Spd_machine.Critpath}) and a program-wide
+    per-region table whose cycles are SPEC's run priced per tree on the
+    machine's timing table ({!Spd_sim.Histogram.breakdown}): they sum
+    exactly to the cycles every report prices. *)
 
 module Schedule = Spd_machine.Schedule
 module Critpath = Spd_machine.Critpath
@@ -22,23 +25,28 @@ type tree_view = {
   static_ambig : int option;
       (** STATIC makespan cycles attributed to ambiguous arcs *)
   traversals : int;
-  cycles : int;  (** simulated cycles attributed to this tree *)
+  cycles : int;  (** the priced cycles of this tree's traversals *)
 }
 
 type t = {
   workload : string;
   width : int;
   mem_latency : int;
-  total_cycles : int;  (** the simulator's reported cycle count *)
+  total_cycles : int;
+      (** the run's priced cycles: the [Cycles] cell of SPEC at this
+          width and latency *)
   total_traversals : int;
   applications : Spd_core.Heuristic.application list;
   trees : tree_view list;  (** every tree of the program, in order *)
 }
 
-(** Analyze [workload] on a [width]-unit machine (default 5 FUs,
-    2-cycle memory).  Raises [Invalid_argument] for an unknown workload
-    name. *)
-val analyze : ?width:int -> ?mem_latency:int -> string -> t
+(** [analyze session workload] analyzes [workload] on a [width]-unit
+    machine (default 5 FUs, 2-cycle memory).  The preparations and the
+    run are the session's memoized ones, made under its budgets.
+    Raises [Invalid_argument] for an unknown workload name and whatever
+    a failed preparation raises ({!Engine.Session.prepared}). *)
+val analyze :
+  ?width:int -> ?mem_latency:int -> Engine.Session.t -> string -> t
 
 (** The trees matching the [--fn] / [--tree] filters. *)
 val selected : ?fn:string -> ?tree:int -> t -> tree_view list
@@ -52,7 +60,7 @@ val grid_table : t -> tree_view -> Table.t
 val critpath_table : tree_view -> Table.t
 
 (** The program-wide per-region attribution; the cycles column sums
-    exactly to [total_cycles] (asserted by the test suite). *)
+    exactly to [total_cycles]. *)
 val regions_table : t -> Table.t
 
 (** Every table of an explain run: per selected tree the occupancy grid
@@ -61,7 +69,3 @@ val tables : ?fn:string -> ?tree:int -> t -> Table.t list
 
 (** The [spd-explain/1] JSON document. *)
 val to_json : ?fn:string -> ?tree:int -> t -> Spd_telemetry.Json.t
-
-val render :
-  ?fn:string ->
-  ?tree:int -> Artefact.format -> Format.formatter -> t -> unit

@@ -191,16 +191,3 @@ let ext_params_tables s =
         (Printf.sprintf "MaxExpansion = %.2f" H.default_params.max_expansion)
       gains;
   ]
-
-(* ------------------------------------------------------------------ *)
-
-let render_tables tables s ppf () = List.iter (Table.pp ppf) (tables s)
-
-let ext_dynamic = render_tables ext_dynamic_tables
-let ext_grafting = render_tables ext_grafting_tables
-let ext_params = render_tables ext_params_tables
-
-let all s ppf () =
-  ext_dynamic s ppf ();
-  ext_grafting s ppf ();
-  ext_params s ppf ()

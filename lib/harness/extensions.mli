@@ -19,13 +19,3 @@ module H = Spd_core.Heuristic
 val ext_dynamic_tables : Engine.Session.t -> Table.t list
 val ext_grafting_tables : Engine.Session.t -> Table.t list
 val ext_params_tables : Engine.Session.t -> Table.t list
-
-(** Extension A: SPEC vs hardware dynamic disambiguation windows. *)
-val ext_dynamic : Engine.Session.t -> Format.formatter -> unit -> unit
-
-(** Extension B: the effect of tree grafting (loop unrolling) on SpD. *)
-val ext_grafting : Engine.Session.t -> Format.formatter -> unit -> unit
-
-(** Extension C: guidance heuristic parameter ablation. *)
-val ext_params : Engine.Session.t -> Format.formatter -> unit -> unit
-val all : Engine.Session.t -> Format.formatter -> unit -> unit

@@ -16,12 +16,6 @@
     cycles-inflate:<pct>      inflate every reported cycle count by pct%
                               (an injected slowdown for regression-tracker
                               tests; never written to the cache)
-    conn-torn-frame:<n>       chaos clients: send n frames truncated
-                              mid-body, then disconnect
-    conn-garbage-header:<n>   chaos clients: send n unframeable header
-                              sections
-    conn-stall:<n>            chaos clients: open n connections that go
-                              silent mid-frame (slow-loris)
     worker-raise:<n>          daemon: raise from the first n accepted
                               connections, exercising worker supervision
     checker-raise:<n>         raise from the first n per-application
@@ -31,11 +25,10 @@
 
     [<key>] selects cells by prefix of the engine's cell key,
     [bench/latency/KIND/...] — e.g. [adi/2/SPEC] hits the preparation,
-    the summary and every cycle measurement of that grid cell.  The
-    [conn-*] counts are budgets read by the chaos harness's clients
-    rather than hooks the engine consults; [worker-raise] is consulted
-    by the serve daemon's workers; [checker-raise] by the pipeline's
-    composed {!Spd_core.Heuristic.checker}. *)
+    the summary and every cycle measurement of that grid cell.
+    [worker-raise] is consulted by the serve daemon's workers;
+    [checker-raise] by the pipeline's composed
+    {!Spd_core.Heuristic.checker}. *)
 
 exception Injected of string
 
@@ -49,9 +42,6 @@ type t = {
   cell : (string * int) option;  (** key prefix, number of hits armed *)
   fuel : int option;  (** simulator fuel override *)
   inflate : float option;  (** cycle-count inflation, in percent *)
-  conn_torn : int option;  (** chaos budget: torn frames to send *)
-  conn_garbage : int option;  (** chaos budget: garbage headers to send *)
-  conn_stall : int option;  (** chaos budget: stalled connections *)
   worker : int option;  (** connections whose worker should raise *)
   checker : int option;  (** checker invocations that should raise *)
   reads : int Atomic.t;  (** on-disk cache reads observed so far *)
@@ -62,14 +52,13 @@ type t = {
 
 let none =
   { cache_corrupt = None; cell = None; fuel = None; inflate = None;
-    conn_torn = None; conn_garbage = None; conn_stall = None; worker = None;
-    checker = None; reads = Atomic.make 0; raises = Atomic.make 0;
-    worker_hits = Atomic.make 0; checker_hits = Atomic.make 0 }
+    worker = None; checker = None; reads = Atomic.make 0;
+    raises = Atomic.make 0; worker_hits = Atomic.make 0;
+    checker_hits = Atomic.make 0 }
 
 let is_none t =
   t.cache_corrupt = None && t.cell = None && t.fuel = None
-  && t.inflate = None && t.conn_torn = None && t.conn_garbage = None
-  && t.conn_stall = None && t.worker = None && t.checker = None
+  && t.inflate = None && t.worker = None && t.checker = None
 
 let fuel t = t.fuel
 
@@ -100,10 +89,6 @@ let cell_raise t ~key =
       if Atomic.fetch_and_add t.raises 1 < times then
         raise (Injected (Printf.sprintf "cell-raise:%s" key))
   | _ -> ()
-
-let conn_torn_frames t = Option.value ~default:0 t.conn_torn
-let conn_garbage_headers t = Option.value ~default:0 t.conn_garbage
-let conn_stalls t = Option.value ~default:0 t.conn_stall
 
 let worker_raise t =
   match t.worker with
@@ -164,18 +149,6 @@ let parse_one acc spec =
               Error
                 (Printf.sprintf
                    "cycles-inflate wants a positive percentage, got %S" arg))
-      | "conn-torn-frame" ->
-          Result.map
-            (fun n -> { acc with conn_torn = Some n })
-            (parse_int "conn-torn-frame" arg)
-      | "conn-garbage-header" ->
-          Result.map
-            (fun n -> { acc with conn_garbage = Some n })
-            (parse_int "conn-garbage-header" arg)
-      | "conn-stall" ->
-          Result.map
-            (fun n -> { acc with conn_stall = Some n })
-            (parse_int "conn-stall" arg)
       | "worker-raise" ->
           Result.map
             (fun n -> { acc with worker = Some n })
@@ -208,9 +181,6 @@ let pp ppf t =
           t.cell;
         Option.map (Printf.sprintf "fuel:%d") t.fuel;
         Option.map (Printf.sprintf "cycles-inflate:%g") t.inflate;
-        Option.map (Printf.sprintf "conn-torn-frame:%d") t.conn_torn;
-        Option.map (Printf.sprintf "conn-garbage-header:%d") t.conn_garbage;
-        Option.map (Printf.sprintf "conn-stall:%d") t.conn_stall;
         Option.map (Printf.sprintf "worker-raise:%d") t.worker;
         Option.map (Printf.sprintf "checker-raise:%d") t.checker;
       ]

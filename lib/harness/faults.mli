@@ -15,12 +15,6 @@
     cycles-inflate:<pct>      inflate every reported cycle count by pct%
                               (an injected slowdown for regression-tracker
                               tests; never written to the cache)
-    conn-torn-frame:<n>       chaos clients: send n frames truncated
-                              mid-body, then disconnect
-    conn-garbage-header:<n>   chaos clients: send n unframeable header
-                              sections
-    conn-stall:<n>            chaos clients: open n connections that go
-                              silent mid-frame (slow-loris)
     worker-raise:<n>          daemon: raise from the first n accepted
                               connections, exercising worker supervision
     checker-raise:<n>         raise from the first n per-application
@@ -30,11 +24,10 @@
 
     [<key>] selects cells by prefix of the engine's cell key,
     [bench/latency/KIND/...] — e.g. [adi/2/SPEC] hits the preparation,
-    the summary and every cycle measurement of that grid cell.  The
-    [conn-*] counts are budgets for the chaos harness's synthetic
-    clients; [worker-raise] is a hook the serve daemon's workers
-    consult once per accepted connection; [checker-raise] is consulted
-    by the pipeline's composed per-application checker. *)
+    the summary and every cycle measurement of that grid cell.
+    [worker-raise] is a hook the serve daemon's workers consult once
+    per accepted connection; [checker-raise] is consulted by the
+    pipeline's composed per-application checker. *)
 
 (** Raised by {!cell_raise} / {!worker_raise} when an armed fault
     fires. *)
@@ -90,12 +83,3 @@ val worker_raise : t -> unit
     protected cell runner records it as that one cell's [Failed]
     outcome, leaving sibling cells untouched. *)
 val checker_raise : t -> unit
-
-(** {1 Chaos-client budgets}
-
-    Read by the chaos harness to decide how many misbehaving clients of
-    each flavor to run; 0 when the fault is not armed. *)
-
-val conn_torn_frames : t -> int
-val conn_garbage_headers : t -> int
-val conn_stalls : t -> int

@@ -54,7 +54,6 @@ val run :
 
 val to_tables : t -> Table.t list
 val to_json : t -> Spd_telemetry.Json.t
-val render : Artefact.format -> Format.formatter -> t -> unit
 
 (** Simulate-stage throughput of [workload] in a parsed [spd-micro/1]
     document; [None] when the document does not carry it.  Used by

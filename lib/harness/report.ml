@@ -1,11 +1,11 @@
 (** The paper's tables and figures, built as data.
 
     Each artefact is computed into {!Table.t} values first (see
-    [*_tables]) and only then rendered; the pretty printers below and
-    the machine-readable emitters in {!Artefact} therefore read the
-    exact same values.  Every builder takes its {!Engine.Session.t}
-    explicitly and reads cells through {!Engine.Session.submit}, the
-    same path the CLI and the [spd serve] daemon use.  Absolute
+    [*_tables]) and only then rendered by {!Artefact}, so the pretty,
+    JSON and CSV outputs read the exact same values.  Every builder
+    takes its {!Engine.Session.t} explicitly and reads cells through
+    {!Engine.Session.submit}, the same path the CLI and the [spd serve]
+    daemon use.  Absolute
     numbers differ from the paper's proprietary LIFE testbed;
     EXPERIMENTS.md records the shape comparison. *)
 
@@ -542,21 +542,6 @@ let timings_tables s =
          (Engine.Stats.to_alist (Engine.Session.stats s)));
   ]
 
-(* ------------------------------------------------------------------ *)
-(* Pretty wrappers, one per artefact (the historical interface) *)
-
-let render_tables tables s ppf () = List.iter (Table.pp ppf) (tables s)
-
-let table6_1 = render_tables table6_1_tables
-let table6_2 = render_tables table6_2_tables
-let table6_3 = render_tables table6_3_tables
-let table6_4 = render_tables table6_4_tables
-let fig6_2 = render_tables fig6_2_tables
-let fig6_3 = render_tables fig6_3_tables
-let fig6_4 = render_tables fig6_4_tables
-let spd_dynamics = render_tables spd_dynamics_tables
-let timings = render_tables timings_tables
-
 (** Failure appendix: every cell the session failed to compute, with
     the original exception.  Prints nothing when all cells succeeded —
     appended to artefact output by the CLI, which also turns a
@@ -570,12 +555,3 @@ let failure_appendix s ppf () =
       Fmt.pf ppf "%s@." (String.make 72 '-');
       List.iter (fun f -> Fmt.pf ppf "%a@." Engine.pp_failure f) fs;
       Fmt.pf ppf "%s@." (String.make 72 '-')
-
-let all s ppf () =
-  table6_1 s ppf ();
-  table6_2 s ppf ();
-  table6_4 s ppf ();
-  table6_3 s ppf ();
-  fig6_2 s ppf ();
-  fig6_3 s ppf ();
-  fig6_4 s ppf ()

@@ -1,12 +1,11 @@
 (** The paper's tables and figures, built as data.
 
     Each artefact is computed into {!Table.t} values first (the
-    [*_tables] functions) and only then rendered, so the pretty
-    printers here and the machine-readable emitters in {!Artefact} read
-    the exact same values.  Every builder takes its
-    {!Engine.Session.t} explicitly and reads grid cells through
-    {!Engine.Session.submit} — the same path the CLI and the
-    [spd serve] daemon use, which is what makes served and CLI JSON
+    [*_tables] functions) and only then rendered by {!Artefact}, so the
+    pretty, JSON and CSV outputs read the exact same values.  Every
+    builder takes its {!Engine.Session.t} explicitly and reads grid
+    cells through {!Engine.Session.submit} — the same path the CLI and
+    the [spd serve] daemon use, which is what makes served and CLI JSON
     byte-identical.  Absolute numbers differ from the paper's
     proprietary LIFE testbed; EXPERIMENTS.md records the shape
     comparison. *)
@@ -65,22 +64,9 @@ val spd_validate_tables : Engine.Session.t -> Table.t list
     run-dependent; the counter table is deterministic. *)
 val timings_tables : Engine.Session.t -> Table.t list
 
-(** {1 Pretty renderers} — thin wrappers over the table data above. *)
-
-val table6_1 : Engine.Session.t -> Format.formatter -> unit -> unit
-val table6_2 : Engine.Session.t -> Format.formatter -> unit -> unit
-val table6_3 : Engine.Session.t -> Format.formatter -> unit -> unit
-val table6_4 : Engine.Session.t -> Format.formatter -> unit -> unit
-val fig6_2 : Engine.Session.t -> Format.formatter -> unit -> unit
-val fig6_3 : Engine.Session.t -> Format.formatter -> unit -> unit
-val fig6_4 : Engine.Session.t -> Format.formatter -> unit -> unit
-val spd_dynamics : Engine.Session.t -> Format.formatter -> unit -> unit
-val timings : Engine.Session.t -> Format.formatter -> unit -> unit
-
 (** Failure appendix: every cell the session failed to compute, with
     the original exception.  Prints nothing when all cells succeeded —
     appended to artefact output by the CLI, which also turns a
     non-empty appendix into a nonzero exit status. *)
 val failure_appendix : Engine.Session.t -> Format.formatter -> unit -> unit
 
-val all : Engine.Session.t -> Format.formatter -> unit -> unit

@@ -193,16 +193,3 @@ let summary_table (t : t) (ds : H.decision list) : Table.t =
 let tables ?fn ?tree (t : t) : Table.t list =
   let ds = selected ?fn ?tree t in
   List.map (decisions_table t) (groups ds) @ [ summary_table t ds ]
-
-(* ------------------------------------------------------------------ *)
-(* Rendering *)
-
-let render ?fn ?tree (format : Artefact.format) ppf (t : t) =
-  match format with
-  | Artefact.Pretty -> List.iter (Table.pp ppf) (tables ?fn ?tree t)
-  | Artefact.Json -> Fmt.pf ppf "%s@." (Json.to_string (to_json ?fn ?tree t))
-  | Artefact.Csv ->
-      Fmt.pf ppf "%s@." Table.csv_header;
-      List.iter
-        (fun tbl -> List.iter (Fmt.pf ppf "%s@.") (Table.to_csv_lines tbl))
-        (tables ?fn ?tree t)

@@ -56,6 +56,3 @@ val summary_table : t -> Spd_core.Heuristic.decision list -> Table.t
     then the summary over the same selection. *)
 val tables : ?fn:string -> ?tree:int -> t -> Table.t list
 
-val render :
-  ?fn:string ->
-  ?tree:int -> Artefact.format -> Format.formatter -> t -> unit

@@ -29,7 +29,6 @@
     every [select] in the process wakes — joins the domains and
     removes the socket. *)
 
-module W = Spd_workloads
 module Json = Spd_telemetry.Json
 module Metrics = Spd_telemetry.Metrics
 module Trace = Spd_telemetry.Trace
@@ -45,6 +44,7 @@ module Why = Spd_harness.Why
 module Validation = Spd_harness.Validation
 module Microbench = Spd_harness.Microbench
 module Faults = Spd_harness.Faults
+module Cliflags = Spd_harness.Cliflags
 
 let version = "1.1"
 
@@ -220,14 +220,10 @@ let opt_string_list name p =
            l)
   | Some _ -> bad "%S must be a list of strings" name
 
-let workload_names () =
-  W.Registry.names
-  @ List.map (fun (w : W.Workload.t) -> w.name) W.Registry.extras
-
 let require_workload name =
-  if not (List.mem name (workload_names ())) then
-    bad "unknown workload %S (one of: %s)" name
-      (String.concat ", " (workload_names ()))
+  match Cliflags.check_workload name with
+  | Ok () -> ()
+  | Error msg -> bad "%s" msg
 
 let pipeline_of_string s =
   match String.lowercase_ascii s with
@@ -417,7 +413,9 @@ let dispatch t meth params : Json.t =
           ("methods", Json.List (List.map (fun m -> Json.String m) methods));
           ( "workloads",
             Json.List
-              (List.map (fun w -> Json.String w) (workload_names ())) );
+              (List.map
+                 (fun w -> Json.String w)
+                 (Cliflags.workload_names ())) );
           ( "artefacts",
             Json.List
               (List.map (fun a -> Json.String a) Query.artefact_names) );
@@ -465,20 +463,7 @@ let dispatch t meth params : Json.t =
           names
       in
       Artefact.to_json ~session:t.session arts
-  | "explain" ->
-      let workload = req_string "workload" p in
-      require_workload workload;
-      let width = Option.value ~default:5 (opt_pos_int "width" p) in
-      let mem_latency =
-        Option.value ~default:2 (opt_pos_int "mem_latency" p)
-      in
-      let fn = opt_string "fn" p in
-      let tree = opt_nat "tree" p in
-      let e = Explain.analyze ~width ~mem_latency workload in
-      if Explain.selected ?fn ?tree e = [] then
-        bad "no tree of %S matches the fn/tree filter" workload;
-      Explain.to_json ?fn ?tree e
-  | "why" ->
+  | ("explain" | "why" | "validate") as meth ->
       let workload = req_string "workload" p in
       require_workload workload;
       let mem_latency =
@@ -486,28 +471,25 @@ let dispatch t meth params : Json.t =
       in
       let fn = opt_string "fn" p in
       let tree = opt_nat "tree" p in
-      let w = Why.analyze ~mem_latency t.session workload in
-      (* an empty ledger is a valid answer; only a filter that matches
-         nothing is a caller error *)
-      if (fn <> None || tree <> None) && Why.selected ?fn ?tree w = [] then
-        bad "no ledger entry of %S matches the fn/tree filter" workload;
-      Why.to_json ?fn ?tree w
-  | "validate" ->
-      let workload = req_string "workload" p in
-      require_workload workload;
-      let mem_latency =
-        Option.value ~default:2 (opt_pos_int "mem_latency" p)
+      (* an empty selection is a valid answer; only a filter that
+         matches nothing is a caller error *)
+      let answer entry ~selected ~to_json v =
+        if (fn <> None || tree <> None) && selected ?fn ?tree v = [] then
+          bad "no %s of %S matches the fn/tree filter" entry workload;
+        to_json ?fn ?tree v
       in
-      let fn = opt_string "fn" p in
-      let tree = opt_nat "tree" p in
-      let v = Validation.analyze ~mem_latency t.session workload in
-      (* an empty ledger (no SpD application) is a valid answer; only a
-         filter that matches nothing is a caller error *)
-      if
-        (fn <> None || tree <> None)
-        && Validation.selected ?fn ?tree v = []
-      then bad "no validation entry of %S matches the fn/tree filter" workload;
-      Validation.to_json ?fn ?tree v
+      (match meth with
+      | "explain" ->
+          let width = Option.value ~default:5 (opt_pos_int "width" p) in
+          answer "tree" ~selected:Explain.selected ~to_json:Explain.to_json
+            (Explain.analyze ~width ~mem_latency t.session workload)
+      | "why" ->
+          answer "ledger entry" ~selected:Why.selected ~to_json:Why.to_json
+            (Why.analyze ~mem_latency t.session workload)
+      | _ ->
+          answer "validation entry" ~selected:Validation.selected
+            ~to_json:Validation.to_json
+            (Validation.analyze ~mem_latency t.session workload))
   | "micro" ->
       let workloads = opt_string_list "workloads" p in
       Option.iter (List.iter require_workload) workloads;
@@ -597,19 +579,6 @@ let dispatch t meth params : Json.t =
   | "shutdown" -> serve_doc "shutdown" [ ("stopping", Json.Bool true) ]
   | m -> raise (Unknown_method m)
 
-(* the compile/simulate exceptions a [run] request can surface; wording
-   matches the spd CLI's handle_errors *)
-let app_error_message = function
-  | Spd_lang.Lexer.Error (msg, line) ->
-      Some (Printf.sprintf "lexical error, line %d: %s" line msg)
-  | Spd_lang.Parser.Error (msg, line) ->
-      Some (Printf.sprintf "syntax error, line %d: %s" line msg)
-  | Spd_lang.Typecheck.Error msg -> Some ("type error: " ^ msg)
-  | Spd_lang.Lower.Error msg -> Some ("lowering error: " ^ msg)
-  | Spd_sim.Interp.Sim_error (k, ctx) ->
-      Some (Fmt.str "runtime error: %a" Spd_sim.Interp.pp_error (k, ctx))
-  | _ -> None
-
 let stage_delta before after =
   List.filter_map
     (fun (stage, secs) ->
@@ -663,7 +632,7 @@ let respond t ~id req : Json.t * bool =
                  (String.concat ", " methods))
         | exception Invalid_argument msg -> err Protocol.invalid_params msg
         | exception e -> (
-            match app_error_message e with
+            match Cliflags.error_message e with
             | Some msg -> err Protocol.server_error msg
             | None -> err Protocol.server_error (Printexc.to_string e))
       in

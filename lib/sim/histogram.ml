@@ -11,8 +11,10 @@
     guarded stores) therefore determines the run's cycles on {e every}
     machine: the cycles under a timing table are the sum over the
     histogram of count × charge, which {!price} computes without
-    re-running the program.  The arcs of a tree play no part in the
-    key, so programs that differ only in arc status share a histogram.
+    re-running the program; {!breakdown} splits that sum per tree, the
+    per-region cycles of [spd explain].  The arcs of a tree play no
+    part in the key, so programs that differ only in arc status share a
+    histogram.
 
     Trees whose commit outcome packs into a {!key} are counted under
     that key.  The others — more than {!max_guarded_stores} guarded
@@ -89,23 +91,37 @@ let fold_paths th f acc =
       f ~taken ~committed:(fun i -> set.[i] = '1') !count acc)
     th.exact acc
 
-let price (h : t) (timing : Timing.t) : int =
+type tree_cost = {
+  func : string;
+  tree_id : int;
+  traversals : int;
+  cycles : int;
+}
+
+(* Every counted tree's cost under [timing], in table order. *)
+let fold_costs (h : t) (timing : Timing.t) f acc =
   Hashtbl.fold
-    (fun (func, tree_id) th total ->
+    (fun (func, tree_id) th acc ->
       let tt = Timing.find timing ~func ~tree_id in
       let at pos = tt.Timing.insn_completion.(pos) in
       let drained =
         Array.fold_left (fun m pos -> max m (at pos)) min_int th.stores
       in
-      fold_paths th
-        (fun ~taken ~committed count total ->
-          let c = ref (max drained tt.Timing.exit_completion.(taken)) in
-          Array.iteri
-            (fun i pos -> if committed i then c := max !c (at pos))
-            th.gstores;
-          total + (count * !c))
-        total)
-    h 0
+      let traversals, cycles =
+        fold_paths th
+          (fun ~taken ~committed count (traversals, cycles) ->
+            let c = ref (max drained tt.Timing.exit_completion.(taken)) in
+            Array.iteri
+              (fun i pos -> if committed i then c := max !c (at pos))
+              th.gstores;
+            (traversals + count, cycles + (count * !c)))
+          (0, 0)
+      in
+      f { func; tree_id; traversals; cycles } acc)
+    h acc
+
+let breakdown h timing = List.sort compare (fold_costs h timing List.cons [])
+let price h timing = fold_costs h timing (fun c total -> total + c.cycles) 0
 
 type path = {
   func : string;

@@ -5,9 +5,10 @@
     committed.  An interpreter run that counts traversals per (tree,
     exit, committed guarded stores) therefore prices the program on
     every machine: {!price} folds the counts with a timing table and
-    returns exactly the cycles [Interp.run ~timing] would charge.  Arcs
-    play no part in the key, so programs that differ only in arc status
-    share one histogram.
+    returns exactly the cycles [Interp.run ~timing] would charge, and
+    {!breakdown} gives the same sum per tree.  Arcs play no part in the
+    key, so programs that differ only in arc status share one
+    histogram.
 
     Paths of trees whose commit outcome packs into a {!key} are counted
     under that key; the other trees (more than {!max_guarded_stores}
@@ -48,8 +49,21 @@ val add : tree -> int -> unit
     per instruction position, whether the operation committed. *)
 val add_exact : tree -> taken:int -> active:bool array -> unit
 
+(** One counted tree's share of a run under a timing table. *)
+type tree_cost = {
+  func : string;
+  tree_id : int;
+  traversals : int;
+  cycles : int;  (** the sum of count × charge over the tree's paths *)
+}
+
+(** Per counted tree, its traversals and their cycles under a timing
+    table that covers every counted tree, sorted by (function, tree
+    id).  Trees the run never traversed are absent. *)
+val breakdown : t -> Timing.t -> tree_cost list
+
 (** The cycles of the counted traversals under a timing table that
-    covers every counted tree: the sum of count × charge. *)
+    covers every counted tree: the sum of {!breakdown}'s cycles. *)
 val price : t -> Timing.t -> int
 
 type path = {

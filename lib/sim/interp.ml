@@ -10,7 +10,10 @@
     schedule or from the infinite-machine ASAP analysis), each traversal is
     charged [max(taken-exit completion, committed store completions)]
     cycles, and the total is the program's execution time on that machine —
-    the paper's measurement methodology.
+    the paper's measurement methodology.  The harness prices pipeline
+    cycles from a {!Histogram} instead ({!Histogram.price}, per tree
+    {!Histogram.breakdown}); the timed run is the reference the tests
+    hold that pricing to, and the loop the throughput gate times.
 
     The interpreter also fills in a {!Profile}: exit frequencies and
     dynamic alias counts per memory dependence arc (the PERFECT
@@ -757,14 +760,7 @@ let run ?timing ?(traversal_cost : traversal_cost option)
           (fun pos ->
             if active_buf.(pos) then t := max !t tt.insn_completion.(pos))
           ct.store_pos;
-        cycles := !cycles + !t;
-        (* attribute the traversal's cost to its tree, so per-region
-           cycle accounting sums exactly to the run total *)
-        match profile with
-        | None -> ()
-        | Some p ->
-            let stat = pstat ct p in
-            stat.cycles <- stat.cycles + !t);
+        cycles := !cycles + !t);
     (* the path histogram: the packed key, or the exact commit set where
        the key cannot pack it *)
     (match histogram with

@@ -10,7 +10,10 @@
     schedule or from the infinite-machine ASAP analysis), each traversal is
     charged [max(taken-exit completion, committed store completions)]
     cycles, and the total is the program's execution time on that machine —
-    the paper's measurement methodology.
+    the paper's measurement methodology.  The harness prices pipeline
+    cycles from a {!Histogram} instead ({!Histogram.price}, per tree
+    {!Histogram.breakdown}); the timed run is the reference the tests
+    hold that pricing to, and the loop the throughput gate times.
 
     The interpreter also fills in a {!Profile}: exit frequencies and
     dynamic alias counts per memory dependence arc (the PERFECT

@@ -13,11 +13,6 @@ type arc_stat = { mutable both_active : int; mutable aliased : int }
 
 type tree_stat = {
   mutable traversals : int;
-  mutable cycles : int;
-      (** simulated cycles charged to this tree's traversals; only filled
-          when the interpreter runs with both a profile and a timing
-          table, in which case the per-tree values sum exactly to the
-          run's total cycle count *)
   exit_taken : int array;
   arc_stats : (int * int, arc_stat) Hashtbl.t;
       (** keyed by (src insn id, dst insn id) *)
@@ -36,7 +31,6 @@ let tree_stat (p : t) ~func ~(tree : Spd_ir.Tree.t) : tree_stat =
       let s =
         {
           traversals = 0;
-          cycles = 0;
           exit_taken = Array.make (Array.length tree.exits) 0;
           arc_stats = Hashtbl.create 8;
         }

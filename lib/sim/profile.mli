@@ -13,11 +13,6 @@ type arc_stat = { mutable both_active : int; mutable aliased : int; }
 
 type tree_stat = {
   mutable traversals : int;
-  mutable cycles : int;
-      (** simulated cycles charged to this tree's traversals; only filled
-          when the interpreter runs with both a profile and a timing
-          table, in which case the per-tree values sum exactly to the
-          run's total cycle count *)
   exit_taken : int array;
   arc_stats : (int * int, arc_stat) Hashtbl.t;
       (** keyed by (src insn id, dst insn id) *)

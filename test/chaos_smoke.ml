@@ -13,13 +13,17 @@
     - a saturated daemon refuses admission with [server busy] carrying
       a [retry_after_ms] hint, and [--retries] rides through it.
 
-    The chaos-client mix is driven by the [Faults] spec grammar
-    ([conn-torn-frame]/[conn-garbage-header]/[conn-stall]); the saved
-    health and refusal documents are linted by [json_lint]. *)
+    The chaos-client mix is fixed below (torn frames, garbage headers,
+    stalled connections); the saved health and refusal documents are
+    linted by [json_lint]. *)
 
 module Json = Spd_telemetry.Json
-module Faults = Spd_harness.Faults
 module Protocol = Spd_serve.Protocol
+
+(* the chaos-client mix of phase 2 *)
+let torn_frame_clients = 4
+let garbage_header_clients = 4
+let stalled_clients = 2
 
 let die fmt =
   Printf.ksprintf
@@ -185,12 +189,6 @@ let () =
   (* Phase 2: the same daemon under chaos — torn frames, garbage
      headers, stalled connections, and a worker-raise fault *)
 
-  let budgets =
-    match Faults.parse "conn-torn-frame:4,conn-garbage-header:4,conn-stall:2"
-    with
-    | Ok f -> f
-    | Error e -> die "chaos budget spec: %s" e
-  in
   let sock = in_dir "spd_chaos.sock" in
   if Sys.file_exists sock then Sys.remove sock;
   let addr = Protocol.Unix_path sock in
@@ -207,14 +205,14 @@ let () =
   (* stalled connections: opened now, dribbling nothing, evicted by the
      1-second frame deadline while everything else proceeds *)
   let stalls =
-    List.init (Faults.conn_stalls budgets) (fun _ ->
+    List.init stalled_clients (fun _ ->
         let fd = raw_connect sock in
         raw_send fd "Content-Len";
         fd)
   in
   let torn =
     Domain.spawn (fun () ->
-        for _ = 1 to Faults.conn_torn_frames budgets do
+        for _ = 1 to torn_frame_clients do
           let fd = raw_connect sock in
           raw_send fd "Content-Length: 4096\r\n\r\n{\"jsonrpc\":";
           raw_close fd
@@ -222,7 +220,7 @@ let () =
   in
   let garbage =
     Domain.spawn (fun () ->
-        for _ = 1 to Faults.conn_garbage_headers budgets do
+        for _ = 1 to garbage_header_clients do
           let fd = raw_connect sock in
           raw_send fd "Content-Length: banana\r\n\r\n";
           ignore (raw_recv_all fd);

@@ -16,7 +16,9 @@
     reports: for all four pipelines at both memory latencies, cycles
     priced from one instrumented run's path histogram — NAIVE's run for
     NAIVE, STATIC and PERFECT, SPEC's own for SPEC — must equal a timed
-    interpreter run at 1–8 FUs and on the infinite machine.
+    interpreter run at 1–8 FUs and on the infinite machine, and the
+    per-tree breakdown [spd explain] prints must sum to that run's
+    cycles and traversals.
 
     The gain oracle re-prices the heuristic's estimator: on every tree
     of the STATIC and the SpD program, at both memory latencies,
@@ -94,8 +96,9 @@ let check_scheduler_equivalence (prog : Spd_ir.Prog.t) =
         [ 1; 4 ])
     prog
 
-(* Pricing oracle: [Histogram.price] over one instrumented run against
-   [Interp.run ~timing], the reference, on every machine. *)
+(* Pricing oracle: [Histogram.price] over one instrumented run, and its
+   per-tree breakdown, against [Interp.run ~timing], the reference, on
+   every machine. *)
 let check_pricing (lowered : Spd_ir.Prog.t) =
   List.iter
     (fun mem_latency ->
@@ -123,13 +126,24 @@ let check_pricing (lowered : Spd_ir.Prog.t) =
                 Spd_machine.Timing_builder.program
                   { Spd_machine.Descr.width; mem_latency } p.prog
               in
-              let timed = (Interp.run ~timing ~fuel:!case_fuel p.prog).cycles in
+              let timed = Interp.run ~timing ~fuel:!case_fuel p.prog in
               let priced = Spd_sim.Histogram.price run.histogram timing in
-              if priced <> timed then
+              let trees = Spd_sim.Histogram.breakdown run.histogram timing in
+              let sum f = List.fold_left (fun n c -> n + f c) 0 trees in
+              let fail what ours theirs =
                 failwith
-                  (Fmt.str "%s at %a, %d-cycle memory: priced %d, timed %d"
+                  (Fmt.str "%s at %a, %d-cycle memory: %s %d, timed %d"
                      (Pipeline.name kind) Spd_machine.Descr.pp_width width
-                     mem_latency priced timed))
+                     mem_latency what ours theirs)
+              in
+              if priced <> timed.cycles then fail "priced" priced timed.cycles;
+              (* the per-tree breakdown [spd explain] prints *)
+              let cycles = sum (fun c -> c.Spd_sim.Histogram.cycles) in
+              if cycles <> timed.cycles then
+                fail "per-tree cycles sum to" cycles timed.cycles;
+              let traversals = sum (fun c -> c.Spd_sim.Histogram.traversals) in
+              if traversals <> timed.traversals then
+                fail "per-tree traversals sum to" traversals timed.traversals)
             (Spd_machine.Descr.Infinite
             :: List.init 8 (fun i -> Spd_machine.Descr.Fus (i + 1))))
         Pipeline.all)

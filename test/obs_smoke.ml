@@ -7,9 +7,9 @@
       issued, and their p95 is sane,
     - the Prometheus exposition round-trips: cumulative buckets are
       monotone and the [+Inf] bucket equals [_count],
-    - the served [why] decision ledger and the served [validate]
-      verdict ledger are byte-identical to the [spd why --format json]
-      and [spd validate --format json] CLI documents,
+    - the served [explain] document, [why] decision ledger and
+      [validate] verdict ledger are byte-identical to the
+      [spd explain|why|validate --format json] CLI documents,
     - [spd top --count 1] renders one dashboard frame,
     - after shutdown, the [--log] file is valid spd-log/1 JSON-lines
       whose [rpc] records carry rids, and the [--trace] profile has an
@@ -224,51 +224,39 @@ let () =
       | Some p95 -> die "query p95 %g out of range" p95
       | None -> die "query p95 missing"));
 
-  (* the served [why] ledger must agree byte-for-byte with the CLI's
-     [spd why --format json] document (the envelope's rid lives outside
-     the result, so the result IS the bare spd-decisions/1 document) *)
-  let served_why =
-    call_ok c "why"
-      (Json.Obj
-         [ ("workload", Json.String "perm"); ("mem_latency", Json.Int 2) ])
-  in
-  let served_why_s = Json.to_string served_why in
-  write_file (Filename.concat !smoke_dir "spd_obs_why.json") served_why_s;
-  let cli_why =
-    String.trim
-      (capture
-         [|
-           !spd; "why"; "perm"; "--mem-latency"; "2"; "--no-cache";
-           "--format"; "json";
-         |])
-  in
-  if served_why_s <> cli_why then
-    die "served why differs from the CLI document:\n%s\nvs\n%s" served_why_s
-      cli_why;
-
-  (* likewise the served [validate] verdict ledger: the spd-validate/1
-     document is a pure function of its inputs, so the daemon and the
-     CLI must emit identical bytes *)
-  let served_validate =
-    call_ok c "validate"
-      (Json.Obj
-         [ ("workload", Json.String "perm"); ("mem_latency", Json.Int 2) ])
-  in
-  let served_validate_s = Json.to_string served_validate in
-  write_file
-    (Filename.concat !smoke_dir "spd_obs_validate.json")
-    served_validate_s;
-  let cli_validate =
-    String.trim
-      (capture
-         [|
-           !spd; "validate"; "perm"; "--mem-latency"; "2"; "--no-cache";
-           "--format"; "json";
-         |])
-  in
-  if served_validate_s <> cli_validate then
-    die "served validate differs from the CLI document:\n%s\nvs\n%s"
-      served_validate_s cli_validate;
+  (* the served [explain] document, [why] ledger and [validate] verdict
+     ledger must agree byte-for-byte with the CLI's [--format json]
+     documents: each is a pure function of its inputs, and the
+     envelope's rid lives outside the result, so the result IS the bare
+     spd-explain/1, spd-decisions/1 or spd-validate/1 document *)
+  List.iter
+    (fun (meth, params, flags) ->
+      let served =
+        Json.to_string
+          (call_ok c meth
+             (Json.Obj
+                (("workload", Json.String "perm")
+                :: ("mem_latency", Json.Int 2)
+                :: params)))
+      in
+      write_file
+        (Filename.concat !smoke_dir ("spd_obs_" ^ meth ^ ".json"))
+        served;
+      let cli =
+        String.trim
+          (capture
+             (Array.of_list
+                ([ !spd; meth; "perm"; "--mem-latency"; "2" ]
+                @ flags @ [ "--format"; "json" ])))
+      in
+      if served <> cli then
+        die "served %s differs from the CLI document:\n%s\nvs\n%s" meth
+          served cli)
+    [
+      ("explain", [ ("width", Json.Int 4) ], [ "--width"; "4" ]);
+      ("why", [], [ "--no-cache" ]);
+      ("validate", [], [ "--no-cache" ]);
+    ];
 
   (* a raw envelope, saved for json_lint: must echo a rid *)
   let envelope =

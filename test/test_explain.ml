@@ -4,7 +4,10 @@
     The load-bearing invariants:
 
     - the per-region cycle attribution of [spd explain] sums {e exactly}
-      to the simulator's reported cycle count (ISSUE 4 acceptance);
+      to the cycles and traversals a timed interpreter run of the same
+      program reports, and its total is the session's SPEC cycles
+      cell, for every paper workload at both latencies and widths 1
+      and 5;
     - a critical-path attribution is a disjoint tiling of
       [0, makespan), so its category totals sum to the makespan;
     - occupancy grids place every op exactly once, within the machine
@@ -19,6 +22,8 @@ open Util
 module Schedule = Spd_machine.Schedule
 module Critpath = Spd_machine.Critpath
 module Ddg = Spd_analysis.Ddg
+module H = Spd_harness
+module Engine = Spd_harness.Engine
 module Explain = Spd_harness.Explain
 module Benchdiff = Spd_harness.Benchdiff
 module Faults = Spd_harness.Faults
@@ -27,38 +32,76 @@ module Json = Spd_telemetry.Json
 
 let case name f = Alcotest.test_case name `Quick f
 
+(* one session behind every analysis below: explain reads its memoized
+   preparations and SPEC's shared run, so the tests share them too *)
+let session = lazy (Engine.Session.create ~jobs:1 ())
 let explained = Hashtbl.create 4
 
-(* Explain.analyze runs the full pipeline + simulator; share one
-   analysis per workload across the tests below. *)
-let explain name =
-  match Hashtbl.find_opt explained name with
+let explain ?(width = 5) ?(mem_latency = 2) name =
+  let key = (name, width, mem_latency) in
+  match Hashtbl.find_opt explained key with
   | Some t -> t
   | None ->
-      let t = Explain.analyze name in
-      Hashtbl.add explained name t;
+      let t =
+        Explain.analyze ~width ~mem_latency (Lazy.force session) name
+      in
+      Hashtbl.add explained key t;
       t
 
 (* ------------------------------------------------------------------ *)
 (* Attribution sums *)
 
+(* Explain prices SPEC's shared run per tree.  Its regions must sum to
+   what the reference, a timed interpreter run of the same program,
+   charges and counts, and its total must be the session's SPEC cycles
+   cell: the number every report prints. *)
 let test_region_cycles_sum_to_total () =
+  let session = Lazy.force session in
   List.iter
     (fun name ->
-      let t = explain name in
-      let sum =
-        List.fold_left (fun acc v -> acc + v.Explain.cycles) 0 t.Explain.trees
-      in
-      check_int (name ^ ": region cycles sum to simulator total")
-        t.Explain.total_cycles sum;
-      let trav =
-        List.fold_left
-          (fun acc v -> acc + v.Explain.traversals)
-          0 t.Explain.trees
-      in
-      check_int (name ^ ": region traversals sum to simulator total")
-        t.Explain.total_traversals trav)
-    [ "matmul300"; "moment" ]
+      List.iter
+        (fun mem_latency ->
+          let spec =
+            Engine.Session.prepared session ~bench:name ~latency:mem_latency
+              H.Pipeline.Spec
+          in
+          List.iter
+            (fun width ->
+              let t = explain ~width ~mem_latency name in
+              let where =
+                Printf.sprintf "%s, %d FU, %d-cycle memory" name width
+                  mem_latency
+              in
+              let timing =
+                Spd_machine.Timing_builder.program
+                  (Spd_machine.Descr.fus width ~mem_latency)
+                  spec.H.Pipeline.prog
+              in
+              let timed = Spd_sim.Interp.run ~timing spec.H.Pipeline.prog in
+              let sum f =
+                List.fold_left (fun n v -> n + f v) 0 t.Explain.trees
+              in
+              check_int (where ^ ": region cycles sum to the timed run")
+                timed.Spd_sim.Interp.cycles
+                (sum (fun v -> v.Explain.cycles));
+              check_int (where ^ ": region traversals sum to the timed run")
+                timed.Spd_sim.Interp.traversals
+                (sum (fun v -> v.Explain.traversals));
+              check_int (where ^ ": total is the timed run's")
+                timed.Spd_sim.Interp.cycles t.Explain.total_cycles;
+              check_int (where ^ ": total is the SPEC cycles cell")
+                (Engine.get
+                   (Engine.Session.submit session
+                      (Engine.Query.v ~bench:name ~latency:mem_latency
+                         (Engine.Query.Cycles
+                            {
+                              kind = H.Pipeline.Spec;
+                              width = Spd_machine.Descr.Fus width;
+                            }))))
+                t.Explain.total_cycles)
+            [ 1; 5 ])
+        [ 2; 6 ])
+    Spd_workloads.Registry.names
 
 let test_critpath_tiles_makespan () =
   List.iter

@@ -221,6 +221,9 @@ let render f =
   Fmt.flush ppf ();
   Buffer.contents buf
 
+(* an artefact's tables, rendered as [spd report] prints them *)
+let pretty tables = render (fun ppf () -> List.iter (H.Table.pp ppf) tables)
+
 let contains hay needle =
   let lh = String.length hay and ln = String.length needle in
   let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
@@ -228,16 +231,16 @@ let contains hay needle =
 
 let test_reports_render () =
   with_session (H.Engine.Session.create ~jobs:1 ()) @@ fun s ->
-  let t62 = render (H.Report.table6_2 s) in
+  let t62 = pretty (H.Report.table6_2_tables s) in
   List.iter
     (fun (w : Spd_workloads.Workload.t) ->
       check_bool (w.name ^ " listed") true (contains t62 w.name))
     Spd_workloads.Registry.all;
-  let t64 = render (H.Report.table6_4 s) in
+  let t64 = pretty (H.Report.table6_4_tables s) in
   List.iter
     (fun k -> check_bool (k ^ " described") true (contains t64 k))
     [ "NAIVE"; "STATIC"; "SPEC"; "PERFECT" ];
-  let t61 = render (H.Report.table6_1 s) in
+  let t61 = pretty (H.Report.table6_1_tables s) in
   check_bool "branch latency shown" true (contains t61 "Branches")
 
 (* ------------------------------------------------------------------ *)
@@ -248,9 +251,9 @@ let test_reports_render () =
 (* the three deterministic grid artefacts, rendered through one
    explicit session *)
 let grid_render s =
-  render (H.Report.table6_3 s)
-  ^ render (H.Report.fig6_2 s)
-  ^ render (H.Report.fig6_3 s)
+  pretty (H.Report.table6_3_tables s)
+  ^ pretty (H.Report.fig6_2_tables s)
+  ^ pretty (H.Report.fig6_3_tables s)
 
 let rm_rf dir =
   if Sys.file_exists dir then begin

@@ -26,11 +26,12 @@ let tmp_socket () =
 (* start a fresh daemon on a fresh session; always stopped and cleaned
    up, even when the test body raises *)
 let with_server ?(workers = 2) ?(jobs = 2) ?conn_timeout ?drain_deadline
-    ?max_pending ?faults ?slow_ms ?cache_dir f =
+    ?max_pending ?faults ?slow_ms ?cache_dir ?fuel f =
   let path = tmp_socket () in
   let addr = Protocol.Unix_path path in
   let session =
-    Engine.Session.create ~jobs ~disk_cache:(cache_dir <> None) ?cache_dir ()
+    Engine.Session.create ~jobs ~disk_cache:(cache_dir <> None) ?cache_dir
+      ?fuel ()
   in
   let server =
     Server.start ~workers ?conn_timeout ?drain_deadline ?max_pending ?faults
@@ -347,6 +348,60 @@ let test_report_byte_identical () =
   check_string "served report = direct to_json"
     (Json.to_string (drop_member "metrics" direct))
     (Json.to_string (drop_member "metrics" served))
+
+(* Explain reads the daemon's session like why and validate: the
+   served document is [Explain.to_json] of the same session's analysis,
+   another width reuses the memoized preparations and run, the
+   session's fuel bounds it, and a filter that matches nothing is
+   refused. *)
+let test_explain_over_the_wire () =
+  let runs () =
+    match List.assoc_opt "spd.sim.runs" (Spd_telemetry.Metrics.snapshot ()) with
+    | Some (Spd_telemetry.Metrics.Counter n) -> n
+    | _ -> 0
+  in
+  let explain ?(params = []) ~width addr =
+    let c = connect addr in
+    Fun.protect ~finally:(fun () -> Protocol.close c) @@ fun () ->
+    Protocol.call c "explain"
+      (Json.Obj
+         ([ ("workload", Json.String "moment"); ("width", Json.Int width) ]
+         @ params))
+  in
+  let refused ~code what = function
+    | Ok _ -> Alcotest.failf "%s should be refused" what
+    | Error e ->
+        check_bool
+          (Printf.sprintf "%s is %d" what code)
+          true
+          (Test_harness.contains e (string_of_int code));
+        e
+  in
+  (with_server @@ fun ~addr ~session ~server:_ ->
+   let served =
+     match explain ~width:5 addr with
+     | Ok r -> r
+     | Error e -> Alcotest.failf "explain: %s" e
+   in
+   check_string "served explain = direct to_json"
+     (Json.to_string
+        (H.Explain.to_json (H.Explain.analyze ~width:5 session "moment")))
+     (Json.to_string served);
+   let before = runs () in
+   (match explain ~width:3 addr with
+   | Ok _ -> ()
+   | Error e -> Alcotest.failf "explain at 3 FUs: %s" e);
+   check_int "another width makes no interpreter run" before (runs ());
+   ignore
+     (refused ~code:Protocol.invalid_params "an unmatched fn"
+        (explain ~width:5 ~params:[ ("fn", Json.String "nosuch") ] addr)));
+  with_server ~fuel:1000 @@ fun ~addr ~session:_ ~server:_ ->
+  let e =
+    refused ~code:Protocol.server_error "moment under 1000 traversals"
+      (explain ~width:5 addr)
+  in
+  check_bool "the session's fuel ran out" true
+    (Test_harness.contains e "fuel exhausted (1000 traversals)")
 
 (* A request that writes cache records lands them on disk before it is
    answered, as one small pack of its own; a request served from memory
@@ -806,6 +861,7 @@ let tests =
     case "100-request burst = one computation" test_concurrent_burst_dedup;
     case "fuel quota isolates a tenant" test_quota_isolation;
     case "served report is byte-identical" test_report_byte_identical;
+    case "explain over the wire" test_explain_over_the_wire;
     case "a writing request flushes the cache" test_request_flushes_cache;
     case "JSON-RPC errors and recovery" test_errors;
     case "shutdown method stops the daemon" test_shutdown_method;
