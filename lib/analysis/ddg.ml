@@ -144,6 +144,67 @@ let asap (g : t) : int array =
   done;
   issue
 
+(** Re-timing of one graph with edges into one node masked, against the
+    graph's own ASAP timing.  [scratch] equals [base] and [dirty] is all
+    false between calls. *)
+type retimer = {
+  graph : t;
+  base : int array;
+  scratch : int array;
+  dirty : bool array;
+}
+
+let retimer g issue =
+  {
+    graph = g;
+    base = issue;
+    scratch = Array.copy issue;
+    dirty = Array.make (n_nodes g) false;
+  }
+
+(** [retime_without r ~dst ~src ~weight ~count f] re-times [r]'s graph
+    with [count] of [dst]'s [(src, weight)] predecessor entries dropped,
+    giving exactly the {!asap} of a graph built without those edges.
+    Dropping edges into [dst] can move only [dst] and its forward cone:
+    [dst]'s time is recomputed from the base timing, then the nodes are
+    walked in index order (topological, as {!asap} relies on) and only
+    the successors of a node whose time changed are recomputed.  [None]
+    when [dst]'s time does not move (then no node's does); otherwise
+    [Some (f timing)], where [timing] is valid only during [f]. *)
+let retime_without r ~dst ~src ~weight ~count f =
+  let g = r.graph and base = r.base and t = r.scratch and dirty = r.dirty in
+  let skip = ref count and time = ref 0 in
+  List.iter
+    (fun (p, w) ->
+      if !skip > 0 && p = src && w = weight then decr skip
+      else time := Int.max !time (base.(p) + w))
+    g.preds.(dst);
+  if !time = base.(dst) then None
+  else begin
+    let touch node =
+      List.iter (fun (s, _) -> dirty.(s) <- true) g.succs.(node)
+    in
+    t.(dst) <- !time;
+    touch dst;
+    for node = dst + 1 to n_nodes g - 1 do
+      if dirty.(node) then begin
+        dirty.(node) <- false;
+        let time =
+          List.fold_left
+            (fun acc (p, w) -> Int.max acc (t.(p) + w))
+            0 g.preds.(node)
+        in
+        if time <> t.(node) then begin
+          t.(node) <- time;
+          touch node
+        end
+      end
+    done;
+    let priced = f t in
+    Array.blit base dst t dst (n_nodes g - dst);
+    Some priced
+  end
+
 (** Longest path from each node to the end of the tree (used as the list
     scheduler's priority: schedule critical nodes first). *)
 let height (g : t) : int array =

@@ -46,6 +46,24 @@ val node_latency : t -> int -> int
     forward, the exit chain is ordered). *)
 val asap : t -> int array
 
+(** A graph and its {!asap} timing, set up to be re-timed with edges
+    masked.  The timing passed to {!retimer} is read, never written. *)
+type retimer
+
+val retimer : t -> int array -> retimer
+
+(** [retime_without r ~dst ~src ~weight ~count f] re-times [r]'s graph
+    with [count] of [dst]'s [(src, weight)] predecessor entries dropped,
+    giving exactly the {!asap} of a graph built without those edges.
+    Only [dst]'s forward cone is re-timed, in node order.  [None] when
+    [dst]'s issue time does not move (then no node's does); otherwise
+    [Some (f timing)], where [timing] is a scratch array valid only
+    during [f]. *)
+val retime_without :
+  retimer ->
+  dst:int -> src:int -> weight:int -> count:int -> (int array -> 'a) ->
+  'a option
+
 (** Longest path from each node to the end of the tree (used as the list
     scheduler's priority: schedule critical nodes first). *)
 val height : t -> int array

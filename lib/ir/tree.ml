@@ -132,14 +132,13 @@ let fail fmt = Fmt.kstr (fun s -> raise (Invalid s)) fmt
 (** [validate t] checks the structural invariants listed in the module
     documentation and raises {!Invalid} describing the first violation. *)
 let validate t =
-  let n = Array.length t.insns in
-  (* instruction ids unique *)
+  (* instruction ids unique; each id's position, for the arc check *)
   let ids = Hashtbl.create 16 in
-  Array.iter
-    (fun i ->
+  Array.iteri
+    (fun pos i ->
       if Hashtbl.mem ids i.Insn.id then
         fail "tree %s: duplicate instruction id %d" t.name i.Insn.id;
-      Hashtbl.add ids i.Insn.id ())
+      Hashtbl.add ids i.Insn.id pos)
     t.insns;
   (* single assignment, defs disjoint from params, def-before-use *)
   let defined = Hashtbl.create 16 in
@@ -186,20 +185,20 @@ let validate t =
   (* arcs reference memory instructions, earlier -> later *)
   List.iter
     (fun (a : Memdep.t) ->
-      let check_mem id =
-        match Hashtbl.mem ids id with
-        | false -> fail "tree %s: arc references unknown insn #%d" t.name id
-        | true ->
-            if not (Insn.is_mem (insn_by_id t id)) then
-              fail "tree %s: arc endpoint #%d is not a memory op" t.name id
+      let mem_pos id =
+        match Hashtbl.find_opt ids id with
+        | None -> fail "tree %s: arc references unknown insn #%d" t.name id
+        | Some pos ->
+            if not (Insn.is_mem t.insns.(pos)) then
+              fail "tree %s: arc endpoint #%d is not a memory op" t.name id;
+            pos
       in
-      check_mem a.src;
-      check_mem a.dst;
-      if insn_index t a.src >= insn_index t a.dst then
+      let src = mem_pos a.src in
+      let dst = mem_pos a.dst in
+      if src >= dst then
         fail "tree %s: arc #%d -> #%d not in program order" t.name a.src
           a.dst)
-    t.arcs;
-  ignore n
+    t.arcs
 
 (* ------------------------------------------------------------------ *)
 (* Printing *)

@@ -12,41 +12,42 @@ module Ddg = Spd_analysis.Ddg
 let arc_eq (a : Memdep.t) (b : Memdep.t) =
   a.src = b.src && a.dst = b.dst && a.kind = b.kind
 
-(* Expected traversal time of [g]'s tree from its ASAP issue times. *)
-let priced ?profile ~func (g : Ddg.t) (issue : int array) : float =
+(* The expected traversal time of [g]'s tree as a function of its issue
+   times.  The exit probabilities and the store nodes are looked up
+   once, when the pricer is made. *)
+let pricer ?profile ~func (g : Ddg.t) : int array -> float =
   let tree = g.tree in
-  let completion node = issue.(node) + Ddg.node_latency g node in
-  let store_max = ref 0 in
+  let stores = ref [] in
   Array.iteri
-    (fun pos (insn : Insn.t) ->
-      if Insn.is_store insn then
-        store_max := max !store_max (completion (Ddg.insn_node pos)))
+    (fun pos insn ->
+      if Insn.is_store insn then stores := Ddg.insn_node pos :: !stores)
     tree.insns;
-  let prob k =
-    match profile with
-    | Some p -> Spd_sim.Profile.exit_probability p ~func ~tree k
-    | None -> 1.0 /. float_of_int (Array.length tree.exits)
+  let prob =
+    Array.init g.n_exits (fun k ->
+        match profile with
+        | Some p -> Spd_sim.Profile.exit_probability p ~func ~tree k
+        | None -> 1.0 /. float_of_int (Array.length tree.exits))
   in
-  let acc = ref 0.0 in
-  for k = 0 to g.n_exits - 1 do
-    let c = completion (Ddg.exit_node g k) in
-    acc := !acc +. (prob k *. float_of_int (max c !store_max))
-  done;
-  !acc
+  fun issue ->
+    let completion node = issue.(node) + Ddg.node_latency g node in
+    let store_max =
+      List.fold_left (fun m node -> Int.max m (completion node)) 0 !stores
+    in
+    let acc = ref 0.0 in
+    for k = 0 to g.n_exits - 1 do
+      let c = completion (Ddg.exit_node g k) in
+      acc := !acc +. (prob.(k) *. float_of_int (Int.max c store_max))
+    done;
+    !acc
 
-(** Expected traversal time of [tree] with the given arc filter.
+(** Expected traversal time of [tree].
 
     Matches the simulator's charge for a traversal taking exit [k]:
     [max(exit_k completion, committed store completions)].  The estimator
     conservatively assumes stores commit on every exit. *)
-let expected_time ?profile ~mem_latency ~func ?(without : Memdep.t option)
-    (tree : Tree.t) : float =
-  let arc_active (a : Memdep.t) =
-    Memdep.is_active a
-    && match without with Some w -> not (arc_eq a w) | None -> true
-  in
-  let g = Ddg.build ~arc_active ~mem_latency tree in
-  priced ?profile ~func g (Ddg.asap g)
+let expected_time ?profile ~mem_latency ~func (tree : Tree.t) : float =
+  let g = Ddg.build ~mem_latency tree in
+  pricer ?profile ~func g (Ddg.asap g)
 
 (** One evaluated candidate: an ambiguous arc with the expected time
     of the tree with and without it, and the resulting predicted gain
@@ -60,23 +61,34 @@ type candidate = {
 
 (** Every ambiguous arc of [tree], evaluated, from one graph of [tree]:
     an arc with slack in its ASAP timing sets no issue time, so its
-    [after] is [before] exactly; only binding arcs are re-priced.  The
-    list is in [Tree.ambiguous_arcs] order (program order). *)
+    [after] is [before] exactly; a binding arc is re-timed on the same
+    graph with its edges masked.  The list is in [Tree.ambiguous_arcs]
+    order (program order). *)
 let candidates ?profile ~mem_latency ~func (tree : Tree.t) : candidate list =
   let g = Ddg.build ~mem_latency tree in
   let issue = Ddg.asap g in
-  let before = priced ?profile ~func g issue in
+  let price = pricer ?profile ~func g in
+  let before = price issue in
+  let retimer = Ddg.retimer g issue in
   let pos_of_id = Array.make (Tree.max_insn_id tree + 1) (-1) in
   Array.iteri (fun pos (i : Insn.t) -> pos_of_id.(i.id) <- pos) tree.insns;
+  let unchanged arc = { arc; before; after = before; gain = 0.0 } in
   List.map
     (fun (arc : Memdep.t) ->
       let src = Ddg.insn_node pos_of_id.(arc.src)
-      and dst = Ddg.insn_node pos_of_id.(arc.dst) in
-      if issue.(src) + Memdep.weight ~mem_latency arc < issue.(dst) then
-        { arc; before; after = before; gain = 0.0 }
+      and dst = Ddg.insn_node pos_of_id.(arc.dst)
+      and weight = Memdep.weight ~mem_latency arc in
+      if issue.(src) + weight < issue.(dst) then unchanged arc
       else
-        let after =
-          expected_time ?profile ~mem_latency ~func ~without:arc tree
+        (* the graph holds one [(src, weight)] entry per active arc
+           [arc_eq] to this one; a register-flow edge between the same
+           nodes stays *)
+        let count =
+          List.fold_left
+            (fun n a -> if Memdep.is_active a && arc_eq a arc then n + 1 else n)
+            0 tree.arcs
         in
-        { arc; before; after; gain = before -. after })
+        match Ddg.retime_without retimer ~dst ~src ~weight ~count price with
+        | None -> unchanged arc
+        | Some after -> { arc; before; after; gain = before -. after })
     (Tree.ambiguous_arcs tree)

@@ -130,10 +130,11 @@ let mk_tree ?(params = [ 0 ]) ?(arcs = []) insns exits =
 
 let ret = { Tree.xguard = None; kind = Tree.Return { value = None } }
 
-let expect_invalid what tree =
+let expect_invalid ?msg what tree =
   match Tree.validate tree with
   | () -> Alcotest.failf "expected validation failure: %s" what
-  | exception Tree.Invalid _ -> ()
+  | exception Tree.Invalid got -> (
+      match msg with Some m -> check_string what m got | None -> ())
 
 let test_validate_ok () =
   let i0 = Insn.make ~id:0 (Opcode.Const (Value.Int 1)) ~dst:(Some 1) ~srcs:[] in
@@ -174,9 +175,14 @@ let test_validate_failures () =
   in
   Tree.validate (mk_tree ~arcs:[ arc 1 2 Memdep.War ] insns [ ret ]);
   expect_invalid "arc not in program order"
+    ~msg:"tree t: arc #2 -> #1 not in program order"
     (mk_tree ~arcs:[ arc 2 1 Memdep.Raw ] insns [ ret ]);
   expect_invalid "arc endpoint not a memory op"
-    (mk_tree ~arcs:[ arc 0 2 Memdep.Raw ] insns [ ret ])
+    ~msg:"tree t: arc endpoint #0 is not a memory op"
+    (mk_tree ~arcs:[ arc 0 2 Memdep.Raw ] insns [ ret ]);
+  expect_invalid "arc references unknown insn"
+    ~msg:"tree t: arc references unknown insn #7"
+    (mk_tree ~arcs:[ arc 1 7 Memdep.War ] insns [ ret ])
 
 let test_tree_size_and_regs () =
   let c id dst = Insn.make ~id (Opcode.Const (Value.Int 0)) ~dst:(Some dst) ~srcs:[] in

@@ -650,7 +650,146 @@ let test_gain_oracle_corpus () =
         [ false; true ])
     (Spd_workloads.Registry.all @ Spd_workloads.Registry.extras)
 
+(* Hand-built trees for the corners of pricing a binding arc on the
+   round's graph: which predecessor entries of its target are dropped,
+   and how far the re-timing reaches.  Each tree's candidates are held
+   bit for bit to the per-arc rebuild, and to hand-computed gains. *)
+module Corner = struct
+  open Ir
+
+  let c id dst v =
+    Insn.make ~id (Opcode.Const (Value.Int v)) ~dst:(Some dst) ~srcs:[]
+
+  let op id o dst a b = Insn.make ~id o ~dst:(Some dst) ~srcs:[ a; b ]
+  let ld id dst addr = Insn.make ~id Opcode.Load ~dst:(Some dst) ~srcs:[ addr ]
+  let st id addr v = Insn.make ~id Opcode.Store ~dst:None ~srcs:[ addr; v ]
+
+  let arc ?(status = Memdep.Ambiguous None) kind src dst =
+    { Memdep.src; dst; kind; status; why = None }
+
+  let ret ?guard value =
+    {
+      Tree.xguard =
+        Option.map (fun greg -> { Insn.greg; positive = true }) guard;
+      kind = Tree.Return { value };
+    }
+
+  let tree ?(params = [ 0 ]) ~arcs insns exits =
+    let t =
+      Tree.make ~id:0 ~name:"corner" ~params ~insns:(Array.of_list insns)
+        ~exits:(Array.of_list exits) ~arcs ~ranges:Reg.Map.empty ()
+    in
+    Tree.validate t;
+    t
+
+  (* a store, then a load of the same address returning its value *)
+  let store_load arcs =
+    tree ~arcs [ c 0 1 1; st 1 0 1; ld 2 2 0 ] [ ret (Some 2) ]
+end
+
+let asap ?arc_active ~mem_latency t =
+  Analysis.Ddg.asap (Analysis.Ddg.build ?arc_active ~mem_latency t)
+
+let test_gain_masking_corners () =
+  let open Corner in
+  let open Ir in
+  let corners =
+    [
+      ( "(a) one ambiguous arc listed twice",
+        6,
+        store_load [ arc Memdep.Raw 1 2; arc Memdep.Raw 1 2 ],
+        [ 7.0; 7.0 ] );
+      ( "(b) a Must arc with the ambiguous arc's endpoints and kind",
+        6,
+        store_load
+          [ arc ~status:Memdep.Must Memdep.Raw 1 2; arc Memdep.Raw 1 2 ],
+        [ 7.0 ] );
+      ( "(c) WAR arc beside the load->store flow edge of equal weight",
+        1,
+        tree
+          ~arcs:[ arc Memdep.War 1 2 ]
+          [ op 0 (Opcode.Ibin Opcode.Mul) 1 0 0; ld 1 2 1; st 2 1 2 ]
+          [ ret None ],
+        [ 0.0 ] );
+      ( "(d) a target tied by a second binding arc",
+        6,
+        tree ~params:[ 0; 3 ]
+          ~arcs:[ arc Memdep.Raw 1 3; arc Memdep.Raw 2 3 ]
+          [ c 0 1 1; st 1 0 1; st 2 3 1; ld 3 2 0 ]
+          [ ret (Some 2) ],
+        [ 0.0; 0.0 ] );
+      ( "(e) a cone reaching the last store and every exit",
+        2,
+        tree
+          ~arcs:
+            [
+              arc Memdep.Raw 1 2;
+              arc ~status:Memdep.Must Memdep.Waw 1 4;
+              arc ~status:Memdep.Must Memdep.War 2 4;
+            ]
+          [
+            c 0 1 1;
+            st 1 0 1;
+            ld 2 2 0;
+            op 3 (Opcode.Ibin Opcode.Add) 3 2 1;
+            st 4 0 3;
+            op 5 (Opcode.Icmp Opcode.Lt) 4 2 1;
+          ]
+          [ ret ~guard:4 (Some 3); ret (Some 2) ],
+        [ 3.0 ] );
+    ]
+  in
+  List.iter
+    (fun (name, mem_latency, t, gains) ->
+      let func = "corner" in
+      let got = Core.Gain.candidates ~mem_latency ~func t in
+      (match
+         Gain_reference.diff
+           ~expected:(Gain_reference.candidates ~mem_latency ~func t)
+           got
+       with
+      | None -> ()
+      | Some d -> Alcotest.failf "%s: %s" name d);
+      check_int (name ^ ": candidates") (List.length gains) (List.length got);
+      List.iter2
+        (fun expected (c : Core.Gain.candidate) ->
+          check_bits (name ^ ": gain") expected c.gain)
+        gains got)
+    corners;
+  (* the corners price what they are named for: every ambiguous arc
+     binds its target, so none is settled by the slack test *)
+  List.iter
+    (fun (name, mem_latency, (t : Tree.t), _) ->
+      let issue = asap ~mem_latency t in
+      List.iter
+        (fun (a : Memdep.t) ->
+          check_bool (name ^ ": arc binds") true
+            (issue.(Tree.insn_index t a.src) + Memdep.weight ~mem_latency a
+            >= issue.(Tree.insn_index t a.dst)))
+        (Tree.ambiguous_arcs t))
+    corners;
+  (* and (e)'s RAW arc moves the last store and both exits *)
+  let _, _, t, _ = List.nth corners 4 in
+  let raw = List.hd t.arcs in
+  let full = asap ~mem_latency:2 t
+  and cut =
+    asap ~mem_latency:2 t ~arc_active:(fun a ->
+        Memdep.is_active a && not (Core.Gain.arc_eq a raw))
+  in
+  let g = Analysis.Ddg.build ~mem_latency:2 t in
+  List.iter
+    (fun node ->
+      check_bool "(e): cone node moved" true (full.(node) <> cut.(node)))
+    [
+      Tree.insn_index t 4;
+      Analysis.Ddg.exit_node g 0;
+      Analysis.Ddg.exit_node g 1;
+    ]
+
 let gain_tests =
-  [ case "gain oracle: ledger vs per-arc rebuild" test_gain_oracle_corpus ]
+  [
+    case "gain oracle: ledger vs per-arc rebuild" test_gain_oracle_corpus;
+    case "gain oracle: masking corners" test_gain_masking_corners;
+  ]
 
 let tests = tests @ later_tests @ ledger_tests @ gain_tests
