@@ -17,26 +17,34 @@
     histogram.
 
     Trees whose commit outcome packs into a {!key} are counted under
-    that key.  The others — more than {!max_guarded_stores} guarded
-    stores — are counted under their exact commit set, so pricing stays
-    exact for every tree. *)
+    that key: in an array indexed by key when the tree's keys span at
+    most {!dense_keys}, so counting a traversal neither hashes nor
+    allocates, and in a table by key otherwise.  The others — more than
+    {!max_guarded_stores} guarded stores — are counted under their exact
+    commit set, so pricing stays exact for every tree. *)
 
 (* guarded stores representable in a packed key, leaving room for the
    taken-exit index in the upper bits of a 63-bit int *)
 let max_guarded_stores = 40
 
+(* keys a tree's counts may span and still be held in an array *)
+let dense_keys = 1024
+
 let key ~taken ~gmask ~n_guarded_stores = (taken lsl n_guarded_stores) lor gmask
+
+type counts =
+  | Dense of int array  (** {!key} → traversals *)
+  | Keyed of (int, int ref) Hashtbl.t  (** {!key} → traversals *)
+  | Exact of (int * string, int ref) Hashtbl.t
+      (** (exit, commit set) → traversals; the set has one ['1'] or
+          ['0'] per guarded store *)
 
 type tree = {
   stores : int array;  (** positions of the unguarded stores *)
   gstores : int array;
       (** positions of the guarded stores, in tree order: bit [i] of a
           packed commit mask stands for [gstores.(i)] *)
-  packed : (int, int ref) Hashtbl.t;
-      (** {!key} of (exit, commit mask) → traversals *)
-  exact : (int * string, int ref) Hashtbl.t;
-      (** (exit, commit set) → traversals, for trees without a packed
-          key; the set has one ['1'] or ['0'] per guarded store *)
+  counts : counts;
 }
 
 type t = (string * int, tree) Hashtbl.t
@@ -44,10 +52,17 @@ type t = (string * int, tree) Hashtbl.t
 
 let create () : t = Hashtbl.create 64
 
-let tree (h : t) ~func ~tree_id ~store_pos ~gstore_pos : tree =
+let tree (h : t) ~func ~tree_id ~n_exits ~store_pos ~gstore_pos : tree =
   match Hashtbl.find_opt h (func, tree_id) with
   | Some th -> th
   | None ->
+      let n = Array.length gstore_pos in
+      let counts =
+        if n > max_guarded_stores then Exact (Hashtbl.create 1)
+        else if n_exits lsl n <= dense_keys then
+          Dense (Array.make (n_exits lsl n) 0)
+        else Keyed (Hashtbl.create 8)
+      in
       let th =
         {
           stores =
@@ -56,8 +71,7 @@ let tree (h : t) ~func ~tree_id ~store_pos ~gstore_pos : tree =
                  (fun p -> not (Array.mem p gstore_pos))
                  (Array.to_list store_pos));
           gstores = gstore_pos;
-          packed = Hashtbl.create 8;
-          exact = Hashtbl.create 1;
+          counts;
         }
       in
       Hashtbl.add h (func, tree_id) th;
@@ -68,28 +82,42 @@ let bump tbl k =
   | Some n -> incr n
   | None -> Hashtbl.add tbl k (ref 1)
 
-let add th key = bump th.packed key
-
-let add_exact th ~taken ~(active : bool array) =
-  bump th.exact
-    (taken, String.init (Array.length th.gstores) (fun i ->
-         if active.(th.gstores.(i)) then '1' else '0'))
+let add th ~taken ~gmask ~(active : bool array) =
+  match th.counts with
+  | Dense counts ->
+      let k =
+        key ~taken ~gmask ~n_guarded_stores:(Array.length th.gstores)
+      in
+      counts.(k) <- counts.(k) + 1
+  | Keyed tbl ->
+      bump tbl (key ~taken ~gmask ~n_guarded_stores:(Array.length th.gstores))
+  | Exact tbl ->
+      bump tbl
+        (taken, String.init (Array.length th.gstores) (fun i ->
+             if active.(th.gstores.(i)) then '1' else '0'))
 
 (* Every counted path of a tree: its exit, whether the [i]th guarded
    store committed, and its traversal count. *)
 let fold_paths th f acc =
   let n = Array.length th.gstores in
-  let acc =
-    Hashtbl.fold
-      (fun key count acc ->
-        f ~taken:(key lsr n) ~committed:(fun i -> key land (1 lsl i) <> 0)
-          !count acc)
-      th.packed acc
+  let unpack key count acc =
+    f ~taken:(key lsr n) ~committed:(fun i -> key land (1 lsl i) <> 0) count
+      acc
   in
-  Hashtbl.fold
-    (fun (taken, set) count acc ->
-      f ~taken ~committed:(fun i -> set.[i] = '1') !count acc)
-    th.exact acc
+  match th.counts with
+  | Dense counts ->
+      let acc = ref acc in
+      Array.iteri
+        (fun key count -> if count > 0 then acc := unpack key count !acc)
+        counts;
+      !acc
+  | Keyed tbl ->
+      Hashtbl.fold (fun key count acc -> unpack key !count acc) tbl acc
+  | Exact tbl ->
+      Hashtbl.fold
+        (fun (taken, set) count acc ->
+          f ~taken ~committed:(fun i -> set.[i] = '1') !count acc)
+        tbl acc
 
 type tree_cost = {
   func : string;

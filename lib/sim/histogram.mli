@@ -11,12 +11,18 @@
     histogram.
 
     Paths of trees whose commit outcome packs into a {!key} are counted
-    under that key; the other trees (more than {!max_guarded_stores}
-    guarded stores) under their exact commit set. *)
+    under that key, in an array when the tree's keys span at most
+    {!dense_keys} and in a table otherwise; the other trees (more than
+    {!max_guarded_stores} guarded stores) under their exact commit set.
+    Every representation folds to the same {!paths}. *)
 
 (** Guarded stores representable in a packed {!key} (40): the paths of
-    a tree with more are counted with {!add_exact}. *)
+    a tree with more are counted under their exact commit set. *)
 val max_guarded_stores : int
+
+(** Keys a tree's counts may span, [exits lsl guarded stores], and still
+    be held in an array indexed by {!key} (1024). *)
+val dense_keys : int
 
 (** Pack a traversal outcome — the taken exit and the commit mask of
     the tree's guarded stores (bit [i] for the [i]th) — into an int.
@@ -31,23 +37,24 @@ type t
 
 val create : unit -> t
 
-(** The counts of one tree, created on first use.  [store_pos] lists
-    the positions of all its stores and [gstore_pos] those of its
-    guarded stores, in tree order. *)
+(** The counts of one tree, created on first use.  [n_exits] is its
+    number of exits, [store_pos] lists the positions of all its stores
+    and [gstore_pos] those of its guarded stores, in tree order. *)
 val tree :
   t ->
   func:string ->
   tree_id:int ->
+  n_exits:int ->
   store_pos:int array ->
   gstore_pos:int array ->
   tree
 
-(** Count one traversal under its {!key}. *)
-val add : tree -> int -> unit
-
-(** Count one traversal of a tree without a packed key: [active] holds,
-    per instruction position, whether the operation committed. *)
-val add_exact : tree -> taken:int -> active:bool array -> unit
+(** Count one traversal that took exit [taken].  [gmask] is its commit
+    mask (bit [i] for the [i]th guarded store), which packs it into a
+    {!key}; [active] holds, per instruction position, whether the
+    operation committed, and is read only for a tree with more than
+    {!max_guarded_stores} guarded stores. *)
+val add : tree -> taken:int -> gmask:int -> active:bool array -> unit
 
 (** One counted tree's share of a run under a timing table. *)
 type tree_cost = {

@@ -20,13 +20,20 @@
     disambiguator's input); and a {!Histogram} of paths, which prices
     the run on every machine without running it again.
 
-    Internally each tree is compiled once per run, before the first
-    traversal, into a flat array of specialized operations (register
-    numbers resolved, store guards encoded as ints, memory/store
-    positions pre-indexed) so the traversal loop allocates nothing and
-    dispatches one shallow match per instruction.  An instruction or
-    exit with no specialized form fails the run there, with
-    [Malformed]. *)
+    Internally each run compiles every function once, before the first
+    traversal, into one record: its trees as flat arrays of specialized
+    operations (register numbers resolved, store guards encoded as ints,
+    memory/store positions pre-indexed) and its call exits resolved to
+    the callee's record.  A traversal therefore looks nothing up by
+    name, hashes nothing and dispatches one shallow match per
+    instruction; it allocates only the values it computes, and a call
+    its frame.  An instruction or exit with no specialized form fails
+    the run there, with [Malformed].
+
+    Each opcode's semantics is defined once, in this unit, and shared by
+    the traversal loop and {!eval_pure}.  It lives here rather than in a
+    module of its own because a dev-profile build compiles every module
+    with [-opaque], so no call across compilation units is inlined. *)
 
 open Spd_ir
 
@@ -91,6 +98,9 @@ let fail ?(ctx = no_context) kind = raise (Sim_error (kind, ctx))
 (** The default traversal budget of {!run} when no [fuel] is given. *)
 let default_fuel = 60_000_000
 
+(* frames a run may hold on its call stack *)
+let max_call_depth = 100_000
+
 type result = {
   ret : Value.t;  (** return value of [main] *)
   output : Value.t list;  (** values printed by the builtins, in order *)
@@ -98,39 +108,96 @@ type result = {
   traversals : int;  (** number of tree traversals executed *)
 }
 
-(* Per-function runtime metadata. *)
-type finfo = {
-  func : Prog.func;
-  by_id : Tree.t option array;  (** tree lookup by id *)
-  nregs : int;
-}
+(* ------------------------------------------------------------------ *)
+(* Pure operations: the one definition of each opcode's semantics, used
+   by the traversal loop and by [eval_pure].  Operands of the expected
+   type decode in place; the others convert through [Value]. *)
 
-type frame = {
-  saved_regs : Value.t array;
-  saved_fp : int;
-  saved_sp : int;
-  saved_fi : finfo;
-  ret_reg : Reg.t option;
-  resume : int;  (** tree id to resume at *)
-}
+exception Runtime_error of string
 
-let build_finfo (func : Prog.func) : finfo =
-  let max_id =
-    List.fold_left (fun m (t : Tree.t) -> max m t.id) 0 func.trees
-  in
-  let by_id = Array.make (max_id + 1) None in
-  List.iter (fun (t : Tree.t) -> by_id.(t.id) <- Some t) func.trees;
-  let nregs =
-    List.fold_left
-      (fun m (t : Tree.t) -> Reg.Set.fold max (Tree.all_regs t) m)
-      0 func.trees
-    + 1
-  in
-  { func; by_id; nregs }
+let[@inline] int_of = function Value.Int i -> i | v -> Value.to_int v
+let[@inline] float_of = function Value.Float f -> f | v -> Value.to_float v
+let[@inline] holds = function Value.Int i -> i <> 0 | v -> Value.is_true v
+let[@inline] of_bool b = if b then Value.one else Value.zero
 
-(** Lay out globals in low memory; returns the address map and the first
-    free address.  Address 0 is reserved so that a stray null-ish pointer
-    faults loudly in bounds checks of size-0 accesses. *)
+let[@inline] ibin (op : Opcode.ibin) a b =
+  let x = int_of a and y = int_of b in
+  Value.Int
+    (match op with
+    | Add -> x + y
+    | Sub -> x - y
+    | Mul -> x * y
+    | Div ->
+        if y = 0 then raise (Runtime_error "integer division by zero")
+        else x / y
+    | Rem ->
+        if y = 0 then raise (Runtime_error "integer remainder by zero")
+        else x mod y
+    | And -> x land y
+    | Or -> x lor y
+    | Xor -> x lxor y
+    | Shl -> x lsl (y land 63)
+    | Shr -> x asr (y land 63))
+
+let[@inline] icmp (op : Opcode.icmp) a b =
+  let x = int_of a and y = int_of b in
+  of_bool
+    (match op with
+    | Eq -> x = y
+    | Ne -> x <> y
+    | Lt -> x < y
+    | Le -> x <= y
+    | Gt -> x > y
+    | Ge -> x >= y)
+
+let[@inline] fbin (op : Opcode.fbin) a b =
+  let x = float_of a and y = float_of b in
+  Value.Float
+    (match op with
+    | Fadd -> x +. y
+    | Fsub -> x -. y
+    | Fmul -> x *. y
+    | Fdiv -> x /. y)
+
+let[@inline] fcmp (op : Opcode.fcmp) a b =
+  let x = float_of a and y = float_of b in
+  of_bool
+    (match op with
+    | Feq -> x = y
+    | Fne -> x <> y
+    | Flt -> x < y
+    | Fle -> x <= y
+    | Fgt -> x > y
+    | Fge -> x >= y)
+
+let[@inline] not_ a = of_bool (not (holds a))
+let[@inline] ineg a = Value.Int (-int_of a)
+let[@inline] fneg a = Value.Float (-.float_of a)
+let[@inline] select p a b = if holds p then a else b
+let[@inline] itof a = Value.Float (float_of a)
+let[@inline] ftoi a = Value.Int (int_of a)
+
+let eval_pure (op : Opcode.t) (srcs : Value.t list) : Value.t =
+  match (op, srcs) with
+  | Opcode.Ibin o, [ a; b ] -> ibin o a b
+  | Opcode.Icmp o, [ a; b ] -> icmp o a b
+  | Opcode.Fbin o, [ a; b ] -> fbin o a b
+  | Opcode.Fcmp o, [ a; b ] -> fcmp o a b
+  | Opcode.Not, [ a ] -> not_ a
+  | Opcode.Ineg, [ a ] -> ineg a
+  | Opcode.Fneg, [ a ] -> fneg a
+  | Opcode.Mov, [ a ] -> a
+  | Opcode.Select, [ p; a; b ] -> select p a b
+  | Opcode.Const v, [] -> v
+  | Opcode.Itof, [ a ] -> itof a
+  | Opcode.Ftoi, [ a ] -> ftoi a
+  | (Opcode.Load | Opcode.Store | Opcode.Addrof _), _ ->
+      invalid_arg "Interp.eval_pure: not a pure operation"
+  | _ -> invalid_arg "Interp.eval_pure: arity mismatch"
+
+(* Lay out globals in low memory; returns the address map and the first
+   free address.  Address 0 is reserved so that a stray null-ish pointer
+   faults loudly in bounds checks of size-0 accesses. *)
 let layout (prog : Prog.t) =
   let tbl = Hashtbl.create 16 in
   let next = ref 16 in
@@ -160,10 +227,10 @@ type traversal_cost =
     aliases with run-time address compares. *)
 
 (* ------------------------------------------------------------------ *)
-(* Compiled trees.
+(* Compiled functions and trees.
 
-   Register numbers, guard polarities and memory-op positions are
-   resolved once per run so the traversal loop is allocation free.  A
+   Register numbers, guard polarities, memory-op positions and callees
+   are resolved once per run so the traversal loop looks nothing up.  A
    guard is one int: 0 = unguarded, [g+1] = positive on register [g],
    [-(g+1)] = negative.  The shapes below are the ones {!Insn.make} and
    {!Prog.validate} admit; any other raises [Malformed] with the tree's
@@ -196,7 +263,39 @@ type cop =
   | CItof of { dst : int; a : int }
   | CFtoi of { dst : int; a : int }
 
-type cexit =
+type carc = {
+  arc : Memdep.t;
+  spos : int;  (** source position in the tree *)
+  dpos : int;
+}
+
+type cfunc = {
+  func : Prog.func;
+  nregs : int;
+  params : int array;  (** the registers a call fills, in argument order *)
+  trees : ctree option array;  (** by tree id *)
+}
+
+and ctree = {
+  tree : Tree.t;
+  code : cop array;
+  xguards : int array;  (** per exit, encoded guard *)
+  cexits : cexit array;
+  store_pos : int array;  (** positions of stores, for the timing walk *)
+  gstore_pos : int array;  (** positions of guarded stores *)
+  mem_pos : int array;  (** positions of memory ops, for scratch resets *)
+  carcs : carc array;  (** the tree's memory dependence arcs, indexed *)
+  parc : Profile.arc_stat option array;
+      (** per arc, its profile counters once first resolved — created on
+          demand exactly like the historical hashtable path *)
+  mutable pstat : Profile.tree_stat option;  (** resolved on first use *)
+  mutable watch : Profile.Spd.tree_watch option;
+  mutable watch_resolved : bool;
+  mutable ttime : Timing.tree_timing option;  (** resolved on first use *)
+  mutable hist : Histogram.tree option;  (** resolved on first use *)
+}
+
+and cexit =
   | XJump of {
       target : int;
       dsts : int array;  (** target params, truncated to the args *)
@@ -213,6 +312,9 @@ type cexit =
     }
   | XCall of {
       callee : string;
+      target : cfunc option;
+          (** [None] for a callee the program does not define: the call
+              fails when it executes *)
       call_srcs : int array;
       ret : int;  (** receiving register; -1 none *)
       return_to : int;
@@ -222,46 +324,30 @@ type cexit =
     }
   | XRet of { value : int (** -1 none *) }
 
-type carc = {
-  arc : Memdep.t;
-  spos : int;  (** source position in the tree *)
-  dpos : int;
-}
-
-type ctree = {
-  tree : Tree.t;
-  code : cop array;
-  xguards : int array;  (** per exit, encoded guard *)
-  cexits : cexit array;
-  store_pos : int array;  (** positions of stores, for the timing walk *)
-  gstore_pos : int array;  (** positions of guarded stores *)
-  mem_pos : int array;  (** positions of memory ops, for scratch resets *)
-  n_gstores : int;
-  carcs : carc array;  (** the tree's memory dependence arcs, indexed *)
-  parc : Profile.arc_stat option array;
-      (** per arc, its profile counters once first resolved — created on
-          demand exactly like the historical hashtable path *)
-  mutable pstat : Profile.tree_stat option;  (** resolved on first use *)
-  mutable watch : Profile.Spd.tree_watch option;
-  mutable watch_resolved : bool;
-  mutable ttime : Timing.tree_timing option;  (** resolved on first use *)
-  mutable hist : Histogram.tree option;  (** resolved on first use *)
-  packed : bool;
-      (** the commit outcome packs into a {!Histogram.key}: at most
-          {!Histogram.max_guarded_stores} guarded stores *)
-}
+(* The call stack: each frame saves what its caller resumes with. *)
+type stack =
+  | Bottom
+  | Frame of {
+      regs : Value.t array;
+      fp : int;
+      caller : cfunc;
+      ret_reg : int;  (** -1 none *)
+      resume : int;  (** tree id to resume at *)
+      up : stack;
+    }
 
 let enc_guard = function
   | None -> 0
   | Some { Insn.greg; positive } -> if positive then greg + 1 else -(greg + 1)
 
-let guard_ok (rf : Value.t array) g =
+let[@inline] guard_ok (rf : Value.t array) g =
   g = 0
   ||
-  let v = Value.is_true rf.(abs g - 1) in
+  let v = holds rf.(abs g - 1) in
   if g > 0 then v else not v
 
-let compile_exit finfos (fi : finfo) ctx (e : Tree.exit) : cexit =
+let compile_exit cfuncs (by_id : Tree.t option array) ctx (e : Tree.exit) :
+    cexit =
   let malformed fmt =
     Fmt.kstr
       (fun what ->
@@ -272,7 +358,7 @@ let compile_exit finfos (fi : finfo) ctx (e : Tree.exit) : cexit =
   in
   let params_of target =
     match
-      if target >= 0 && target < Array.length fi.by_id then fi.by_id.(target)
+      if target >= 0 && target < Array.length by_id then by_id.(target)
       else None
     with
     | Some (t : Tree.t) -> t.params
@@ -317,17 +403,17 @@ let compile_exit finfos (fi : finfo) ctx (e : Tree.exit) : cexit =
           scratch;
         }
   | Tree.Call { callee; call_args; ret; return_to; cont_args } ->
-      (* an unknown callee fails when the call executes *)
-      (match Hashtbl.find_opt finfos callee with
-      | Some (g : finfo)
-        when List.compare_lengths g.func.fparams call_args <> 0 ->
+      let target = Hashtbl.find_opt cfuncs callee in
+      (match target with
+      | Some g when Array.length g.params <> List.length call_args ->
           malformed "call of %s with %d arguments for %d parameters" callee
-            (List.length call_args) (List.length g.func.fparams)
+            (List.length call_args) (Array.length g.params)
       | _ -> ());
       let dsts, srcs, scratch = copy_pairs (params_of return_to) cont_args in
       XCall
         {
           callee;
+          target;
           call_srcs = Array.of_list call_args;
           ret = (match ret with Some r -> r | None -> -1);
           return_to;
@@ -338,9 +424,9 @@ let compile_exit finfos (fi : finfo) ctx (e : Tree.exit) : cexit =
   | Tree.Return { value } ->
       XRet { value = (match value with Some r -> r | None -> -1) }
 
-let compile_tree finfos (fi : finfo) (tree : Tree.t) : ctree =
+let compile_tree cfuncs (func : Prog.func) by_id (tree : Tree.t) : ctree =
   let ctx =
-    { in_func = Some fi.func.fname; in_tree = Some tree.id; at_op = None }
+    { in_func = Some func.fname; in_tree = Some tree.id; at_op = None }
   in
   let gctr = ref 0 in
   let stores = ref [] and gstores = ref [] and mems = ref [] in
@@ -402,11 +488,10 @@ let compile_tree finfos (fi : finfo) (tree : Tree.t) : ctree =
     tree;
     code;
     xguards = Array.map (fun (e : Tree.exit) -> enc_guard e.xguard) tree.exits;
-    cexits = Array.map (compile_exit finfos fi ctx) tree.exits;
+    cexits = Array.map (compile_exit cfuncs by_id ctx) tree.exits;
     store_pos = rev_array !stores;
     gstore_pos = rev_array !gstores;
     mem_pos = rev_array !mems;
-    n_gstores = !gctr;
     carcs;
     parc = Array.make (Array.length carcs) None;
     pstat = None;
@@ -414,8 +499,65 @@ let compile_tree finfos (fi : finfo) (tree : Tree.t) : ctree =
     watch_resolved = false;
     ttime = None;
     hist = None;
-    packed = !gctr <= Histogram.max_guarded_stores;
   }
+
+(* Every function's record, keyed by name, with its trees compiled and
+   its call exits resolved to their callees' records. *)
+let compile_prog (prog : Prog.t) : (string, cfunc) Hashtbl.t =
+  let cfuncs = Hashtbl.create 8 in
+  let pending =
+    List.map
+      (fun (name, (func : Prog.func)) ->
+        let max_id =
+          List.fold_left (fun m (t : Tree.t) -> max m t.id) 0 func.trees
+        in
+        let by_id = Array.make (max_id + 1) None in
+        List.iter (fun (t : Tree.t) -> by_id.(t.id) <- Some t) func.trees;
+        let nregs =
+          List.fold_left
+            (fun m (t : Tree.t) -> Reg.Set.fold max (Tree.all_regs t) m)
+            0 func.trees
+          + 1
+        in
+        let cf =
+          {
+            func;
+            nregs;
+            params = Array.of_list func.fparams;
+            trees = Array.make (max_id + 1) None;
+          }
+        in
+        Hashtbl.replace cfuncs name cf;
+        (cf, by_id))
+      prog.funcs
+  in
+  List.iter
+    (fun (cf, by_id) ->
+      Array.iteri
+        (fun id t ->
+          cf.trees.(id) <- Option.map (compile_tree cfuncs cf.func by_id) t)
+        by_id)
+    pending;
+  cfuncs
+
+(* staged parallel copy: read every source, then write every target *)
+let[@inline] copy_args rf dsts srcs scratch =
+  let n = Array.length srcs in
+  for i = 0 to n - 1 do
+    scratch.(i) <- rf.(srcs.(i))
+  done;
+  for i = 0 to n - 1 do
+    rf.(dsts.(i)) <- scratch.(i)
+  done
+
+(* SpD dynamics: each watched region's traversal goes to its alias or
+   no-alias version by its predicate register *)
+let rec attribute_regions rf = function
+  | [] -> ()
+  | (r : Profile.Spd.region) :: rest ->
+      if holds rf.(r.predicate) then r.alias_commits <- r.alias_commits + 1
+      else r.noalias_commits <- r.noalias_commits + 1;
+      attribute_regions rf rest
 
 (* ------------------------------------------------------------------ *)
 (* Pooled memory images.
@@ -523,25 +665,13 @@ let run ?timing ?(traversal_cost : traversal_cost option)
       Array.iteri (fun i v -> mem.(base + i) <- v) g.ginit)
     prog.globals;
   if globals_end >= mem_words then fail Globals_exceed_memory;
-  let finfos = Hashtbl.create 8 in
-  List.iter
-    (fun (name, f) -> Hashtbl.replace finfos name (build_finfo f))
-    prog.funcs;
-  let finfo name =
-    match Hashtbl.find_opt finfos name with
-    | Some fi -> fi
-    | None -> fail (Unknown_function name)
+  (* compile every function once for this run *)
+  let cfuncs = compile_prog prog in
+  let main =
+    match Hashtbl.find_opt cfuncs prog.main with
+    | Some cf -> cf
+    | None -> fail (Unknown_function prog.main)
   in
-  (* compile every tree once for this run *)
-  let cts_of : (string, ctree option array) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun (name, _) ->
-      let fi = Hashtbl.find finfos name in
-      let arr =
-        Array.map (Option.map (fun t -> compile_tree finfos fi t)) fi.by_id
-      in
-      Hashtbl.replace cts_of name arr)
-    prog.funcs;
   (* scratch buffers sized to the largest tree *)
   let max_insns =
     List.fold_left
@@ -556,28 +686,19 @@ let run ?timing ?(traversal_cost : traversal_cost option)
   let output = ref [] in
   let cycles = ref 0 in
   let traversals = ref 0 in
-  (* current activation *)
-  let fi = ref (finfo prog.main) in
-  let cts = ref (Hashtbl.find cts_of prog.main) in
-  let regs = ref (Array.make !fi.nregs Value.zero) in
-  let sp = ref mem_words in
-  let fp = ref (mem_words - !fi.func.frame_words) in
-  sp := !fp;
-  if !sp <= globals_end then fail Stack_overflow;
-  let stack : frame list ref = ref [] in
-  let tree_id = ref !fi.func.entry in
-  let finished = ref None in
+  (* current activation; its stack pointer is its frame pointer *)
+  let cur = ref main in
+  let regs = ref (Array.make main.nregs Value.zero) in
+  let fp = ref (mem_words - main.func.frame_words) in
+  if !fp <= globals_end then fail Stack_overflow;
+  let stack = ref Bottom and depth = ref 0 in
+  let tree_id = ref main.func.entry in
+  let running = ref true and returned = ref Value.zero in
   (* context-carrying failure for everything inside the traversal loop *)
   let ctx ?op () =
-    { in_func = Some !fi.func.fname; in_tree = Some !tree_id; at_op = op }
+    { in_func = Some !cur.func.fname; in_tree = Some !tree_id; at_op = op }
   in
   let failc ?op kind = fail ~ctx:(ctx ?op ()) kind in
-  (* Loads are non-faulting (the paper's machine model, section 4.6: LIFE
-     loads are dismissible): a speculative load from a wild address yields
-     zero instead of trapping.  Committed stores are still checked. *)
-  let load addr =
-    if addr < 0 || addr >= mem_words then Value.zero else mem.(addr)
-  in
   let store addr v =
     if addr < 0 || addr >= mem_words then failc (Store_out_of_bounds addr)
     else begin
@@ -590,14 +711,14 @@ let run ?timing ?(traversal_cost : traversal_cost option)
     match ct.pstat with
     | Some s -> s
     | None ->
-        let s = Profile.tree_stat p ~func:!fi.func.fname ~tree:ct.tree in
+        let s = Profile.tree_stat p ~func:!cur.func.fname ~tree:ct.tree in
         ct.pstat <- Some s;
         s
   in
   let watch (ct : ctree) w =
     if not ct.watch_resolved then begin
       ct.watch <-
-        Profile.Spd.find w ~func:!fi.func.fname ~tree_id:ct.tree.id;
+        Profile.Spd.find w ~func:!cur.func.fname ~tree_id:ct.tree.id;
       ct.watch_resolved <- true
     end;
     ct.watch
@@ -606,7 +727,7 @@ let run ?timing ?(traversal_cost : traversal_cost option)
     match ct.ttime with
     | Some tt -> tt
     | None ->
-        let tt = Timing.find tbl ~func:!fi.func.fname ~tree_id:ct.tree.id in
+        let tt = Timing.find tbl ~func:!cur.func.fname ~tree_id:ct.tree.id in
         ct.ttime <- Some tt;
         tt
   in
@@ -615,31 +736,14 @@ let run ?timing ?(traversal_cost : traversal_cost option)
     | Some th -> th
     | None ->
         let th =
-          Histogram.tree h ~func:!fi.func.fname ~tree_id:ct.tree.id
-            ~store_pos:ct.store_pos ~gstore_pos:ct.gstore_pos
+          Histogram.tree h ~func:!cur.func.fname ~tree_id:ct.tree.id
+            ~n_exits:(Array.length ct.cexits) ~store_pos:ct.store_pos
+            ~gstore_pos:ct.gstore_pos
         in
         ct.hist <- Some th;
         th
   in
-  let attribute_regions rf (tw : Profile.Spd.tree_watch) =
-    List.iter
-      (fun (r : Profile.Spd.region) ->
-        if Value.is_true rf.(r.predicate) then
-          r.alias_commits <- r.alias_commits + 1
-        else r.noalias_commits <- r.noalias_commits + 1)
-      tw.watched
-  in
-  (* staged parallel copy: read every source, then write every target *)
-  let do_copy rf dsts srcs scratch =
-    let n = Array.length srcs in
-    for i = 0 to n - 1 do
-      scratch.(i) <- rf.(srcs.(i))
-    done;
-    for i = 0 to n - 1 do
-      rf.(dsts.(i)) <- scratch.(i)
-    done
-  in
-  while !finished = None do
+  while !running do
     incr traversals;
     if !traversals > fuel then failc (Fuel_exhausted fuel);
     (match deadline_abs with
@@ -648,7 +752,7 @@ let run ?timing ?(traversal_cost : traversal_cost option)
         failc (Deadline_exceeded (Option.get deadline))
     | _ -> ());
     let ct =
-      match !cts.(!tree_id) with
+      match !cur.trees.(!tree_id) with
       | Some ct -> ct
       | None -> failc (No_such_tree !tree_id)
     in
@@ -658,17 +762,21 @@ let run ?timing ?(traversal_cost : traversal_cost option)
     let code = ct.code in
     for i = 0 to Array.length code - 1 do
       match Array.unsafe_get code i with
-      | CIbin { op; dst; a; b } -> rf.(dst) <- Eval.eval_ibin op rf.(a) rf.(b)
-      | CIcmp { op; dst; a; b } -> rf.(dst) <- Eval.eval_icmp op rf.(a) rf.(b)
-      | CFbin { op; dst; a; b } -> rf.(dst) <- Eval.eval_fbin op rf.(a) rf.(b)
-      | CFcmp { op; dst; a; b } -> rf.(dst) <- Eval.eval_fcmp op rf.(a) rf.(b)
+      | CIbin { op; dst; a; b } -> rf.(dst) <- ibin op rf.(a) rf.(b)
+      | CIcmp { op; dst; a; b } -> rf.(dst) <- icmp op rf.(a) rf.(b)
+      | CFbin { op; dst; a; b } -> rf.(dst) <- fbin op rf.(a) rf.(b)
+      | CFcmp { op; dst; a; b } -> rf.(dst) <- fcmp op rf.(a) rf.(b)
       | CLoad { pos; addr; dst } ->
-          let a = Value.to_int rf.(addr) in
+          let a = int_of rf.(addr) in
           addr_buf.(pos) <- a;
           active_buf.(pos) <- true;
-          rf.(dst) <- load a
+          (* Loads are non-faulting (the paper's machine model, section
+             4.6: LIFE loads are dismissible): a speculative load from a
+             wild address yields zero instead of trapping.  Committed
+             stores are still checked. *)
+          rf.(dst) <- (if a < 0 || a >= mem_words then Value.zero else mem.(a))
       | CStore { pos; addr; src; guard; gidx } ->
-          let a = Value.to_int rf.(addr) in
+          let a = int_of rf.(addr) in
           addr_buf.(pos) <- a;
           let active = guard_ok rf guard in
           active_buf.(pos) <- active;
@@ -678,61 +786,60 @@ let run ?timing ?(traversal_cost : traversal_cost option)
           end
       | CConst { dst; v } -> rf.(dst) <- v
       | CMov { dst; a } -> rf.(dst) <- rf.(a)
-      | CSelect { dst; p; a; b } ->
-          rf.(dst) <- (if Value.is_true rf.(p) then rf.(a) else rf.(b))
-      | CNot { dst; a } -> rf.(dst) <- Value.of_bool (not (Value.is_true rf.(a)))
-      | CIneg { dst; a } -> rf.(dst) <- Value.Int (-Value.to_int rf.(a))
-      | CFneg { dst; a } -> rf.(dst) <- Value.Float (-.Value.to_float rf.(a))
-      | CItof { dst; a } -> rf.(dst) <- Value.Float (Value.to_float rf.(a))
-      | CFtoi { dst; a } -> rf.(dst) <- Value.Int (Value.to_int rf.(a))
+      | CSelect { dst; p; a; b } -> rf.(dst) <- select rf.(p) rf.(a) rf.(b)
+      | CNot { dst; a } -> rf.(dst) <- not_ rf.(a)
+      | CIneg { dst; a } -> rf.(dst) <- ineg rf.(a)
+      | CFneg { dst; a } -> rf.(dst) <- fneg rf.(a)
+      | CItof { dst; a } -> rf.(dst) <- itof rf.(a)
+      | CFtoi { dst; a } -> rf.(dst) <- ftoi rf.(a)
       | CAddr_frame { dst; off } -> rf.(dst) <- Value.Int (!fp + off)
       | CAddr_global g ->
           if g.cached < 0 then g.cached <- global_addr g.name;
           rf.(g.dst) <- Value.Int g.cached
       | CIdiv { op; pos; dst; a; b } -> (
-          match Eval.eval_ibin op rf.(a) rf.(b) with
+          match ibin op rf.(a) rf.(b) with
           | v -> rf.(dst) <- v
-          | exception Eval.Runtime_error msg ->
+          | exception Runtime_error msg ->
               failc
                 ~op:(Fmt.str "%a" Opcode.pp ct.tree.insns.(pos).Insn.op)
                 (Eval_error msg))
     done;
-    (* choose the taken exit *)
-    let n_exits = Array.length ct.xguards in
-    let taken = ref (n_exits - 1) in
-    (try
-       for k = 0 to n_exits - 1 do
-         if guard_ok rf ct.xguards.(k) then begin
-           taken := k;
-           raise Exit
-         end
-       done
-     with Exit -> ());
+    let gmask = !gmask in
+    (* the taken exit: the first whose guard holds, else the last *)
+    let xguards = ct.xguards in
+    let taken = ref 0 in
+    while
+      !taken < Array.length xguards - 1 && not (guard_ok rf xguards.(!taken))
+    do
+      incr taken
+    done;
+    let taken = !taken in
     (* profile *)
     (match profile with
     | None -> ()
     | Some p ->
         let stat = pstat ct p in
         stat.traversals <- stat.traversals + 1;
-        stat.exit_taken.(!taken) <- stat.exit_taken.(!taken) + 1;
-        Array.iteri
-          (fun i (ca : carc) ->
-            if active_buf.(ca.spos) && active_buf.(ca.dpos) then begin
-              let a =
-                match ct.parc.(i) with
-                | Some a -> a
-                | None ->
-                    let a =
-                      Profile.arc_stat stat ~src:ca.arc.src ~dst:ca.arc.dst
-                    in
-                    ct.parc.(i) <- Some a;
-                    a
-              in
-              a.both_active <- a.both_active + 1;
-              if addr_buf.(ca.spos) = addr_buf.(ca.dpos) then
-                a.aliased <- a.aliased + 1
-            end)
-          ct.carcs);
+        stat.exit_taken.(taken) <- stat.exit_taken.(taken) + 1;
+        let carcs = ct.carcs in
+        for i = 0 to Array.length carcs - 1 do
+          let ca = carcs.(i) in
+          if active_buf.(ca.spos) && active_buf.(ca.dpos) then begin
+            let a =
+              match ct.parc.(i) with
+              | Some a -> a
+              | None ->
+                  let a =
+                    Profile.arc_stat stat ~src:ca.arc.src ~dst:ca.arc.dst
+                  in
+                  ct.parc.(i) <- Some a;
+                  a
+            in
+            a.both_active <- a.both_active + 1;
+            if addr_buf.(ca.spos) = addr_buf.(ca.dpos) then
+              a.aliased <- a.aliased + 1
+          end
+        done);
     (* SpD run-time dynamics: attribute the traversal of each watched
        region to its alias or no-alias version via the predicate
        register (single-assignment within the tree, so reading it after
@@ -745,104 +852,108 @@ let run ?timing ?(traversal_cost : traversal_cost option)
         | None -> ()
         | Some tw ->
             tw.traversals <- tw.traversals + 1;
-            attribute_regions rf tw;
-            Array.iter
-              (fun pos ->
-                if not active_buf.(pos) then tw.squashed <- tw.squashed + 1)
-              ct.gstore_pos));
+            attribute_regions rf tw.watched;
+            let gstore_pos = ct.gstore_pos in
+            for j = 0 to Array.length gstore_pos - 1 do
+              if not active_buf.(gstore_pos.(j)) then
+                tw.squashed <- tw.squashed + 1
+            done));
     (* timing *)
     (match timing with
     | None -> ()
     | Some tbl ->
         let tt = ttime ct tbl in
-        let t = ref tt.exit_completion.(!taken) in
-        Array.iter
-          (fun pos ->
-            if active_buf.(pos) then t := max !t tt.insn_completion.(pos))
-          ct.store_pos;
+        let t = ref tt.exit_completion.(taken) in
+        let store_pos = ct.store_pos in
+        for j = 0 to Array.length store_pos - 1 do
+          let pos = store_pos.(j) in
+          if active_buf.(pos) then begin
+            let c = tt.insn_completion.(pos) in
+            if c > !t then t := c
+          end
+        done;
         cycles := !cycles + !t);
-    (* the path histogram: the packed key, or the exact commit set where
-       the key cannot pack it *)
     (match histogram with
     | None -> ()
-    | Some h ->
-        if ct.packed then
-          Histogram.add (hist ct h)
-            (Histogram.key ~taken:!taken ~gmask:!gmask
-               ~n_guarded_stores:ct.n_gstores)
-        else Histogram.add_exact (hist ct h) ~taken:!taken ~active:active_buf);
+    | Some h -> Histogram.add (hist ct h) ~taken ~gmask ~active:active_buf);
     (match traversal_cost with
     | None -> ()
     | Some cost ->
         cycles :=
           !cycles
-          + cost ~func:!fi.func.fname ~tree:ct.tree ~addrs:addr_buf
-              ~active:active_buf ~taken:!taken;
+          + cost ~func:!cur.func.fname ~tree:ct.tree ~addrs:addr_buf
+              ~active:active_buf ~taken;
         (* the callback contract promises -1/false outside this tree's
            memory ops, so restore the buffers to their pristine state *)
-        Array.iter
-          (fun pos ->
-            addr_buf.(pos) <- -1;
-            active_buf.(pos) <- false)
-          ct.mem_pos);
+        let mem_pos = ct.mem_pos in
+        for j = 0 to Array.length mem_pos - 1 do
+          addr_buf.(mem_pos.(j)) <- -1;
+          active_buf.(mem_pos.(j)) <- false
+        done);
     (* transition *)
-    match ct.cexits.(!taken) with
+    match ct.cexits.(taken) with
     | XJump { target; dsts; srcs; scratch } ->
-        do_copy rf dsts srcs scratch;
+        copy_args rf dsts srcs scratch;
         tree_id := target
     | XPrint { as_float; arg; return_to; dsts; srcs; scratch } ->
         output :=
-          (if as_float then Value.Float (Value.to_float rf.(arg))
-           else Value.Int (Value.to_int rf.(arg)))
+          (if as_float then Value.Float (float_of rf.(arg))
+           else Value.Int (int_of rf.(arg)))
           :: !output;
-        do_copy rf dsts srcs scratch;
+        copy_args rf dsts srcs scratch;
         tree_id := return_to
-    | XCall { callee; call_srcs; ret; return_to; dsts; srcs; scratch } ->
-        do_copy rf dsts srcs scratch;
-        let callee_fi = finfo callee in
+    | XCall { callee; target; call_srcs; ret; return_to; dsts; srcs; scratch }
+      ->
+        copy_args rf dsts srcs scratch;
+        (* the call site's errors name the caller's function and tree *)
+        let cf =
+          match target with
+          | Some cf -> cf
+          | None -> failc (Unknown_function callee)
+        in
+        if !depth >= max_call_depth then
+          failc (Call_depth_exceeded max_call_depth);
+        let callee_fp = !fp - cf.func.frame_words in
+        if callee_fp <= globals_end then failc Stack_overflow;
         stack :=
-          {
-            saved_regs = rf;
-            saved_fp = !fp;
-            saved_sp = !sp;
-            saved_fi = !fi;
-            ret_reg = (if ret < 0 then None else Some ret);
-            resume = return_to;
-          }
-          :: !stack;
-        if List.length !stack > 100_000 then
-          failc (Call_depth_exceeded 100_000);
-        let newregs = Array.make callee_fi.nregs Value.zero in
-        List.iteri
-          (fun i p -> newregs.(p) <- rf.(call_srcs.(i)))
-          callee_fi.func.fparams;
-        fi := callee_fi;
-        cts := Hashtbl.find cts_of callee;
-        regs := newregs;
-        fp := !sp - callee_fi.func.frame_words;
-        sp := !fp;
-        if !sp <= globals_end then failc Stack_overflow;
-        tree_id := callee_fi.func.entry
+          Frame
+            {
+              regs = rf;
+              fp = !fp;
+              caller = !cur;
+              ret_reg = ret;
+              resume = return_to;
+              up = !stack;
+            };
+        incr depth;
+        let callee_regs = Array.make cf.nregs Value.zero in
+        let params = cf.params in
+        for i = 0 to Array.length params - 1 do
+          callee_regs.(params.(i)) <- rf.(call_srcs.(i))
+        done;
+        cur := cf;
+        regs := callee_regs;
+        fp := callee_fp;
+        tree_id := cf.func.entry
     | XRet { value } -> (
         let v = if value < 0 then Value.zero else rf.(value) in
         match !stack with
-        | [] -> finished := Some v
-        | frame :: rest ->
-            stack := rest;
-            regs := frame.saved_regs;
-            fp := frame.saved_fp;
-            sp := frame.saved_sp;
-            fi := frame.saved_fi;
-            cts := Hashtbl.find cts_of frame.saved_fi.func.fname;
-            (match frame.ret_reg with
-            | Some r -> !regs.(r) <- v
-            | None -> ());
-            tree_id := frame.resume)
+        | Bottom ->
+            returned := v;
+            running := false
+        | Frame f ->
+            stack := f.up;
+            decr depth;
+            cur := f.caller;
+            regs := f.regs;
+            fp := f.fp;
+            if f.ret_reg >= 0 then f.regs.(f.ret_reg) <- v;
+            tree_id := f.resume)
   done;
   M.incr (M.get m_runs);
   M.incr ~by:!traversals (M.get m_traversals);
   {
-    ret = Option.get !finished;
+    ret = !returned;
     output = List.rev !output;
     cycles = !cycles;
     traversals = !traversals;

@@ -18,7 +18,13 @@
     The interpreter also fills in a {!Profile}: exit frequencies and
     dynamic alias counts per memory dependence arc (the PERFECT
     disambiguator's input); and a {!Histogram} of paths, which prices
-    the run on every machine without running it again. *)
+    the run on every machine without running it again.
+
+    Each run compiles every function once before its first traversal:
+    trees into flat operation arrays, call exits resolved to the
+    callee's compiled record.  No call or return looks a function up
+    by name.  Each opcode's semantics is defined once, in this module,
+    and shared by the traversal loop and {!eval_pure}. *)
 
 (** {1 Structured errors}
 
@@ -66,25 +72,21 @@ type result = {
   cycles : int;
   traversals : int;
 }
-type finfo = {
-  func : Spd_ir.Prog.func;
-  by_id : Spd_ir.Tree.t option array;
-  nregs : int;
-}
-type frame = {
-  saved_regs : Spd_ir.Value.t array;
-  saved_fp : int;
-  saved_sp : int;
-  saved_fi : finfo;
-  ret_reg : Spd_ir.Reg.t option;
-  resume : int;
-}
-val build_finfo : Spd_ir.Prog.func -> finfo
 
-(** Lay out globals in low memory; returns the address map and the first
-    free address.  Address 0 is reserved so that a stray null-ish pointer
-    faults loudly in bounds checks of size-0 accesses. *)
-val layout : Spd_ir.Prog.t -> (string -> int) * int
+(** {1 Pure operations} *)
+
+(** A pure operation's fault, e.g. integer division by zero; {!run}
+    reports it as [Sim_error (Eval_error msg, _)] at the faulting
+    operation. *)
+exception Runtime_error of string
+
+(** Evaluate a pure opcode with the interpreter's semantics.  Memory
+    operations and [Addrof] are the interpreter's business: they raise
+    [Invalid_argument], as does an operand count the opcode does not
+    take. *)
+val eval_pure : Spd_ir.Opcode.t -> Spd_ir.Value.t list -> Spd_ir.Value.t
+
+(** {1 Running programs} *)
 
 (** Per-traversal cost callback for dynamic timing models: receives the
     traversal's concrete memory addresses ([addrs], indexed by instruction
@@ -107,7 +109,11 @@ type traversal_cost =
     [Sim_error (Deadline_exceeded d, _)].  An instruction or exit of a
     shape the interpreter does not execute raises
     [Sim_error (Malformed _, _)], naming its function and tree, before
-    the first traversal.  [spd] registers watches on
+    the first traversal.  A call raises [Unknown_function] when its
+    callee is not defined, [Call_depth_exceeded 100_000] when the stack
+    already holds that many frames and [Stack_overflow] when the
+    callee's frame would reach the globals; all three name the call
+    site, the caller's function and tree.  [spd] registers watches on
     SpD-transformed regions; their alias/no-alias commit and squash
     counters are filled in as the program runs.
 

@@ -72,7 +72,8 @@ let run ~(param_value : Reg.t -> Value.t) ~(global_base : string -> int)
             match insn.dst with
             | None -> ()
             | Some d ->
-                bind d (Spd_sim.Eval.eval_pure op (List.map lookup insn.srcs))))
+                bind d
+                  (Spd_sim.Interp.eval_pure op (List.map lookup insn.srcs))))
       tree.insns;
     let n = Array.length tree.exits in
     let rec taken i =
@@ -109,7 +110,7 @@ let run ~(param_value : Reg.t -> Value.t) ~(global_base : string -> int)
       |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
     in
     Finished { exit_render; writes }
-  with Spd_sim.Eval.Runtime_error msg -> Trap msg
+  with Spd_sim.Interp.Runtime_error msg -> Trap msg
 
 (* ------------------------------------------------------------------ *)
 (* Seeded valuations *)

@@ -174,9 +174,10 @@ let app ctx (op : Opcode.t) (args : term list) : term =
             (fun a -> match a.node with Const v -> v | _ -> assert false)
             args
         in
-        match Spd_sim.Eval.eval_pure op vals with
+        match Spd_sim.Interp.eval_pure op vals with
         | v -> const ctx v
-        | exception Spd_sim.Eval.Runtime_error msg -> raise (Unsupported msg)
+        | exception Spd_sim.Interp.Runtime_error msg ->
+            raise (Unsupported msg)
       else intern ctx (Kapp (op, List.map (fun a -> a.tid) args)) (App (op, args)))
 
 let store ctx prev ~addr ~value =

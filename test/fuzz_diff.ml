@@ -151,7 +151,7 @@ let check_pricing (lowered : Spd_ir.Prog.t) =
 
 (* Gain oracle: [Gain.candidates] against the per-arc rebuild of
    {!Gain_reference}, bit for bit, on every tree of the STATIC and the
-   SpD program. *)
+   SpD program, at memory latencies 1, 2 and 6. *)
 let check_gain (lowered : Spd_ir.Prog.t) (spd : Spd_ir.Prog.t) =
   let config = Pipeline.Config.v ~check:false ~fuel:!case_fuel () in
   let static = (Pipeline.prepare ~config Pipeline.Static lowered).prog in
@@ -180,7 +180,7 @@ let check_gain (lowered : Spd_ir.Prog.t) (spd : Spd_ir.Prog.t) =
                            (if profile = None then "uniform" else "profiled")
                            d))
                 [ Some profile; None ])
-            [ 2; 6 ])
+            [ 1; 2; 6 ])
         prog)
     [ static; spd ]
 

@@ -1,7 +1,8 @@
 (** Simulator tests: pure evaluation, guarded commit semantics, calls and
-    recursion frames, non-faulting speculative loads, timing accumulation,
-    profiling, and pricing from path histograms (the packed path key
-    and the dot product that must equal a timed run's cycles). *)
+    recursion frames, the call path's error exits, non-faulting
+    speculative loads, timing accumulation, profiling, and pricing from
+    path histograms (the packed path key, and the dot product that must
+    equal a timed run's cycles in every representation of the counts). *)
 
 open Util
 module Ir = Spd_ir
@@ -14,22 +15,26 @@ let case name f = Alcotest.test_case name `Quick f
 (* Pure evaluation *)
 
 let test_eval_int () =
-  let e op a b = Sim.Eval.eval_pure (Opcode.Ibin op) [ Value.Int a; Value.Int b ] in
+  let e op a b =
+    Sim.Interp.eval_pure (Opcode.Ibin op) [ Value.Int a; Value.Int b ]
+  in
   check_bool "add" true (Value.equal (e Opcode.Add 2 3) (Value.Int 5));
   check_bool "div trunc" true (Value.equal (e Opcode.Div 7 2) (Value.Int 3));
   check_bool "neg div" true (Value.equal (e Opcode.Div (-7) 2) (Value.Int (-3)));
   check_bool "rem sign" true (Value.equal (e Opcode.Rem (-7) 2) (Value.Int (-1)));
   check_bool "xor" true (Value.equal (e Opcode.Xor 12 10) (Value.Int 6));
   (match e Opcode.Div 1 0 with
-  | exception Sim.Eval.Runtime_error _ -> ()
+  | exception Sim.Interp.Runtime_error _ -> ()
   | _ -> Alcotest.fail "division by zero accepted")
 
 let test_eval_select_not () =
-  let sel p = Sim.Eval.eval_pure Opcode.Select [ p; Value.Int 1; Value.Int 2 ] in
+  let sel p =
+    Sim.Interp.eval_pure Opcode.Select [ p; Value.Int 1; Value.Int 2 ]
+  in
   check_bool "select true" true (Value.equal (sel (Value.Int 5)) (Value.Int 1));
   check_bool "select false" true (Value.equal (sel (Value.Int 0)) (Value.Int 2));
   check_bool "not" true
-    (Value.equal (Sim.Eval.eval_pure Opcode.Not [ Value.Int 7 ]) Value.zero)
+    (Value.equal (Sim.Interp.eval_pure Opcode.Not [ Value.Int 7 ]) Value.zero)
 
 (* ------------------------------------------------------------------ *)
 (* Guarded commit semantics through the frontend *)
@@ -102,6 +107,131 @@ let test_eval_error_context () =
   | exception e ->
       Alcotest.failf "wrong exception: %s" (Printexc.to_string e)
   | _ -> Alcotest.fail "division by zero accepted"
+
+(* ------------------------------------------------------------------ *)
+(* The call path's error exits: each names the call site, the caller's
+   function and tree *)
+
+(* the id of the tree of [caller] whose exit calls [callee] *)
+let call_site prog ~caller ~callee =
+  let f = Prog.find_func prog caller in
+  match
+    List.find_opt
+      (fun (t : Tree.t) ->
+        Array.exists
+          (fun (e : Tree.exit) ->
+            match e.kind with
+            | Tree.Call c -> c.callee = callee
+            | _ -> false)
+          t.exits)
+      f.trees
+  with
+  | Some t -> t.id
+  | None -> Alcotest.failf "%s does not call %s" caller callee
+
+let check_call_site what prog ~caller ~callee (ctx : Sim.Interp.error_context)
+    =
+  check_bool (what ^ ": names the caller") true (ctx.in_func = Some caller);
+  check_bool (what ^ ": names the calling tree") true
+    (ctx.in_tree = Some (call_site prog ~caller ~callee))
+
+let test_call_depth_exceeded () =
+  let prog =
+    compile
+      {|
+int down(int n) {
+  int r;
+  r = down(n + 1);
+  return r;
+}
+int main() { return down(0); }
+|}
+  in
+  match Sim.Interp.run prog with
+  | exception
+      Sim.Interp.Sim_error (Sim.Interp.Call_depth_exceeded 100_000, ctx) ->
+      check_call_site "unbounded recursion" prog ~caller:"down" ~callee:"down"
+        ctx
+  | exception e ->
+      Alcotest.failf "wrong exception: %s" (Printexc.to_string e)
+  | _ -> Alcotest.fail "unbounded recursion ran to completion"
+
+(* every return pops its frame: more calls than the depth bound, one
+   frame deep each, run to completion *)
+let test_sequential_calls () =
+  check_int "100005 calls" 100_005
+    (ret_int
+       {|
+int inc(int x) { return x + 1; }
+int main() {
+  int i; int s;
+  s = 0;
+  for (i = 0; i < 100005; i = i + 1) s = inc(s);
+  return s;
+}
+|})
+
+let test_stack_overflow_context () =
+  let prog =
+    compile
+      {|
+int big(int x) {
+  int local[5000];
+  local[0] = x;
+  return local[0];
+}
+int main() {
+  int i; int s;
+  s = 0;
+  for (i = 0; i < 3; i = i + 1) s = s + i;
+  return big(s);
+}
+|}
+  in
+  match Sim.Interp.run ~mem_words:4096 prog with
+  | exception Sim.Interp.Sim_error (Sim.Interp.Stack_overflow, ctx) ->
+      check_call_site "stack overflow" prog ~caller:"main" ~callee:"big" ctx
+  | exception e ->
+      Alcotest.failf "wrong exception: %s" (Printexc.to_string e)
+  | _ -> Alcotest.fail "a 5000-word frame fit in 4096 words"
+
+(* a callee the program does not define fails when the call executes,
+   not when its tree is compiled *)
+let test_unknown_function () =
+  let prog flag =
+    compile
+      (Printf.sprintf
+         {|
+int flag;
+int helper(int x) { return x + 1; }
+int main() {
+  int s;
+  s = 0;
+  flag = %d;
+  if (flag == 1) s = helper(s);
+  return s + 7;
+}
+|}
+         flag)
+    |> Prog.map_trees (fun _ (t : Tree.t) ->
+           let rename (e : Tree.exit) =
+             match e.kind with
+             | Tree.Call c when c.callee = "helper" ->
+                 { e with kind = Tree.Call { c with callee = "missing" } }
+             | _ -> e
+           in
+           { t with exits = Array.map rename t.exits })
+  in
+  check_int "never taken" 7 (Value.to_int (Sim.Interp.run (prog 0)).ret);
+  let taken = prog 1 in
+  match Sim.Interp.run taken with
+  | exception Sim.Interp.Sim_error (Sim.Interp.Unknown_function "missing", ctx)
+    ->
+      check_call_site "unknown function" taken ~caller:"main"
+        ~callee:"missing" ctx
+  | exception e ->
+      Alcotest.failf "wrong exception: %s" (Printexc.to_string e)
+  | _ -> Alcotest.fail "a call of an undefined function ran"
 
 (* ------------------------------------------------------------------ *)
 (* Timing: hand-built table, checked against a known trace *)
@@ -326,6 +456,104 @@ int main() {
     (max_guarded prog > Sim.Histogram.max_guarded_stores);
   ignore (check_priced "wide tree" prog)
 
+(* The paths of one run counted as the histogram once counted every
+   tree that packs: a table per tree from packed key to traversals,
+   filled from the traversal-cost callback.  The reference the
+   histogram's representations are held to. *)
+let keyed_paths prog : Sim.Histogram.path list =
+  let trees = Hashtbl.create 16 in
+  let traversal_cost ~func ~(tree : Tree.t) ~addrs:_ ~active ~taken =
+    let gstores, counts =
+      match Hashtbl.find_opt trees (func, tree.id) with
+      | Some t -> t
+      | None ->
+          let guarded pos =
+            Insn.is_store tree.insns.(pos) && tree.insns.(pos).guard <> None
+          in
+          let gstores =
+            List.filter guarded (List.init (Array.length tree.insns) Fun.id)
+          in
+          let t = (gstores, Hashtbl.create 8) in
+          Hashtbl.add trees (func, tree.id) t;
+          t
+    in
+    let gmask =
+      List.fold_left
+        (fun m (i, pos) -> if active.(pos) then m lor (1 lsl i) else m)
+        0
+        (List.mapi (fun i pos -> (i, pos)) gstores)
+    in
+    let key = (taken lsl List.length gstores) lor gmask in
+    (match Hashtbl.find_opt counts key with
+    | Some n -> incr n
+    | None -> Hashtbl.add counts key (ref 1));
+    0
+  in
+  ignore (Sim.Interp.run ~traversal_cost prog);
+  Hashtbl.fold
+    (fun (func, tree_id) (gstores, counts) acc ->
+      let n = List.length gstores in
+      Hashtbl.fold
+        (fun key count acc ->
+          {
+            Sim.Histogram.func;
+            tree_id;
+            taken = key lsr n;
+            committed =
+              List.filteri (fun i _ -> key land (1 lsl i) <> 0) gstores;
+            count = !count;
+          }
+          :: acc)
+        counts acc)
+    trees []
+  |> List.sort compare
+
+(* One tree whose keys fit the dense array and one, with 16 guarded
+   stores, whose keys do not but still pack: each prices like a timed
+   run, and their paths equal the keyed reference's. *)
+let test_price_dense_and_keyed () =
+  let stores base sign =
+    String.concat " "
+      (List.init 8 (fun k ->
+           Printf.sprintf "a[%d] = i %s %d;" (base + k) sign k))
+  in
+  let prog =
+    compile
+      (Printf.sprintf
+         {|
+int a[64];
+int main() {
+  int i; int s;
+  s = 0;
+  for (i = 0; i < 30; i = i + 1) {
+    if (i %% 3 == 0) { %s } else { %s }
+    s = s + a[i %% 16];
+  }
+  for (i = 0; i < 30; i = i + 1) {
+    if (i %% 2 == 0) a[i] = s; else a[i + 1] = i;
+    s = s + a[i];
+  }
+  return s;
+}
+|}
+         (stores 0 "+") (stores 8 "-"))
+  in
+  let keys (t : Tree.t) = Array.length t.exits lsl guarded_stores t in
+  let has p =
+    let found = ref false in
+    Prog.iter_trees (fun _ t -> if p t then found := true) prog;
+    !found
+  in
+  check_bool "a tree with guarded stores fits the dense array" true
+    (has (fun t -> guarded_stores t > 0 && keys t <= Sim.Histogram.dense_keys));
+  check_bool "a tree packs but does not fit the dense array" true
+    (has (fun t ->
+         keys t > Sim.Histogram.dense_keys
+         && guarded_stores t <= Sim.Histogram.max_guarded_stores));
+  let _, histogram = check_priced "dense and keyed" prog in
+  check_bool "paths equal the keyed reference's" true
+    (Sim.Histogram.paths histogram = keyed_paths prog)
+
 (* a shape the interpreter does not execute fails the run before the
    first traversal, naming its function and tree: a guarded store that
    also names a destination, and a jump to a tree that does not exist *)
@@ -407,6 +635,10 @@ let tests =
     case "recursion frames" test_deep_recursion_frames;
     case "traversal budget" test_traversal_budget;
     case "eval error context" test_eval_error_context;
+    case "call depth exceeded names the call site" test_call_depth_exceeded;
+    case "sequential calls beyond the depth bound" test_sequential_calls;
+    case "stack overflow names the call site" test_stack_overflow_context;
+    case "unknown function fails when called" test_unknown_function;
     case "timing accumulates" test_timing_accumulates;
     case "memory latency hurts" test_memory_latency_hurts;
     case "profile exit counts" test_profile_exit_counts;
@@ -415,6 +647,7 @@ let tests =
     case "histogram key packing is injective" test_histogram_key_packing;
     case "histogram key bounds" test_histogram_key_bounds;
     case "pricing: tree beyond the packed key" test_price_wide_tree;
+    case "pricing: dense and keyed path counts" test_price_dense_and_keyed;
     case "malformed instruction and exit are rejected"
       test_malformed_rejected;
   ]

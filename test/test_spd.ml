@@ -604,8 +604,10 @@ let check_ledger_gains ~what ?profile ~params ~mem_latency static =
       check_entry (Printf.sprintf "%s: rejected %s/%d" what func tree_id) c d)
     (List.rev !expected) rejected
 
-(* The compile corpus: every program plain and grafted, at both memory
-   latencies, with the STATIC profile and with uniform exit weights.
+(* The compile corpus: every program plain and grafted, at memory
+   latencies 1, 2 and 6 (at 1 a WAR arc can weigh as much as a flow
+   edge into the same target), with the STATIC profile and with
+   uniform exit weights.
    Besides the default budgets, [max_applications = 1] stops trees
    that applied SpD on a budget (their closing ledger is re-priced)
    and leaves the others exhausted (their last round is reused), and
@@ -646,7 +648,7 @@ let test_gain_oracle_corpus () =
                         ?profile ~params ~mem_latency static)
                     [ Some profile; None ])
                 param_sets)
-            [ 2; 6 ])
+            [ 1; 2; 6 ])
         [ false; true ])
     (Spd_workloads.Registry.all @ Spd_workloads.Registry.extras)
 
