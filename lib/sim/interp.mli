@@ -22,9 +22,14 @@
 
     Each run compiles every function once before its first traversal:
     trees into flat operation arrays, call exits resolved to the
-    callee's compiled record.  No call or return looks a function up
-    by name.  Each opcode's semantics is defined once, in this module,
-    and shared by the traversal loop and {!eval_pure}. *)
+    callee's compiled record, and a register file size that covers
+    every register the function mentions.  No call or return looks a
+    function up by name.  Registers and memory words are held unboxed
+    (an int view, a float view and the constructor), in one register
+    file per call depth, so a traversal allocates nothing; a
+    {!Spd_ir.Value.t} is built only for [ret] and the output.  Each
+    opcode's semantics is defined once, in this module, over those
+    views, and shared by the traversal loop and {!eval_pure}. *)
 
 (** {1 Structured errors}
 
@@ -106,8 +111,11 @@ type traversal_cost =
     fuel, _)].  [deadline] is a budget in seconds of elapsed time,
     read from the monotonic {!Spd_telemetry.Clock.now} every few
     thousand traversals; exceeding it raises
-    [Sim_error (Deadline_exceeded d, _)].  An instruction or exit of a
-    shape the interpreter does not execute raises
+    [Sim_error (Deadline_exceeded d, _)].  Globals that do not fit in
+    [mem_words] raise [Sim_error (Globals_exceed_memory, _)] before any
+    is written.  An instruction or exit of a shape the interpreter does
+    not execute, a negative register, or an [spd] watch whose predicate
+    is not one of its function's registers raises
     [Sim_error (Malformed _, _)], naming its function and tree, before
     the first traversal.  A call raises [Unknown_function] when its
     callee is not defined, [Call_depth_exceeded 100_000] when the stack

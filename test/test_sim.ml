@@ -2,7 +2,12 @@
     recursion frames, the call path's error exits, non-faulting
     speculative loads, timing accumulation, profiling, and pricing from
     path histograms (the packed path key, and the dot product that must
-    equal a timed run's cycles in every representation of the counts). *)
+    equal a timed run's cycles in every representation of the counts).
+    IR-level programs pin the unboxed run state: staged exit copies,
+    constructors carried through loads, memory and calls, the pooled
+    image's re-zeroing, register files that cover every register a
+    function mentions, the globals check, and a traversal that
+    allocates nothing. *)
 
 open Util
 module Ir = Spd_ir
@@ -626,6 +631,340 @@ int main() {
          let exits = Array.map retarget t.exits in
          if exits = t.exits then None else Some { t with exits }))
 
+(* ------------------------------------------------------------------ *)
+(* IR-level programs: shapes and values the front end never produces.
+   Instruction ids follow positions; no tree carries arcs. *)
+
+let tree ?(params = []) id insns exits =
+  Tree.make ~id ~name:(Printf.sprintf "t%d" id) ~params
+    ~insns:
+      (Array.of_list
+         (List.mapi (fun k (op, dst, srcs) -> Insn.make ~id:k op ~dst ~srcs) insns))
+    ~exits:(Array.of_list exits) ~arcs:[] ~ranges:Reg.Map.empty ()
+
+let op o d srcs = (o, Some d, srcs)
+let const d v = op (Opcode.Const v) d []
+let int d n = const d (Value.Int n)
+let flt d f = const d (Value.Float f)
+let add d a b = op (Opcode.Ibin Opcode.Add) d [ a; b ]
+let lt d a b = op (Opcode.Icmp Opcode.Lt) d [ a; b ]
+let load d a = op Opcode.Load d [ a ]
+let store a v = (Opcode.Store, None, [ a; v ])
+let addr d g = op (Opcode.Addrof (Opcode.Global g)) d []
+
+let tree_exit ?guard kind =
+  {
+    Tree.xguard = Option.map (fun greg -> { Insn.greg; positive = true }) guard;
+    kind;
+  }
+
+let jump ?guard target args = tree_exit ?guard (Tree.Jump { target; args })
+let return r = tree_exit (Tree.Return { value = Some r })
+
+let call callee args ?ret return_to cont =
+  tree_exit
+    (Tree.Call { callee; call_args = args; ret; return_to; cont_args = cont })
+
+let func ?(params = []) name trees =
+  (name, { Prog.fname = name; fparams = params; frame_words = 0; entry = 0; trees })
+
+let global gname ginit = { Prog.gname; words = Array.length ginit; ginit }
+let prog ?(globals = []) funcs = { Prog.funcs; globals; main = "main" }
+
+let check_value msg want got = Alcotest.check value msg want got
+
+(* Exits whose arguments rotate and then swap the target's parameters:
+   a destination is read by a later argument, so only a staged copy is
+   right (no exit of the paper programs needs one). *)
+let test_parallel_copies () =
+  let p =
+    prog
+      [
+        func "main"
+          [
+            tree 0 [ int 0 1; int 1 2; int 2 3; int 3 0 ] [ jump 1 [ 0; 1; 2; 3 ] ];
+            tree 1 ~params:[ 0; 1; 2; 3 ]
+              [ int 5 1; add 4 3 5; int 6 4; lt 7 3 6 ]
+              [ jump ~guard:7 1 [ 1; 2; 0; 4 ]; jump 2 [ 1; 0; 2 ] ];
+            tree 2 ~params:[ 0; 1; 2 ]
+              [
+                int 8 100;
+                int 9 10;
+                op (Opcode.Ibin Opcode.Mul) 10 [ 0; 8 ];
+                op (Opcode.Ibin Opcode.Mul) 11 [ 1; 9 ];
+                add 12 10 11;
+                add 13 12 2;
+              ]
+              [ return 13 ];
+          ];
+      ]
+  in
+  (* four rotations of (1, 2, 3) give (2, 3, 1); the swap (3, 2, 1) *)
+  check_value "rotated four times, then swapped" (Value.Int 321)
+    (Sim.Interp.run p).ret
+
+(* A loop that loads, per traversal, the word at [w + offs.(i)] into one
+   register, sums its int and float views, prints both sums and returns
+   the last word loaded. *)
+let loads offs =
+  prog
+    ~globals:
+      [
+        global "w" [| Value.Int 7; Value.Float 2.5 |];
+        global "offs" (Array.of_list (List.map (fun o -> Value.Int o) offs));
+      ]
+    [
+      func "main"
+        [
+          tree 0 [ int 0 0; int 1 0; flt 2 0.0; int 3 0 ] [ jump 1 [ 0; 1; 2; 3 ] ];
+          tree 1 ~params:[ 0; 1; 2; 3 ]
+            [
+              addr 4 "offs";
+              add 5 4 0;
+              load 6 5;
+              addr 7 "w";
+              add 8 7 6;
+              load 9 8;
+              add 10 1 9;
+              op (Opcode.Fbin Opcode.Fadd) 11 [ 2; 9 ];
+              int 12 1;
+              add 13 0 12;
+              int 14 (List.length offs);
+              lt 15 13 14;
+            ]
+            [ jump ~guard:15 1 [ 13; 10; 11; 9 ]; jump 2 [ 10; 11; 9 ] ];
+          tree 2 ~params:[ 1; 2; 3 ] [] [ call "print_int" [ 1 ] 3 [ 2; 3 ] ];
+          tree 3 ~params:[ 2; 3 ] [] [ call "print_float" [ 2 ] 4 [ 3 ] ];
+          tree 4 ~params:[ 3 ] [] [ return 3 ];
+        ];
+    ]
+
+let check_loads what offs ~sums ~last =
+  let r = Sim.Interp.run (loads offs) in
+  Alcotest.(check (list value)) (what ^ ": int and float sums") sums r.output;
+  check_value (what ^ ": the last word, constructor included") last r.ret
+
+(* one load destination holds an [Int] on one traversal and a [Float]
+   on the next, in either order; a wild address yields [Int 0] *)
+let test_load_tags () =
+  let sums i f = [ Value.Int i; Value.Float f ] in
+  check_loads "Int, then Float" [ 0; 1 ] ~sums:(sums 9 9.5)
+    ~last:(Value.Float 2.5);
+  check_loads "Float, then Int" [ 1; 0 ] ~sums:(sums 9 9.5) ~last:(Value.Int 7);
+  check_loads "Float, then past memory" [ 1; 1 lsl 40 ] ~sums:(sums 2 2.5)
+    ~last:(Value.Int 0);
+  check_loads "Float, then below memory" [ 1; -100 ] ~sums:(sums 2 2.5)
+    ~last:Value.zero
+
+(* A [Float] stored and loaded back, chosen by [Select] on either
+   predicate, moved, passed to a call and returned keeps its
+   constructor. *)
+let test_float_round_trip () =
+  let p =
+    prog
+      ~globals:[ global "g" [| Value.Int 0 |] ]
+      [
+        func "main"
+          [
+            tree 0
+              [
+                flt 0 1.5;
+                addr 1 "g";
+                store 1 0;
+                load 2 1;
+                int 3 1;
+                int 4 0;
+                op Opcode.Select 5 [ 3; 2; 4 ];
+                op Opcode.Mov 6 [ 5 ];
+              ]
+              [ call "ident" [ 6 ] ~ret:7 1 [] ];
+            tree 1 ~params:[ 7 ]
+              [ int 8 0; int 9 5; op Opcode.Select 10 [ 8; 9; 7 ] ]
+              [ call "print_float" [ 10 ] 2 [ 10 ] ];
+            tree 2 ~params:[ 10 ] [] [ return 10 ];
+          ];
+        func "ident" ~params:[ 0 ]
+          [
+            tree 0 ~params:[ 0 ]
+              [ op Opcode.Mov 1 [ 0 ]; addr 2 "g"; store 2 1; load 3 2 ]
+              [ return 3 ];
+          ];
+      ]
+  in
+  let r = Sim.Interp.run p in
+  check_value "returned as a Float" (Value.Float 1.5) r.ret;
+  Alcotest.(check (list value)) "printed" [ Value.Float 1.5 ] r.output
+
+(* [fill n] stores [Float (a + 0.5)] at every address [a] of
+   [base, base + n) and returns the word at [base]; [scan ~from n]
+   counts the words of [from, from + n) whose int or float view is
+   nonzero (twice per dirty word); [peek a] returns the word at [a].
+   The span starts below a multiple of 4096 words, so it crosses a page
+   of the image. *)
+let base = 4000
+
+let fill n =
+  prog
+    [
+      func "main"
+        [
+          tree 0 [ int 0 base; int 1 (base + n) ] [ jump 1 [ 0; 1 ] ];
+          tree 1 ~params:[ 0; 1 ]
+            [
+              op Opcode.Itof 2 [ 0 ];
+              flt 3 0.5;
+              op (Opcode.Fbin Opcode.Fadd) 4 [ 2; 3 ];
+              store 0 4;
+              int 5 1;
+              add 6 0 5;
+              lt 7 6 1;
+            ]
+            [ jump ~guard:7 1 [ 6; 1 ]; jump 2 [] ];
+          tree 2 [ int 8 base; load 9 8 ] [ return 9 ];
+        ];
+    ]
+
+let scan ?globals ~from n =
+  prog ?globals
+    [
+      func "main"
+        [
+          tree 0 [ int 0 from; int 1 (from + n); int 2 0 ] [ jump 1 [ 0; 1; 2 ] ];
+          tree 1 ~params:[ 0; 1; 2 ]
+            [
+              load 3 0;
+              int 4 0;
+              op (Opcode.Icmp Opcode.Ne) 5 [ 3; 4 ];
+              flt 6 0.0;
+              op (Opcode.Fcmp Opcode.Fne) 7 [ 3; 6 ];
+              add 8 2 5;
+              add 9 8 7;
+              int 10 1;
+              add 11 0 10;
+              lt 12 11 1;
+            ]
+            [ jump ~guard:12 1 [ 11; 1; 9 ]; return 9 ];
+        ];
+    ]
+
+let peek a = prog [ func "main" [ tree 0 [ int 0 a; load 1 0 ] [ return 1 ] ] ]
+
+(* A pooled memory image that one run dirtied reads zero in the next,
+   whether the run's stores were re-zeroed one by one (the dirty list,
+   grown once past its first 256 entries) or, past [mem_words / 8]
+   stores, wholesale; so does a page no run wrote. *)
+let test_pooled_image_reuse () =
+  let mem_words = 16384 in
+  let run p = (Sim.Interp.run ~mem_words p).ret in
+  (* the scan sees nonzero words: 40 initialised globals from address 16 *)
+  check_value "the scan counts a nonzero word twice" (Value.Int 80)
+    (run (scan ~globals:[ global "g" (Array.make 40 (Value.Float 1.5)) ] ~from:16 40));
+  List.iter
+    (fun (path, n) ->
+      check_value (path ^ ": the fill stored")
+        (Value.Float (float_of_int base +. 0.5))
+        (run (fill n));
+      check_value (path ^ ": no word left dirty") (Value.Int 0)
+        (run (scan ~from:base n));
+      List.iter
+        (fun a ->
+          check_value (Printf.sprintf "%s: word %d is Int 0" path a) Value.zero
+            (run (peek a)))
+        [ base; base + n - 1; mem_words - 100 ])
+    [ ("dirty list", 300); ("overflow", (mem_words / 8) + 88) ]
+
+(* The register file covers every register a function mentions: here a
+   callee parameter and a call's receiving register that nothing else
+   mentions. *)
+let test_register_file_bounds () =
+  let p =
+    prog
+      [
+        func "main"
+          [
+            tree 0 [ int 0 5 ] [ call "f" [ 0 ] ~ret:77 1 [] ];
+            tree 1 [ int 1 42 ] [ call "print_int" [ 1 ] 2 [] ];
+            tree 2 [ int 2 43 ] [ return 2 ];
+          ];
+        func "f" ~params:[ 50 ] [ tree 0 [ int 0 9 ] [ return 0 ] ];
+      ]
+  in
+  let r = Sim.Interp.run p in
+  Alcotest.(check (list value)) "output" [ Value.Int 42 ] r.output;
+  check_value "result" (Value.Int 43) r.ret
+
+(* an SpD watch whose predicate lies outside its function's registers
+   fails the run before the first traversal *)
+let test_watch_outside_file () =
+  let p = prog [ func "main" [ tree 0 [ int 0 1 ] [ return 0 ] ] ] in
+  let spd = Sim.Profile.Spd.create () in
+  ignore (Sim.Profile.Spd.watch spd ~func:"main" ~tree_id:0 ~predicate:9);
+  match Sim.Interp.run ~spd p with
+  | exception Sim.Interp.Sim_error (Sim.Interp.Malformed _, ctx) ->
+      check_bool "names the tree" true
+        (ctx.in_func = Some "main" && ctx.in_tree = Some 0)
+  | exception e -> Alcotest.failf "wrong exception: %s" (Printexc.to_string e)
+  | _ -> Alcotest.fail "a predicate outside the file was read"
+
+(* globals that do not fit fail before any of them is written *)
+let test_globals_exceed_memory () =
+  let prog = compile "int a[100]; int x = 5; int main() { return x; }" in
+  check_int "fits" 5 (Value.to_int (Sim.Interp.run ~mem_words:1024 prog).ret);
+  List.iter
+    (fun mem_words ->
+      match Sim.Interp.run ~mem_words prog with
+      | exception Sim.Interp.Sim_error (Sim.Interp.Globals_exceed_memory, _) -> ()
+      | exception e ->
+          Alcotest.failf "%d words: wrong exception: %s" mem_words
+            (Printexc.to_string e)
+      | _ -> Alcotest.failf "%d words: ran" mem_words)
+    [ 64; 116 ]
+
+(* A call-free loop allocates the same minor words at 1,000 and 11,000
+   iterations, with and without a profile and a histogram: a traversal
+   allocates nothing. *)
+let test_no_allocation_per_traversal () =
+  let loop n =
+    compile
+      (Printf.sprintf
+         {|
+int a[16];
+double f[16];
+int main() {
+  int i; int s; double t;
+  s = 0; t = 0.5;
+  for (i = 0; i < %d; i = i + 1) {
+    a[i %% 16] = s;
+    f[i %% 16] = t;
+    if (i %% 3 == 0) s = s + a[(i + 5) %% 16]; else s = s - 1;
+    t = t * 0.5 + f[(i + 1) %% 16] + (double)s;
+  }
+  return s + (int)t;
+}
+|}
+         n)
+  in
+  let short = loop 1_000 and long = loop 11_000 in
+  List.iter
+    (fun instrumented ->
+      let words p =
+        let m0 = Gc.minor_words () in
+        (if instrumented then
+           ignore
+             (Sim.Interp.run ~profile:(Sim.Profile.create ())
+                ~histogram:(Sim.Histogram.create ()) p)
+         else ignore (Sim.Interp.run p));
+        Gc.minor_words () -. m0
+      in
+      ignore (words short);
+      let a = words short in
+      let b = words long in
+      check_int
+        (Printf.sprintf "minor words, %s"
+           (if instrumented then "profile + histogram" else "plain"))
+        (int_of_float a) (int_of_float b))
+    [ false; true ]
+
 let tests =
   [
     case "eval int ops" test_eval_int;
@@ -650,4 +989,16 @@ let tests =
     case "pricing: dense and keyed path counts" test_price_dense_and_keyed;
     case "malformed instruction and exit are rejected"
       test_malformed_rejected;
+    case "exit arguments that rotate and swap parameters" test_parallel_copies;
+    case "a load destination holds Int, then Float" test_load_tags;
+    case "a Float keeps its constructor through memory and calls"
+      test_float_round_trip;
+    case "a pooled image reads zero after a dirty run" test_pooled_image_reuse;
+    case "the register file covers unmentioned params and receivers"
+      test_register_file_bounds;
+    case "a watch predicate outside the register file is rejected"
+      test_watch_outside_file;
+    case "globals past memory fail before any write"
+      test_globals_exceed_memory;
+    case "a traversal allocates nothing" test_no_allocation_per_traversal;
   ]
