@@ -124,10 +124,12 @@ obs-smoke:
 # Translation-validation smoke: certify the full paper grid with the
 # symbolic equivalence checker (`spd report --validate` exits 2 on any
 # refuted verdict or failed cell), then emit one per-workload
-# spd-validate/1 document and lint it against the schema.
+# spd-validate/1 document and lint it against the schema.  Both run
+# without the disk cache, so the smoke runs the validator itself rather
+# than reading verdicts an earlier build cached.
 validate-smoke:
-	$(DUNE) exec bin/spd.exe -- report --validate --jobs 2
-	$(DUNE) exec bin/spd.exe -- validate matmul300 --format json \
+	$(DUNE) exec bin/spd.exe -- report --validate --jobs 2 --no-cache
+	$(DUNE) exec bin/spd.exe -- validate matmul300 --format json --no-cache \
 	  > $(SMOKE_DIR)/spd_validate.json
 	$(DUNE) exec test/json_lint.exe -- $(SMOKE_DIR)/spd_validate.json
 

@@ -567,6 +567,10 @@ let report_cmd =
               (fun session ->
                 let c = Validation.certify session in
                 Fmt.pr "%a@." Validation.pp_certification c;
+                if timings then
+                  List.iter
+                    (Spd_harness.Table.pp Fmt.stdout)
+                    (Spd_harness.Report.timings_tables session);
                 not (Validation.acceptable c)))
       in
       if failed then exit 2

@@ -45,6 +45,7 @@ module Trace = Spd_telemetry.Trace
 let m_lowerings = M.counter_handle "spd.engine.lowerings"
 let m_preparations = M.counter_handle "spd.engine.preparations"
 let m_simulations = M.counter_handle "spd.engine.simulations"
+let m_explorations = M.counter_handle "spd.engine.explorations"
 let m_cache_hits = M.counter_handle "spd.engine.cache.hits"
 let m_cache_misses = M.counter_handle "spd.engine.cache.misses"
 let m_cache_evictions = M.counter_handle "spd.engine.cache.evictions"
@@ -61,9 +62,9 @@ let register_metrics () =
   List.iter
     (fun c -> ignore (M.get c))
     [
-      m_lowerings; m_preparations; m_simulations; m_cache_hits;
-      m_cache_misses; m_cache_evictions; m_cell_retries; m_cell_failures;
-      m_queries;
+      m_lowerings; m_preparations; m_simulations; m_explorations;
+      m_cache_hits; m_cache_misses; m_cache_evictions; m_cell_retries;
+      m_cell_failures; m_queries;
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -381,6 +382,9 @@ module Stats = struct
             prices its program at every width.  NAIVE's reference run,
             which prices NAIVE, STATIC, PERFECT and a SPEC program that
             applies nothing, is the [Profile] stage of a preparation *)
+    explorations : int;
+        (** validation obligations actually explored (the [Validate]
+            stage), one per distinct obligation *)
     disk_hits : int;  (** results served from the on-disk cache *)
     disk_misses : int;  (** on-disk lookups that fell through *)
     disk_evictions : int;  (** corrupt on-disk records evicted and recomputed *)
@@ -401,6 +405,7 @@ module Stats = struct
         ("disk_evictions", t.disk_evictions);
         ("disk_hits", t.disk_hits);
         ("disk_misses", t.disk_misses);
+        ("explorations", t.explorations);
         ("lowerings", t.lowerings);
         ("preparations", t.preparations);
         ("simulations", t.simulations);
@@ -565,10 +570,15 @@ module Session = struct
     dynamics_memo : (key, Pipeline.dynamics outcome) Memo.t;
     decisions_memo : (key, Spd_core.Heuristic.decision list outcome) Memo.t;
     verdicts_memo : (key, Spd_validate.Validate.report list outcome) Memo.t;
+    obligation_memo :
+      ( Digest.t,
+        Spd_validate.Validate.obligation * Spd_validate.Validate.report )
+      Memo.t;
     stats_mu : Mutex.t;
     mutable lowerings : int;
     mutable preparations : int;
     mutable simulations : int;
+    mutable explorations : int;
     mutable disk_hits : int;
     mutable disk_misses : int;
     mutable disk_evictions : int;
@@ -621,10 +631,12 @@ module Session = struct
       dynamics_memo = Memo.create 64;
       decisions_memo = Memo.create 64;
       verdicts_memo = Memo.create 64;
+      obligation_memo = Memo.create 64;
       stats_mu = Mutex.create ();
       lowerings = 0;
       preparations = 0;
       simulations = 0;
+      explorations = 0;
       disk_hits = 0;
       disk_misses = 0;
       disk_evictions = 0;
@@ -718,6 +730,7 @@ module Session = struct
         lowerings = t.lowerings;
         preparations = t.preparations;
         simulations = t.simulations;
+        explorations = t.explorations;
         disk_hits = t.disk_hits;
         disk_misses = t.disk_misses;
         disk_evictions = t.disk_evictions;
@@ -1033,13 +1046,36 @@ module Session = struct
         ("Engine: two run identities share the digest " ^ Digest.to_hex digest);
     run
 
+  (* The session's per-application validation: one exploration per
+     distinct obligation, whichever cell and latency it comes from.  The
+     digest of what the checker reads keys the memo; a hit confirms the
+     obligations are structurally equal, and its row keeps the
+     application's own function, tree, kind and arc. *)
+  let validator t ~func ~before (app : Spd_core.Heuristic.application) after
+      =
+    let module V = Spd_validate.Validate in
+    let obligation = V.obligation ~before ~after () in
+    let key = V.key obligation in
+    let stored, report =
+      Memo.get t.obligation_memo key (fun () ->
+          let report = Pipeline.explore ~func ~before app after in
+          bump t (fun t -> t.explorations <- t.explorations + 1);
+          mark m_explorations;
+          (obligation, report))
+    in
+    if stored != obligation && compare stored obligation <> 0 then
+      failwith
+        ("Engine: two validation obligations share the digest "
+        ^ Digest.to_hex key);
+    { report with func; tree_id = app.tree_id; kind = app.kind; arc = app.arc }
+
   let prepare t (k : key) ~config =
     let lowered = lowered t k.bench in
     bump t (fun t -> t.preparations <- t.preparations + 1);
     mark m_preparations;
     Pipeline.prepare ~config ~front:(front t k.bench)
       ~reference:(fun () -> reference_cell t k)
-      ~run:(shared_run t) k.kind lowered
+      ~run:(shared_run t) ~validator:(validator t) k.kind lowered
 
   let prepared_cell t (k : key) =
     Memo.get t.prep_memo k (fun () -> prepare t k ~config:(config_for t k))

@@ -157,6 +157,12 @@ module Stats : sig
             SPEC program that applies nothing, are priced from NAIVE's
             reference run, made once per benchmark in the [Profile]
             stage *)
+    explorations : int;
+        (** translation-validation obligations actually explored (the
+            [Validate] stage): one per distinct obligation — what the
+            checker reads of the trees before and after an SpD
+            application — however many applications of the session's
+            cells share it *)
     disk_hits : int;  (** results served from the on-disk cache *)
     disk_misses : int;  (** on-disk lookups that fell through *)
     disk_evictions : int;
@@ -268,6 +274,22 @@ module Session : sig
       through the session ({!Pipeline.run} returns it). *)
   val prepared :
     t -> bench:string -> latency:int -> Pipeline.kind -> Pipeline.prepared
+
+  (** The session's per-application translation validation, which its
+      [Spd_verdicts] cells prepare with ([Pipeline.prepare
+      ~validator]): one {!Pipeline.explore} per distinct
+      {!Spd_validate.Validate.obligation}, counted in
+      {!Stats.t.explorations}.  A repeat reuses the first exploration's
+      verdict, stats, digests and [time_ms], and keeps its own
+      function, tree, kind and arc.  Raises [Failure] if two distinct
+      obligations share a key. *)
+  val validator :
+    t ->
+    func:string ->
+    before:Spd_ir.Tree.t ->
+    Spd_core.Heuristic.application ->
+    Spd_ir.Tree.t ->
+    Spd_validate.Validate.report
 
   (** {1 Fan-out}
 

@@ -40,14 +40,15 @@ let pp ppf k = Fmt.string ppf (name k)
 (* ------------------------------------------------------------------ *)
 (* Pipeline stages, for wall-clock instrumentation. *)
 
-type stage = Lower | Profile | Spd | Schedule | Simulate
+type stage = Lower | Profile | Spd | Validate | Schedule | Simulate
 
-let stages = [ Lower; Profile; Spd; Schedule; Simulate ]
+let stages = [ Lower; Profile; Spd; Validate; Schedule; Simulate ]
 
 let stage_name = function
   | Lower -> "lower"
   | Profile -> "profile"
   | Spd -> "spd"
+  | Validate -> "validate"
   | Schedule -> "schedule"
   | Simulate -> "simulate"
 
@@ -71,13 +72,15 @@ let stage_seconds () =
   List.map (fun (st, h) -> (st, (M.hist_value (M.get h)).sum)) m_stage_seconds
 
 (* Every instrumented stage is also a trace span, so a --trace run shows
-   the stage breakdown nested under its grid cell's span. *)
-let time stage f =
+   the stage breakdown nested under its grid cell's span.  [nested] is
+   the time [f] spent in work another stage accounts for, which the
+   observation leaves out so the stage rows stay disjoint. *)
+let time ?(nested = ref 0.) stage f =
   Spd_telemetry.Trace.with_span ~name:("stage:" ^ stage_name stage)
     (fun () ->
       let t0 = Clock.now () in
       let r = f () in
-      observe_stage stage (Clock.now () -. t0);
+      observe_stage stage (Clock.now () -. t0 -. !nested);
       r)
 
 (* Lowering is observed without a [stage:lower] span: the benchmark
@@ -402,13 +405,21 @@ let check_with ~run ~naive ~(reference : unit -> reference) (p : prepared) :
     returns. *)
 let check ~naive ~reference p = check_with ~run:fresh_run ~naive ~reference p
 
+(** One exploration of an SpD application's proof obligation, timed as
+    the [Validate] stage. *)
+let explore ~func ~before app after =
+  time Validate (fun () ->
+      Spd_validate.Validate.check_application ~func ~before app after)
+
 (** Build pipeline [kind] from a lowered program (no arcs yet) under
     [config] (default {!Config.default}).  [front] is the program's
-    validated NAIVE front end, [reference] its NAIVE reference run and
-    [run] SPEC's checking run; without them the preparation makes its
-    own when it needs one. *)
+    validated NAIVE front end, [reference] its NAIVE reference run,
+    [run] SPEC's checking run and [validator] the per-application
+    translation validation; without them the preparation makes its own
+    when it needs one. *)
 let prepare ?(config = Config.default) ?front:shared_front ?reference:shared
-    ?(run = fresh_run) (kind : kind) (lowered : Prog.t) : prepared =
+    ?(run = fresh_run) ?(validator = explore) (kind : kind) (lowered : Prog.t)
+    : prepared =
   let { Config.check = checked; validate; spd_params; graft = _; mem_latency;
         fuel = _; deadline = _; checker_fault } =
     config
@@ -445,6 +456,8 @@ let prepare ?(config = Config.default) ?front:shared_front ?reference:shared
            equivalence proof.  [Heuristic.run] calls it sequentially
            within this preparation, so a plain accumulator is safe. *)
         let acc = ref [] in
+        (* the validator's wall clock, which the Spd stage leaves out *)
+        let validation = ref 0. in
         let fire_fault () =
           match checker_fault with Some f -> f () | None -> ()
         in
@@ -452,9 +465,9 @@ let prepare ?(config = Config.default) ?front:shared_front ?reference:shared
           fire_fault ();
           if checked then transform_checker ~func ~before app after;
           if validate then begin
-            let r =
-              Spd_validate.Validate.check_application ~func ~before app after
-            in
+            let t0 = Clock.now () in
+            let r = validator ~func ~before app after in
+            validation := !validation +. (Clock.now () -. t0);
             observe_verdict r.Spd_validate.Validate.verdict;
             (match r.Spd_validate.Validate.verdict with
             | Spd_validate.Verdict.Refuted cx ->
@@ -487,7 +500,7 @@ let prepare ?(config = Config.default) ?front:shared_front ?reference:shared
           else None
         in
         let prog, apps, ds =
-          time Spd (fun () ->
+          time ~nested:validation Spd (fun () ->
               Heuristic.run ~profile ?checker ?params:spd_params ~mem_latency
                 static)
         in

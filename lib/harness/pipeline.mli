@@ -29,13 +29,17 @@ val pp : Format.formatter -> kind -> unit
 
     The instrumented stages of a pipeline run, in execution order:
     lowering ({!lower}, which the engine calls before {!prepare}),
-    profiling, the disambiguation transforms (static tests + SpD),
+    profiling, the disambiguation transforms (static tests + SpD), the
+    translation validation of each SpD application ({!explore}),
     scheduling and timed simulation.  Every run of a stage, in an
     engine session or not, is observed once in the process-wide
     histogram [spd.engine.stage_seconds.<name>]; every stage but
-    lowering is also a [stage:<name>] trace span. *)
+    lowering is also a [stage:<name>] trace span.  Validation runs
+    inside the SpD heuristic: its span nests in [stage:spd], and the
+    [Spd] observation leaves the validator's time out, so the stage
+    rows are disjoint. *)
 
-type stage = Lower | Profile | Spd | Schedule | Simulate
+type stage = Lower | Profile | Spd | Validate | Schedule | Simulate
 val stage_name : stage -> string
 
 (** Cumulative wall clock per stage in this process, across all
@@ -57,7 +61,7 @@ module Config : sig
     check : bool;  (** verify observable equivalence with NAIVE *)
     validate : bool;
         (** translation-validate every SpD application symbolically
-            ({!Spd_validate.Validate.check_application}): a [Refuted]
+            ({!prepare}'s [validator]): a [Refuted]
             verdict raises {!Validation_failed}, an [Unknown] verdict is
             counted and logged, and the prepared record carries the full
             verdict ledger *)
@@ -207,6 +211,16 @@ val run_identity :
 val check :
   naive:Spd_ir.Prog.t -> reference:(unit -> reference) -> prepared -> run option
 
+(** One exploration of an SpD application's proof obligation:
+    {!Spd_validate.Validate.check_application}, timed as the [Validate]
+    stage. *)
+val explore :
+  func:string ->
+  before:Spd_ir.Tree.t ->
+  Heuristic.application ->
+  Spd_ir.Tree.t ->
+  Spd_validate.Validate.report
+
 (** Build pipeline [kind] from a lowered program (no arcs yet) under
     [config] (default {!Config.default}).  [config.check] runs {!check}
     — the paper validated SpD output the same way — and every accepted
@@ -214,14 +228,22 @@ val check :
     Callers that prepare one program many times share the work:
     [front] is {!front} of the same program and configuration
     (default: {!naive}, made here), [reference] its NAIVE reference run
-    (default: made when first needed, by SPEC and PERFECT), and [run]
+    (default: made when first needed, by SPEC and PERFECT), [run]
     makes the run SPEC's check reads (default: a fresh one, the
-    [Simulate] stage). *)
+    [Simulate] stage), and [validator] gives the ledger row of each SpD
+    application under [config.validate] (default: {!explore}, one
+    exploration per application). *)
 val prepare :
   ?config:Config.t ->
   ?front:Spd_ir.Prog.t ->
   ?reference:(unit -> reference) ->
   ?run:(prepared -> run) ->
+  ?validator:
+    (func:string ->
+    before:Spd_ir.Tree.t ->
+    Heuristic.application ->
+    Spd_ir.Tree.t ->
+    Spd_validate.Validate.report) ->
   kind -> Spd_ir.Prog.t -> prepared
 
 (** The instrumented run that prices a prepared program: the one its

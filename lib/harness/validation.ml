@@ -206,12 +206,15 @@ type certification = {
     workload at each memory latency, fetch the validation ledger and
     tally the verdicts.  A refuted application fails its cell
     ({!Pipeline.Validation_failed}), so it appears in [failed] as well
-    as making the certification unacceptable. *)
+    as making the certification unacceptable.  The grid runs latency by
+    latency: a workload's cells at two latencies mostly share their
+    obligations, so certifying them side by side would leave one domain
+    waiting on the session's memo for the other's explorations. *)
 let certify ?(latencies = [ 2; 6 ]) session : certification =
   let grid =
     List.concat_map
-      (fun bench -> List.map (fun lat -> (bench, lat)) latencies)
-      W.Registry.names
+      (fun lat -> List.map (fun bench -> (bench, lat)) W.Registry.names)
+      latencies
   in
   let outcomes =
     Engine.Session.parallel_map session

@@ -62,9 +62,9 @@ type certification = {
 }
 
 (** Certify every SpD application of the paper grid (default latencies
-    [[2; 6]]): fetch each cell's validation ledger and tally the
-    verdicts.  Failures are contained per cell and reported in
-    [failed]. *)
+    [[2; 6]]): fetch each cell's validation ledger, one latency after
+    the other, and tally the verdicts.  Failures are contained per cell
+    and reported in [failed], in that order. *)
 val certify : ?latencies:int list -> Engine.Session.t -> certification
 
 (** [true] iff no refutation and no failed cell; [Unknown] verdicts

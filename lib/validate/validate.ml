@@ -7,7 +7,9 @@
     path — in particular on both sides of the speculated alias
     predicate.  [check_application] wraps it for the
     {!Spd_core.Heuristic} checker hook and produces the ledger row the
-    harness caches and serializes as [spd-validate/1]. *)
+    harness caches and serializes as [spd-validate/1].  [obligation]
+    and [key] name what [check_trees] reads, so that an engine session
+    explores each distinct obligation once. *)
 
 open Spd_ir
 module Heuristic = Spd_core.Heuristic
@@ -26,13 +28,41 @@ type report = {
   store_digest : string;
       (** digest of the original tree's per-path committed-store classes *)
   time_ms : float;
-      (** wall-clock of the first computation; cached with the row and
-          reported by the pretty renderer only — the JSON document must
-          be a pure function of its inputs *)
+      (** wall clock of the exploration that produced the verdict: a row
+          served from an engine session's verdict memo or from the disk
+          cache carries the time of the exploration it reuses.  Reported
+          by the pretty renderer only — the JSON document must be a pure
+          function of its inputs *)
 }
 
 let default_max_paths = 4096
 let default_samples = 64
+
+(** What {!check_trees} reads of one obligation: each tree's parameters,
+    instructions, exits and address parameters (as a sorted list, so
+    equal sets compare equal whatever their balance), plus the budgets.
+    Neither [Symexec] nor [Concrete] reads a tree's [id], [name], [arcs]
+    or [ranges], so they are left out.  Equal obligations have equal
+    verdicts, stats and digests. *)
+type obligation = {
+  max_paths : int;
+  samples : int;
+  before_tree : Reg.t list * Insn.t array * Tree.exit array * Reg.t list;
+  after_tree : Reg.t list * Insn.t array * Tree.exit array * Reg.t list;
+}
+
+let obligation ?(max_paths = default_max_paths) ?(samples = default_samples)
+    ~(before : Tree.t) ~(after : Tree.t) () : obligation =
+  let read (t : Tree.t) =
+    (t.params, t.insns, t.exits, Reg.Set.elements t.addr_params)
+  in
+  { max_paths; samples; before_tree = read before; after_tree = read after }
+
+(** The MD5 of an obligation's marshalled bytes, what a memo of reports
+    is keyed by.  A memo hit should still compare the obligations, as a
+    guard against a digest collision. *)
+let key (o : obligation) : Digest.t =
+  Digest.string (Marshal.to_string o [ Marshal.No_sharing ])
 
 let check_trees ?(max_paths = default_max_paths) ?(samples = default_samples)
     ~(before : Tree.t) ~(after : Tree.t) () :

@@ -463,6 +463,35 @@ let test_paper_grid_runs () =
   check_int "warm: disk hits" 289 warm.Engine.Stats.disk_hits;
   check_int "warm: still one pack" 1 (files ".pack")
 
+(* One exploration per distinct validation obligation: certifying the
+   paper grid from a fresh session without a disk cache proves its 62
+   SpD applications with 28 explorations, at one domain and at two, and
+   the [validate] stage observes each exploration once. *)
+let test_certify_explores_once () =
+  let validate_stage () =
+    match
+      List.assoc_opt "spd.engine.stage_seconds.validate"
+        (Spd_telemetry.Metrics.snapshot ())
+    with
+    | Some (Spd_telemetry.Metrics.Hist h) -> h.count
+    | _ -> 0
+  in
+  List.iter
+    (fun jobs ->
+      let what = Printf.sprintf "jobs %d" jobs in
+      let before = validate_stage () in
+      let c, st =
+        with_session (Engine.Session.create ~jobs ()) (fun s ->
+            let c = H.Validation.certify s in
+            (c, Engine.Session.stats s))
+      in
+      check_int (what ^ ": applications") 62 c.H.Validation.applications;
+      check_int (what ^ ": proved") 62 c.H.Validation.proved;
+      check_int (what ^ ": explorations") 28 st.Engine.Stats.explorations;
+      check_int (what ^ ": validate stage count") 28
+        (validate_stage () - before))
+    [ 1; 2 ]
+
 let test_parallel_map_order () =
   let s = Engine.Session.create ~jobs:4 () in
   Fun.protect ~finally:(fun () -> Engine.Session.close s) @@ fun () ->
@@ -669,6 +698,8 @@ let tests =
     case "shared SPEC run = fresh run (identity oracle)"
       test_shared_run_identity;
     case "paper grid: one run per distinct program" test_paper_grid_runs;
+    case "paper grid: one exploration per distinct obligation"
+      test_certify_explores_once;
     case "why JSON deterministic (jobs, cache)" test_why_json_deterministic;
     case "why ledger = spd-counts row" test_why_agrees_with_counts;
   ]

@@ -234,10 +234,144 @@ let test_certify_acceptable () =
     (List.length (H.Report.benches ()) * List.length H.Report.latencies)
     c.H.Validation.cells
 
+(* ------------------------------------------------------------------ *)
+(* An engine session explores each distinct obligation once.  Its
+   ledgers must equal fresh explorations row for row, in every field
+   but the wall clock, and the memo key must cover exactly what the
+   checker reads. *)
+
+let source bench =
+  (Spd_workloads.Registry.by_name bench).Spd_workloads.Workload.source
+
+let same_row (a : V.report) (b : V.report) =
+  compare { a with time_ms = 0. } { b with time_ms = 0. } = 0
+
+let test_memo_rows_equal_fresh () =
+  with_session (Engine.Session.create ~jobs:2 ()) @@ fun s ->
+  List.iter
+    (fun bench ->
+      List.iter
+        (fun latency ->
+          let ledger = ask s ~bench ~latency Engine.Query.Spd_verdicts in
+          let fresh =
+            List.map
+              (fun (func, before, app, after) ->
+                V.check_application ~func ~before app after)
+              (Golden_render.spec_pairs ~mem_latency:latency (source bench))
+          in
+          check_int
+            (Printf.sprintf "%s/lat%d: rows" bench latency)
+            (List.length fresh) (List.length ledger);
+          List.iteri
+            (fun i (m, (f : V.report)) ->
+              if not (same_row m f) then
+                Alcotest.failf
+                  "%s/lat%d row %d (%s tree %d arc #%d->#%d) differs from a \
+                   fresh exploration"
+                  bench latency i f.func f.tree_id (fst f.arc) (snd f.arc))
+            (List.combine ledger fresh))
+        [ 2; 6 ])
+    (Spd_workloads.Registry.names @ [ "matmul300" ]);
+  (* every repeat on the paper grid has its first row's function, tree,
+     kind and arc, so ask for a known obligation under other ones: the
+     hit must carry the asker's *)
+  let func, before, app, after =
+    List.hd (Golden_render.spec_pairs (source "tree"))
+  in
+  let func = func ^ "'" in
+  let app =
+    {
+      app with
+      tree_id = app.tree_id + 1000;
+      arc = (snd app.arc, fst app.arc);
+      kind = (if app.kind = Spd_ir.Memdep.Raw then Waw else Raw);
+    }
+  in
+  let explored () = (Engine.Session.stats s).Engine.Stats.explorations in
+  let n = explored () in
+  let hit = Engine.Session.validator s ~func ~before app after in
+  check_int "a known obligation is a hit" n (explored ());
+  check_bool "a hit keeps the asker's function, tree, kind and arc" true
+    (same_row hit (V.check_application ~func ~before app after))
+
+let test_obligation_key () =
+  let module Tree = Spd_ir.Tree in
+  let module Reg = Spd_ir.Reg in
+  (* a pair whose trees carry arcs and ranges, so dropping them is a
+     real change *)
+  let carries (t : Tree.t) = t.arcs <> [] && not (Reg.Map.is_empty t.ranges) in
+  let before, after =
+    match
+      List.find_map
+        (fun bench ->
+          List.find_map
+            (fun (_, b, _, a) ->
+              if carries b && carries a then Some (b, a) else None)
+            (Golden_render.spec_pairs (source bench)))
+        Spd_workloads.Registry.names
+    with
+    | Some pair -> pair
+    | None -> Alcotest.fail "no SpD application with arcs and ranges"
+  in
+  let key ?max_paths ?samples ~before ~after () =
+    V.key (V.obligation ?max_paths ?samples ~before ~after ())
+  in
+  let base = key ~before ~after () in
+  let fresh (t : Tree.t) = 1 + Reg.Set.max_elt (Tree.all_regs t) in
+  let last a = a.(Array.length a - 1) in
+  let changed =
+    [
+      ( "params",
+        fun (t : Tree.t) -> { t with params = t.params @ [ fresh t ] } );
+      ( "insns",
+        fun t ->
+          { t with insns = Array.sub t.insns 0 (Array.length t.insns - 1) } );
+      ( "exits",
+        fun t -> { t with exits = Array.append t.exits [| last t.exits |] } );
+      ( "addr_params",
+        fun t -> { t with addr_params = Reg.Set.add (fresh t) t.addr_params } );
+    ]
+  and kept =
+    [
+      ("id", fun (t : Tree.t) -> { t with id = t.id + 1000 });
+      ("name", fun t -> { t with name = t.name ^ "'" });
+      ("arcs", fun t -> { t with arcs = [] });
+      ("ranges", fun t -> { t with ranges = Reg.Map.empty });
+      ( "addr_params inserted in reverse",
+        fun t ->
+          {
+            t with
+            addr_params =
+              List.fold_right Reg.Set.add (Reg.Set.elements t.addr_params)
+                Reg.Set.empty;
+          } );
+    ]
+  in
+  let check_field ~same (field, f) =
+    List.iter
+      (fun (side, k) ->
+        check_bool
+          (Printf.sprintf "%s of %s %s the key" field side
+             (if same then "keeps" else "changes"))
+          same (Digest.equal k base))
+      [
+        ("before", key ~before:(f before) ~after ());
+        ("after", key ~before ~after:(f after) ());
+      ]
+  in
+  List.iter (check_field ~same:false) changed;
+  List.iter (check_field ~same:true) kept;
+  check_bool "max_paths changes the key" false
+    (Digest.equal base (key ~max_paths:1 ~before ~after ()));
+  check_bool "samples change the key" false
+    (Digest.equal base (key ~samples:1 ~before ~after ()))
+
 let tests =
   [
     case "paper grid: every application proved" test_paper_grid_proved;
     case "ledger matches the golden file" test_golden_ledger;
+    case "session memo rows = fresh explorations" test_memo_rows_equal_fresh;
+    case "obligation key: what the checker reads" test_obligation_key;
     case "refutes a flipped store guard" test_refutes_flipped_guard;
     case "refutes swapped select arms" test_refutes_swapped_select;
     qcase prop_proved_implies_concrete_equality;
