@@ -1,22 +1,24 @@
 # Convenience targets; `make check` is the CI entry point: full build,
-# the test suite, a 200-seed differential fuzz smoke, a table6_3 smoke
-# run twice — the second pass must be served entirely from the warm
-# _spd_cache/ (its --timings must read preparations 0 and simulations
-# 0, or the check fails) — a zero --mem-latency or --width refused with
-# exit 124 and the shared positive-integer wording, a telemetry smoke
-# that lints the trace and JSON report output with the in-repo JSON
-# reader, a translation-
-# validation smoke that certifies every SpD application on the paper
-# grid with the symbolic equivalence checker, and last the hot-path
-# throughput gate (perf-smoke), so a failing gate does not keep the
-# daemon and validation smokes from running.
+# the test suite (its golden corpus pins the schedules, the validation
+# ledger, every why/validate/explain document and every report artefact
+# but the wall-clock timings), a 200-seed differential fuzz smoke, a
+# table6_3 smoke run twice — the second pass must be served entirely
+# from the warm _spd_cache/ (its --timings must read preparations 0 and
+# simulations 0, or the check fails) — a zero --mem-latency or --width
+# refused with exit 124 and the shared positive-integer wording, a
+# telemetry smoke that lints the trace and JSON report output with the
+# in-repo JSON reader, the daemon smokes, a translation-validation smoke
+# that certifies every SpD application on the paper grid with the
+# symbolic equivalence checker, and last the hot-path throughput gate
+# (perf-smoke), so a failing gate does not keep the daemon and
+# validation smokes from running.
 
 DUNE ?= dune
 SMOKE_DIR ?= /tmp
 
 .PHONY: all check test bench bench-json fuzz-smoke telemetry-smoke \
-	bench-diff-smoke perf-smoke serve-smoke chaos-smoke obs-smoke \
-	validate-smoke golden-promote clean
+	perf-smoke serve-smoke chaos-smoke obs-smoke validate-smoke \
+	golden-promote clean
 
 all:
 	$(DUNE) build
@@ -45,28 +47,6 @@ telemetry-smoke:
 	  $(SMOKE_DIR)/spd_trace.json $(SMOKE_DIR)/spd_report.json \
 	  $(SMOKE_DIR)/spd_explain.json $(SMOKE_DIR)/spd_why.json \
 	  $(SMOKE_DIR)/spd_cache.json
-
-# Regression-tracker smoke: generate the cycles artefact twice (the
-# second run is served from the warm cache, so the reports agree and
-# `spd bench diff` must exit 0), then inject a deterministic 10% cycle
-# inflation via the Faults hooks and require diff to exit 2.  The diff
-# JSON is linted against the spd-bench-diff/1 schema.
-bench-diff-smoke:
-	$(DUNE) exec bin/spd.exe -- report cycles --jobs 2 --format json \
-	  > $(SMOKE_DIR)/spd_bench_a.json
-	$(DUNE) exec bin/spd.exe -- report cycles --jobs 2 --format json \
-	  > $(SMOKE_DIR)/spd_bench_b.json
-	$(DUNE) exec bin/spd.exe -- bench diff \
-	  $(SMOKE_DIR)/spd_bench_a.json $(SMOKE_DIR)/spd_bench_b.json
-	$(DUNE) exec bin/spd.exe -- report cycles --jobs 2 --format json \
-	  --inject-fault cycles-inflate:10 > $(SMOKE_DIR)/spd_bench_slow.json
-	$(DUNE) exec bin/spd.exe -- bench diff --format json \
-	  $(SMOKE_DIR)/spd_bench_a.json $(SMOKE_DIR)/spd_bench_slow.json \
-	  > $(SMOKE_DIR)/spd_bench_diff.json; \
-	  status=$$?; if [ $$status -ne 2 ]; then \
-	    echo "bench-diff-smoke: expected exit 2 on injected slowdown, got $$status"; \
-	    exit 1; fi
-	$(DUNE) exec test/json_lint.exe -- $(SMOKE_DIR)/spd_bench_diff.json
 
 # Hot-path throughput gate: measure matmul300 and fail (exit 2) if
 # simulate throughput drops more than 25% below the committed
@@ -133,8 +113,10 @@ validate-smoke:
 	  > $(SMOKE_DIR)/spd_validate.json
 	$(DUNE) exec test/json_lint.exe -- $(SMOKE_DIR)/spd_validate.json
 
-# Regenerate the golden-schedule corpus under test/golden/ after an
-# intentional scheduler or DDG change; review the grid diff and commit.
+# Regenerate the golden corpus under test/golden/ (schedule grids,
+# validate.txt and documents.txt, the digests of every why, validate and
+# explain document) after an intentional change to the numbers; review
+# the diff and commit.
 golden-promote:
 	$(DUNE) exec test/golden_promote.exe
 
@@ -160,7 +142,6 @@ check: all
 	    exit 1; fi; \
 	done
 	$(MAKE) telemetry-smoke
-	$(MAKE) bench-diff-smoke
 	$(MAKE) serve-smoke
 	$(MAKE) chaos-smoke
 	$(MAKE) obs-smoke

@@ -4,8 +4,6 @@
     spd compile FILE [--pipeline P] [--mem-latency N]   dump the decision-tree IR
     spd run     FILE [--pipeline P] [--width W] ...     compile, simulate, time
     spd bench   NAME [--mem-latency N]                  one built-in benchmark, all pipelines
-    spd bench   diff OLD NEW [--threshold PCT]          compare two bench reports
-    spd bench   snapshot [--from FILE]                  timestamped copy into bench/history/
     spd explain WORKLOAD [--fn F] [--tree T]            occupancy grids + critical paths
     spd why     WORKLOAD [--fn F] [--tree T]            the heuristic's decision ledger
                 [--format pretty|json|csv]
@@ -161,10 +159,11 @@ let faults_arg =
            $(b,cache-corrupt:N) (corrupt the Nth cache read), \
            $(b,cell-raise:KEY[@TIMES]) (raise in cells whose key \
            starts with KEY, e.g. adi/2/SPEC), $(b,fuel:N) (tight \
-           simulator budget), $(b,cycles-inflate:PCT) (inflate \
-           reported cycle counts — for exercising the regression \
-           tracker) and $(b,worker-raise:N) (crash the daemon worker on \
-           the first N connections — for exercising supervision).")
+           simulator budget), $(b,worker-raise:N) (crash the daemon \
+           worker on the first N connections — for exercising \
+           supervision) and $(b,checker-raise:N) (raise from the first N \
+           SpD transform-checker calls — for exercising per-cell \
+           containment).")
 
 let jobs_arg =
   Arg.(
@@ -276,12 +275,8 @@ let require_workload name =
 
 let bench_run_cmd =
   let run name mem_latency width =
+    require_workload name;
     handle_errors (fun () ->
-        (if not (List.mem name (workload_names ())) then begin
-           Fmt.epr "unknown benchmark %S (one of: %s)@." name
-             (String.concat ", " (workload_names ()));
-           exit 1
-         end);
         let w = Spd_workloads.Registry.by_name name in
         let width =
           match width with
@@ -312,123 +307,6 @@ let bench_run_cmd =
       & info [] ~docv:"NAME" ~doc:"Benchmark name (see $(b,spd list)).")
   in
   Term.(const run $ name_arg $ mem_latency_arg $ width_arg)
-
-let bench_diff_cmd =
-  let module Artefact = Spd_harness.Artefact in
-  let module Benchdiff = Spd_harness.Benchdiff in
-  let run old_file new_file threshold format =
-    match
-      Benchdiff.diff_strings ~threshold ~old_report:(read_file old_file)
-        ~new_report:(read_file new_file) ()
-    with
-    | Error msg ->
-        Fmt.epr "bench diff: %s@." msg;
-        exit 1
-    | Ok d ->
-        Artefact.render_doc format Fmt.stdout
-          ~tables:(fun () -> [ Benchdiff.to_table d ])
-          ~json:(fun () -> Benchdiff.to_json d);
-        if d.Benchdiff.regressions > 0 then exit 2
-  in
-  let old_arg =
-    Arg.(
-      required
-      & pos 0 (some file) None
-      & info [] ~docv:"OLD"
-          ~doc:"Baseline spd-report/1 document (e.g. a bench/history/ \
-                snapshot).")
-  in
-  let new_arg =
-    Arg.(
-      required
-      & pos 1 (some file) None
-      & info [] ~docv:"NEW"
-          ~doc:"Candidate spd-report/1 document (e.g. BENCH_REPORT.json).")
-  in
-  let threshold_arg =
-    Arg.(
-      value
-      & opt float 0.0
-      & info [ "threshold" ] ~docv:"PCT"
-          ~doc:
-            "Tolerated relative change in percent; a cell regresses only \
-             when it moves in the bad direction by more than this \
-             (default 0: any worsening counts).")
-  in
-  Cmd.v
-    (Cmd.info "diff"
-       ~doc:
-         "Compare two bench reports cell by cell; exits 2 when any \
-          tracked value regresses beyond the threshold.")
-    Term.(
-      const run $ old_arg $ new_arg $ threshold_arg
-      $ format_arg
-          ~doc:
-            "Output format: $(b,pretty) (default), $(b,json) (one \
-             spd-bench-diff/1 document) or $(b,csv).")
-
-let bench_snapshot_cmd =
-  let run from dir =
-    let doc = read_file from in
-    (match Spd_telemetry.Json.of_string doc with
-    | Error msg ->
-        Fmt.epr "bench snapshot: %s is not valid JSON: %s@." from msg;
-        exit 1
-    | Ok json -> (
-        match
-          Option.bind
-            (Spd_telemetry.Json.member "schema" json)
-            Spd_telemetry.Json.to_string_opt
-        with
-        | Some s
-          when s = Spd_harness.Artefact.report_schema
-               || s = Spd_harness.Microbench.schema ->
-            ()
-        | _ ->
-            Fmt.epr "bench snapshot: %s is not an %s or %s document@." from
-              Spd_harness.Artefact.report_schema
-              Spd_harness.Microbench.schema;
-            exit 1));
-    if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-    let tm = Unix.localtime (Unix.gettimeofday ()) in
-    let stamp =
-      Printf.sprintf "%04d%02d%02d-%02d%02d%02d" (tm.Unix.tm_year + 1900)
-        (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min
-        tm.Unix.tm_sec
-    in
-    let rec fresh n =
-      let path =
-        Filename.concat dir
-          (if n = 0 then stamp ^ ".json"
-           else Printf.sprintf "%s-%d.json" stamp n)
-      in
-      if Sys.file_exists path then fresh (n + 1) else path
-    in
-    let path = fresh 0 in
-    Out_channel.with_open_bin path (fun oc ->
-        Out_channel.output_string oc doc);
-    Fmt.pr "%s@." path
-  in
-  let from_arg =
-    Arg.(
-      value
-      & opt file "BENCH_REPORT.json"
-      & info [ "from" ] ~docv:"FILE"
-          ~doc:"Report to snapshot (default BENCH_REPORT.json).")
-  in
-  let dir_arg =
-    Arg.(
-      value
-      & opt string "bench/history"
-      & info [ "dir" ] ~docv:"DIR"
-          ~doc:"History directory (default bench/history).")
-  in
-  Cmd.v
-    (Cmd.info "snapshot"
-       ~doc:
-         "Validate a bench report and copy it into the history directory \
-          under a timestamped name, printing the path written.")
-    Term.(const run $ from_arg $ dir_arg)
 
 let bench_micro_cmd =
   let module Microbench = Spd_harness.Microbench in
@@ -527,24 +405,21 @@ let bench_micro_cmd =
             "Output format: $(b,pretty) (default), $(b,json) (one \
              spd-micro/1 document) or $(b,csv).")
 
-(* [spd bench NAME] predates the diff/snapshot subcommands; the main
-   entry point rewrites it to [spd bench run NAME] so both forms work. *)
-let bench_subcommands = [ "run"; "diff"; "snapshot"; "micro" ]
+(* the subcommands of [spd bench]; the main entry point rewrites
+   [spd bench NAME] for any other word to [spd bench run NAME] *)
+let bench_subcommands = [ "run"; "micro" ]
 
 let bench_cmd =
   Cmd.group ~default:bench_run_cmd
     (Cmd.info "bench"
        ~doc:
          "Run one built-in benchmark under all four pipelines; \
-          $(b,diff)/$(b,snapshot)/$(b,micro) track bench reports and \
-          hot-path throughput over time.")
+          $(b,micro) measures hot-path throughput.")
     [
       Cmd.v
         (Cmd.info "run"
            ~doc:"Run one built-in benchmark under all four pipelines.")
         bench_run_cmd;
-      bench_diff_cmd;
-      bench_snapshot_cmd;
       bench_micro_cmd;
     ]
 

@@ -52,8 +52,7 @@ val render :
 (** Render one document in [format]: [Pretty] prints [tables ()],
     [Json] prints [json ()] on one line, [Csv] prints {!Table.csv_header}
     and every line of [tables ()].  [spd explain], [spd why],
-    [spd validate], [spd bench diff] and [spd bench micro] print through
-    it. *)
+    [spd validate] and [spd bench micro] print through it. *)
 val render_doc :
   format ->
   Format.formatter ->

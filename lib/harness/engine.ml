@@ -1118,20 +1118,13 @@ module Session = struct
 
   let map_outcome f = function Ok v -> Ok (f v) | Failed f -> Failed f
 
-  (* an armed cycles-inflate fault perturbs what we report but never
-     what we persist or memoize, so the cache stays truthful and the
-     slowdown applies to cache hits too *)
   let cycles_cell t (k : key) ~width =
-    match
-      persisted t t.cycles_memo (k, width) k ~width ~entry:"cycles"
-        ~store:(fun n -> D_cycles n)
-        ~load:(function D_cycles n -> Some n | _ -> None)
-        (fun () ->
-          let p = prepared_cell t k in
-          Pipeline.price p (run_cell t k) ~width)
-    with
-    | Ok n -> Ok (Faults.inflate_cycles t.faults n)
-    | Failed _ as failed -> failed
+    persisted t t.cycles_memo (k, width) k ~width ~entry:"cycles"
+      ~store:(fun n -> D_cycles n)
+      ~load:(function D_cycles n -> Some n | _ -> None)
+      (fun () ->
+        let p = prepared_cell t k in
+        Pipeline.price p (run_cell t k) ~width)
 
   (* code size and Table 6-3 counts of a cell, from one preparation *)
   let summary_cell t (k : key) =

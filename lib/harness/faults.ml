@@ -13,9 +13,6 @@
     cell-raise:<key>[@<n>]    raise from matching cells ([n] first hits
                               only; default every hit)
     fuel:<n>                  cap every simulation at n tree traversals
-    cycles-inflate:<pct>      inflate every reported cycle count by pct%
-                              (an injected slowdown for regression-tracker
-                              tests; never written to the cache)
     worker-raise:<n>          daemon: raise from the first n accepted
                               connections, exercising worker supervision
     checker-raise:<n>         raise from the first n per-application
@@ -41,7 +38,6 @@ type t = {
   cache_corrupt : int option;  (** which cache read to corrupt, 1-based *)
   cell : (string * int) option;  (** key prefix, number of hits armed *)
   fuel : int option;  (** simulator fuel override *)
-  inflate : float option;  (** cycle-count inflation, in percent *)
   worker : int option;  (** connections whose worker should raise *)
   checker : int option;  (** checker invocations that should raise *)
   reads : int Atomic.t;  (** on-disk cache reads observed so far *)
@@ -51,30 +47,16 @@ type t = {
 }
 
 let none =
-  { cache_corrupt = None; cell = None; fuel = None; inflate = None;
-    worker = None; checker = None; reads = Atomic.make 0;
+  { cache_corrupt = None; cell = None; fuel = None; worker = None;
+    checker = None; reads = Atomic.make 0;
     raises = Atomic.make 0; worker_hits = Atomic.make 0;
     checker_hits = Atomic.make 0 }
 
 let is_none t =
   t.cache_corrupt = None && t.cell = None && t.fuel = None
-  && t.inflate = None && t.worker = None && t.checker = None
+  && t.worker = None && t.checker = None
 
 let fuel t = t.fuel
-
-(** Apply the armed cycle inflation to a measured cycle count.  The
-    result is what the engine reports upwards; the truthful value is
-    what goes to (and comes from) the on-disk cache, so an armed
-    inflation acts as a pure, deterministic slowdown of the current run
-    only. *)
-let inflate_cycles t cycles =
-  match t.inflate with
-  | None -> cycles
-  | Some pct ->
-      (* fractional cycles round up; the epsilon keeps an exact product
-         like 100 * 1.1 from ceiling into the next integer *)
-      int_of_float
-        (ceil ((float_of_int cycles *. (1.0 +. (pct /. 100.0))) -. 1e-9))
 
 let corrupt_cache_read t =
   match t.cache_corrupt with
@@ -117,7 +99,8 @@ let parse_one acc spec =
       Error
         (Printf.sprintf
            "malformed fault %S (expected cache-corrupt:<n>, \
-            cell-raise:<key>[@<n>] or fuel:<n>)"
+            cell-raise:<key>[@<n>], fuel:<n>, worker-raise:<n> or \
+            checker-raise:<n>)"
            spec)
   | Some i -> (
       let name = String.sub spec 0 i in
@@ -142,13 +125,6 @@ let parse_one acc spec =
                   (parse_int "cell-raise count" times))
       | "fuel" ->
           Result.map (fun n -> { acc with fuel = Some n }) (parse_int "fuel" arg)
-      | "cycles-inflate" -> (
-          match float_of_string_opt arg with
-          | Some pct when pct > 0.0 -> Ok { acc with inflate = Some pct }
-          | _ ->
-              Error
-                (Printf.sprintf
-                   "cycles-inflate wants a positive percentage, got %S" arg))
       | "worker-raise" ->
           Result.map
             (fun n -> { acc with worker = Some n })
@@ -180,7 +156,6 @@ let pp ppf t =
             else Printf.sprintf "cell-raise:%s@%d" k n)
           t.cell;
         Option.map (Printf.sprintf "fuel:%d") t.fuel;
-        Option.map (Printf.sprintf "cycles-inflate:%g") t.inflate;
         Option.map (Printf.sprintf "worker-raise:%d") t.worker;
         Option.map (Printf.sprintf "checker-raise:%d") t.checker;
       ]

@@ -12,9 +12,6 @@
     cell-raise:<key>[@<n>]    raise from matching cells ([n] first hits
                               only; default every hit)
     fuel:<n>                  cap every simulation at n tree traversals
-    cycles-inflate:<pct>      inflate every reported cycle count by pct%
-                              (an injected slowdown for regression-tracker
-                              tests; never written to the cache)
     worker-raise:<n>          daemon: raise from the first n accepted
                               connections, exercising worker supervision
     checker-raise:<n>         raise from the first n per-application
@@ -58,13 +55,6 @@ val cell_raise : t -> key:string -> unit
 
 (** Simulator fuel override, if armed. *)
 val fuel : t -> int option
-
-(** [inflate_cycles t n] is [n] inflated by the armed [cycles-inflate]
-    percentage (identity when none armed).  The engine applies it to
-    every reported cycle count — cache hits included — but never to the
-    values it persists, so the slowdown is confined to the current
-    run. *)
-val inflate_cycles : t -> int -> int
 
 (** {1 Daemon hooks} *)
 

@@ -16,17 +16,15 @@
 
     Each stage is repeated until [min_time] seconds of wall clock have
     accumulated, so throughputs are stable without a fixed iteration
-    count.  The result renders as the shared table data — so
-    [spd bench diff] tracks it with its normal polarity machinery
-    ([micro*] tables are higher-better) — and serializes as one
-    [spd-micro/1] JSON document, suitable for [spd bench snapshot] into
-    {e bench/history/}.
+    count.  The result renders as the shared table data and serializes
+    as one [spd-micro/1] JSON document; [make perf-smoke] compares its
+    simulate throughput against the committed
+    {e bench/history/micro-baseline.json}.
 
     Alongside the throughputs the document records each workload's
-    simulated cycle and traversal counts under the lower-better
-    [cycles.micro] table: a determinism anchor.  A hot-path rewrite
-    that accidentally changes a schedule shows up as a cycle-count
-    regression in the same diff that celebrates its speedup. *)
+    simulated cycle and traversal counts under the [cycles.micro]
+    table, so a hot-path rewrite that changes a schedule shows in the
+    same document that reports its speedup. *)
 
 module Json = Spd_telemetry.Json
 module Interp = Spd_sim.Interp

@@ -3,10 +3,10 @@
     Per workload: compile, schedule and simulate throughput plus the
     end-to-end wall clock of a full pipeline run, each stage repeated
     until a minimum wall-clock budget has accumulated.  Results render
-    through the shared {!Table} data (so [spd bench diff] tracks them
-    — [micro*] tables are higher-better, the [cycles.micro]
-    determinism anchor lower-better) and serialize as one
-    [spd-micro/1] document for [spd bench snapshot]. *)
+    through the shared {!Table} data ([micro*] throughput tables and
+    the [cycles.micro] cycle counts) and serialize as one [spd-micro/1]
+    document, which [make perf-smoke] gates against a committed
+    baseline. *)
 
 (** Schema identifier of the JSON document: ["spd-micro/1"]. *)
 val schema : string

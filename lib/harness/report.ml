@@ -185,8 +185,7 @@ let fig6_2_tables s =
            (benches ())))
     latencies
 
-(** Raw cycle counts on the 5-FU machine — the regression tracker's
-    primary input ([spd bench diff]); not part of the paper set. *)
+(** Raw cycle counts on the 5-FU machine; not part of the paper set. *)
 let cycles_tables s =
   let int_cell = function
     | Engine.Ok v -> Table.Int v

@@ -38,8 +38,7 @@ val table6_4_tables : Engine.Session.t -> Table.t list
 val fig6_2_tables : Engine.Session.t -> Table.t list
 
 (** Raw cycle counts on the 5-FU machine, one table per memory latency
-    ([cycles.lat2], …) — the regression tracker's primary lower-is-better
-    input ([spd bench diff]).  Not part of the paper set. *)
+    ([cycles.lat2], …).  Not part of the paper set. *)
 val cycles_tables : Engine.Session.t -> Table.t list
 val fig6_3_tables : Engine.Session.t -> Table.t list
 val fig6_4_tables : Engine.Session.t -> Table.t list

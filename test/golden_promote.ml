@@ -1,11 +1,12 @@
 (** Regenerate the golden corpus ([make golden-promote]).
 
-    Renders every (workload, width) schedule document and the
-    validation ledger with the same {!Golden_render} the test suite
-    diffs against, and writes the files into the directory named on the
-    command line (default [test/golden]).  Run it after an
-    {e intentional} scheduler, DDG or validator change, eyeball the git
-    diff, and commit. *)
+    Renders every (workload, width) schedule document, the validation
+    ledger and the why/validate/explain document digests with the same
+    {!Golden_render} the test suite diffs against, and writes the files
+    into the directory named on the command line (default
+    [test/golden]).  Run it after an
+    {e intentional} scheduler, DDG, validator or cycle-model change,
+    eyeball the git diff, and commit. *)
 
 let () =
   let dir =
@@ -35,4 +36,5 @@ let () =
             (Golden_render.render ~workload ~width))
         Golden_render.widths)
     Spd_workloads.Registry.names;
-  write Golden_render.validate_file (Golden_render.render_validate ())
+  write Golden_render.validate_file (Golden_render.render_validate ());
+  write Golden_render.documents_file (Golden_render.render_documents ())

@@ -6,17 +6,34 @@
     committed under [test/golden/]; [make golden-promote] regenerates
     the files with the same renderer, so an intentional scheduler change
     is a one-command re-bless while an accidental one fails [dune
-    runtest] with a readable grid diff.  A further document,
-    [validate.txt], pins the translation validator's ledger
-    ([test_validate] diffs it the same way).
+    runtest] with a readable grid diff.  Two further documents pin what
+    the grids do not: [validate.txt], the translation validator's
+    ledger ([test_validate] diffs it the same way), and
+    [documents.txt], a rollup and digest of every [spd why],
+    [spd validate] and [spd explain] document and of the report
+    artefacts no other test pins ([test_golden]).
 
     The rendering must stay byte-deterministic: trees in program order,
     fixed-width columns sized from the grid's own labels, no timestamps
     or floats. *)
 
+module Json = Spd_telemetry.Json
 module Pipeline = Spd_harness.Pipeline
+module Engine = Spd_harness.Engine
+module Artefact = Spd_harness.Artefact
+module Table = Spd_harness.Table
+module Why = Spd_harness.Why
+module Validation = Spd_harness.Validation
+module Explain = Spd_harness.Explain
 module Schedule = Spd_machine.Schedule
 module Descr = Spd_machine.Descr
+
+(** The workloads and memory latencies of the ledger and document
+    corpora: every paper workload plus matmul300, at both paper
+    latencies. *)
+let corpus_workloads = Spd_workloads.Registry.names @ [ "matmul300" ]
+
+let latencies = [ 2; 6 ]
 
 (** The corpus parameters: every paper workload, at a narrow and the
     paper's 5-FU width, 2-cycle memory. *)
@@ -101,8 +118,22 @@ let first_diff a b =
   in
   go 1 (la, lb)
 
+(* first differing space-separated field of two lines, so a failure on
+   a long [key=value] line names the value that moved *)
+let first_field_diff a b =
+  let fields s = List.filter (( <> ) "") (String.split_on_char ' ' s) in
+  let rec go = function
+    | x :: xs, y :: ys when String.equal x y -> go (xs, ys)
+    | x :: _, y :: _ -> Some (x, y)
+    | x :: _, [] -> Some (x, "<none>")
+    | [], y :: _ -> Some ("<none>", y)
+    | [], [] -> None
+  in
+  go (fields a, fields b)
+
 (** [None] when [got] is byte-identical to the golden file at [path];
-    otherwise the failure message, naming the first differing line. *)
+    otherwise the failure message, naming the first differing line and
+    its first differing field. *)
 let drift ~what path got =
   if not (Sys.file_exists path) then
     Some
@@ -111,12 +142,17 @@ let drift ~what path got =
     match first_diff (slurp path) got with
     | None -> None
     | Some (line, want, have) ->
+        let field =
+          match first_field_diff want have with
+          | Some (w, h) -> Printf.sprintf "  field:  %s -> %s\n" w h
+          | None -> ""
+        in
         Some
           (Printf.sprintf
              "%s drifted from %s at line %d:\n  golden: %s\n  got:    %s\n\
-              If the change is intentional, re-bless with `make \
+              %sIf the change is intentional, re-bless with `make \
               golden-promote`."
-             what path line want have)
+             what path line want have field)
 
 (* ------------------------------------------------------------------ *)
 (* The validation ledger *)
@@ -177,9 +213,91 @@ let render_validate () : string =
                 s.V.paths s.V.splits s.V.terms r.V.exit_digest
                 r.V.store_digest)
             (spec_pairs ~mem_latency src))
-        [ 2; 6 ])
-    (Spd_workloads.Registry.names @ [ "matmul300" ]);
+        latencies)
+    corpus_workloads;
   Printf.bprintf buf
     "# total: %d applications, %d paths, %d splits, %d terms\n" !apps !paths
     !splits !terms;
+  Buffer.contents buf
+
+(* ------------------------------------------------------------------ *)
+(* The why, validate and explain documents *)
+
+let documents_file = "documents.txt"
+
+(** The [spd explain] widths the corpus pins: one FU, the paper's 5 and
+    the widest Figure 6-3 machine. *)
+let explain_widths = [ 1; 5; 8 ]
+
+(* what `spd ... --format json | head -c -1 | md5sum` prints *)
+let md5 json = Digest.to_hex (Digest.string (Json.to_string json))
+
+let document_line buf session ~workload ~mem_latency =
+  let why = Why.analyze ~mem_latency session workload in
+  let validation = Validation.analyze ~mem_latency session workload in
+  let explains =
+    List.map
+      (fun width ->
+        (width, Explain.analyze ~width ~mem_latency session workload))
+      explain_widths
+  in
+  let proved, refuted, unknown =
+    Spd_validate.Validate.tally validation.Validation.reports
+  in
+  let ds = why.Why.decisions in
+  Printf.bprintf buf "%s %d candidates=%d applied=%d verdicts=%d/%d/%d"
+    workload mem_latency (List.length ds)
+    (List.length (Spd_core.Heuristic.applied_decisions ds))
+    proved refuted unknown;
+  List.iter
+    (fun (width, e) ->
+      Printf.bprintf buf " cycles.w%d=%d" width e.Explain.total_cycles)
+    explains;
+  Printf.bprintf buf " why=%s validate=%s"
+    (md5 (Why.to_json why))
+    (md5 (Validation.to_json validation));
+  List.iter
+    (fun (width, e) ->
+      Printf.bprintf buf " explain.w%d=%s" width (md5 (Explain.to_json e)))
+    explains;
+  Buffer.add_char buf '\n'
+
+(** One line per corpus workload and latency: a rollup (ledger
+    candidates, applied SpD count, verdict tally proved/refuted/unknown,
+    SPEC cycles at each explain width), then the MD5 of the [spd why],
+    the [spd validate] and each [spd explain] JSON document, built by
+    the [analyze] and [to_json] the CLI and the daemon call.  Then one
+    line per registry artefact no other golden file pins (outside the
+    paper and extension sets, wall-clock [timings] aside) with the MD5
+    of its tables as [spd report NAME --format json] lists them.  All
+    from one fresh single-domain session without a disk cache. *)
+let render_documents () : string =
+  let pinned = Artefact.paper_set @ Artefact.extension_set in
+  let unpinned =
+    List.filter
+      (fun name -> name <> "timings" && not (List.mem name pinned))
+      (Artefact.names ())
+  in
+  let buf = Buffer.create 8192 in
+  Buffer.add_string buf
+    "# golden documents: spd why, validate and explain as JSON (MD5) per \
+     workload and memory latency, then the report artefacts no other \
+     golden file pins\n\
+     # workload latency candidates applied verdicts=proved/refuted/unknown \
+     cycles.wN why validate explain.wN\n";
+  Engine.Session.with_session
+    (Engine.Session.create ~jobs:1 ~disk_cache:false ())
+    (fun session ->
+      List.iter
+        (fun workload ->
+          List.iter
+            (fun mem_latency ->
+              document_line buf session ~workload ~mem_latency)
+            latencies)
+        corpus_workloads;
+      List.iter
+        (fun (a : Artefact.t) ->
+          Printf.bprintf buf "artefact %s md5=%s\n" a.name
+            (md5 (Json.List (List.map Table.to_json (a.tables session)))))
+        (Artefact.of_names unpinned));
   Buffer.contents buf

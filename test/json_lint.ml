@@ -1,10 +1,11 @@
 (** Validate that each file named on the command line is a complete
     JSON document, using the repository's own parser — the same one the
     test suite uses on trace and report output.  Documents carrying a
-    known [schema] key ([spd-explain/1], [spd-bench-diff/1],
-    [spd-micro/1], [spd-decisions/1], [spd-validate/1], [spd-cache/1])
-    are additionally checked structurally.  Exits
-    nonzero on the first malformed file (see [make check]). *)
+    known [schema] key ([spd-explain/1], [spd-micro/1],
+    [spd-decisions/1], [spd-validate/1], [spd-cache/1], [spd-serve/1],
+    [spd-log/1]) and JSON-RPC envelopes are additionally checked
+    structurally.  Exits nonzero on the first malformed file (see
+    [make check]). *)
 
 module Json = Spd_telemetry.Json
 
@@ -72,27 +73,6 @@ let check_explain doc =
   let tables = require_list "tables" doc in
   if tables = [] then bad "empty \"tables\" list";
   List.iter check_table tables
-
-let check_bench_diff doc =
-  let (_ : float) = require_number "threshold_pct" doc in
-  let compared = require_int "compared" doc in
-  let regressions = require_int "regressions" doc in
-  let improvements = require_int "improvements" doc in
-  if compared < 0 || regressions < 0 || improvements < 0 then
-    bad "negative counter";
-  let changes = require_list "changes" doc in
-  if regressions + improvements > List.length changes then
-    bad "more regressions+improvements than changes";
-  List.iter
-    (fun c ->
-      let (_ : string) = require_string "table" c in
-      let (_ : string) = require_string "row" c in
-      let (_ : string) = require_string "column" c in
-      let (_ : string) = require_string "polarity" c in
-      match (require_member "regression" c, require_member "improvement" c) with
-      | Json.Bool _, Json.Bool _ -> ()
-      | _ -> bad "regression/improvement are not booleans")
-    changes
 
 let check_micro doc =
   let (_ : int) = require_int "mem_latency" doc in
@@ -394,7 +374,6 @@ let check_log_lines path text =
 let check_schema doc =
   match Option.bind (Json.member "schema" doc) Json.to_string_opt with
   | Some "spd-explain/1" -> check_explain doc; Some "spd-explain/1"
-  | Some "spd-bench-diff/1" -> check_bench_diff doc; Some "spd-bench-diff/1"
   | Some "spd-micro/1" -> check_micro doc; Some "spd-micro/1"
   | Some "spd-decisions/1" -> check_decisions doc; Some "spd-decisions/1"
   | Some "spd-validate/1" -> check_validate doc; Some "spd-validate/1"

@@ -1,5 +1,5 @@
-(** Schedule introspection, critical-path attribution and the bench
-    regression tracker.
+(** Schedule introspection, critical-path attribution, table CSV and
+    trace capture.
 
     The load-bearing invariants:
 
@@ -12,8 +12,6 @@
       [0, makespan), so its category totals sum to the makespan;
     - occupancy grids place every op exactly once, within the machine
       width;
-    - [Benchdiff] regresses exactly when a tracked value moves in the
-      bad direction beyond the threshold (or disappears);
     - [Table] CSV output round-trips per RFC 4180;
     - [Trace.capture] writes a parseable trace even when the traced
       function raises. *)
@@ -25,8 +23,6 @@ module Ddg = Spd_analysis.Ddg
 module H = Spd_harness
 module Engine = Spd_harness.Engine
 module Explain = Spd_harness.Explain
-module Benchdiff = Spd_harness.Benchdiff
-module Faults = Spd_harness.Faults
 module Table = Spd_harness.Table
 module Json = Spd_telemetry.Json
 
@@ -272,166 +268,6 @@ let test_grid_marks_spd_versions () =
         (List.length vs)
 
 (* ------------------------------------------------------------------ *)
-(* Benchdiff *)
-
-(* a minimal spd-report/1 document with one table; cells are raw JSON
-   values so the n/a ([null]) encoding is testable too *)
-let report_cells ~table_id rows =
-  Json.to_string
-    (Json.Obj
-       [
-         ("schema", Json.String "spd-report/1");
-         ( "artefacts",
-           Json.List
-             [
-               Json.Obj
-                 [
-                   ("name", Json.String "unit");
-                   ( "tables",
-                     Json.List
-                       [
-                         Json.Obj
-                           [
-                             ("id", Json.String table_id);
-                             ("title", Json.String "unit");
-                             ("columns", Json.List [ Json.String "v" ]);
-                             ( "rows",
-                               Json.List
-                                 (List.map
-                                    (fun (label, v) ->
-                                      Json.Obj
-                                        [
-                                          ("label", Json.String label);
-                                          ("cells", Json.List [ v ]);
-                                        ])
-                                    rows) );
-                           ];
-                       ] );
-                 ];
-             ] );
-       ])
-
-let report ~table_id rows =
-  report_cells ~table_id
-    (List.map (fun (label, v) -> (label, Json.Float v)) rows)
-
-let diff_exn ?threshold ~table_id old_rows new_rows =
-  match
-    Benchdiff.diff_strings ?threshold
-      ~old_report:(report ~table_id old_rows)
-      ~new_report:(report ~table_id new_rows)
-      ()
-  with
-  | Ok d -> d
-  | Error e -> Alcotest.failf "diff failed: %s" e
-
-let test_benchdiff_identical () =
-  let d =
-    diff_exn ~table_id:"cycles.lat2" [ ("a", 100.0) ] [ ("a", 100.0) ]
-  in
-  check_int "no regressions" 0 d.Benchdiff.regressions;
-  check_int "no changes" 0 (List.length d.Benchdiff.changes);
-  check_int "one cell compared" 1 d.Benchdiff.compared
-
-let test_benchdiff_polarity () =
-  (* cycles go up: lower-better -> regression *)
-  let d = diff_exn ~table_id:"cycles.lat2" [ ("a", 100.0) ] [ ("a", 110.0) ] in
-  check_int "cycle increase regresses" 1 d.Benchdiff.regressions;
-  (* cycles go down: improvement *)
-  let d = diff_exn ~table_id:"cycles.lat2" [ ("a", 100.0) ] [ ("a", 90.0) ] in
-  check_int "cycle decrease is no regression" 0 d.Benchdiff.regressions;
-  check_int "cycle decrease improves" 1 d.Benchdiff.improvements;
-  (* speedups go down: higher-better -> regression *)
-  let d = diff_exn ~table_id:"fig6_2.lat2" [ ("a", 1.5) ] [ ("a", 1.2) ] in
-  check_int "speedup drop regresses" 1 d.Benchdiff.regressions;
-  (* informational tables report but never regress *)
-  let d = diff_exn ~table_id:"table6_3" [ ("a", 5.0) ] [ ("a", 9.0) ] in
-  check_int "informational never regresses" 0 d.Benchdiff.regressions;
-  check_int "informational change still listed" 1
-    (List.length d.Benchdiff.changes);
-  (* wall clock is skipped entirely *)
-  let d = diff_exn ~table_id:"timings" [ ("a", 5.0) ] [ ("a", 50.0) ] in
-  check_int "timings are skipped" 0 d.Benchdiff.compared;
-  check_int "timings never change" 0 (List.length d.Benchdiff.changes)
-
-let test_benchdiff_threshold () =
-  let run threshold = diff_exn ~threshold ~table_id:"cycles.lat2"
-      [ ("a", 100.0) ] [ ("a", 105.0) ]
-  in
-  check_int "5% over a 10% threshold passes" 0 (run 10.0).Benchdiff.regressions;
-  check_int "5% over a 4% threshold regresses" 1
-    (run 4.0).Benchdiff.regressions
-
-let test_benchdiff_missing_value () =
-  let d =
-    diff_exn ~table_id:"cycles.lat2"
-      [ ("a", 100.0); ("b", 50.0) ]
-      [ ("a", 100.0) ]
-  in
-  check_int "a vanished tracked value regresses" 1 d.Benchdiff.regressions
-
-let test_benchdiff_na_transitions () =
-  (* the Table CSV/JSON n/a encoding ([null] cells) must agree with the
-     tracker: a cell coming back to life is an improvement, a cell dying
-     is a regression, and n/a on both sides is no change at all *)
-  let diff old_cell new_cell =
-    match
-      Benchdiff.diff_strings
-        ~old_report:(report_cells ~table_id:"cycles.lat2" [ ("a", old_cell) ])
-        ~new_report:(report_cells ~table_id:"cycles.lat2" [ ("a", new_cell) ])
-        ()
-    with
-    | Ok d -> d
-    | Error e -> Alcotest.failf "diff failed: %s" e
-  in
-  let d = diff Json.Null (Json.Float 100.0) in
-  check_int "n/a -> number is no regression" 0 d.Benchdiff.regressions;
-  check_int "n/a -> number improves" 1 d.Benchdiff.improvements;
-  (match d.Benchdiff.changes with
-  | [ c ] ->
-      check_bool "old side reported as n/a" true (c.Benchdiff.old_value = None);
-      check_bool "new side carries the number" true
-        (c.Benchdiff.new_value = Some 100.0)
-  | cs -> Alcotest.failf "expected one change, got %d" (List.length cs));
-  let d = diff (Json.Float 100.0) Json.Null in
-  check_int "number -> n/a regresses" 1 d.Benchdiff.regressions;
-  check_int "number -> n/a is no improvement" 0 d.Benchdiff.improvements;
-  let d = diff Json.Null Json.Null in
-  check_int "n/a -> n/a is no change" 0 (List.length d.Benchdiff.changes);
-  check_int "n/a -> n/a never regresses" 0 d.Benchdiff.regressions
-
-let test_benchdiff_rejects_garbage () =
-  (match Benchdiff.diff_strings ~old_report:"{}" ~new_report:"{}" () with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "schema-less documents must be rejected");
-  match Benchdiff.diff_strings ~old_report:"nope" ~new_report:"{}" () with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "non-JSON must be rejected"
-
-let test_pct_change_zero_base () =
-  check_bool "growth from zero is +inf" true
-    (Benchdiff.pct_change ~old_value:0.0 ~new_value:1.0 = infinity);
-  check_bool "no change at zero is 0" true
-    (Benchdiff.pct_change ~old_value:0.0 ~new_value:0.0 = 0.0);
-  check_bool "10% growth" true
-    (abs_float (Benchdiff.pct_change ~old_value:100.0 ~new_value:110.0 -. 10.0)
-    < 1e-9)
-
-(* ------------------------------------------------------------------ *)
-(* cycles-inflate fault *)
-
-let test_cycles_inflate_fault () =
-  (match Faults.parse "cycles-inflate:10" with
-  | Ok f ->
-      check_int "exact 10% inflation" 110 (Faults.inflate_cycles f 100);
-      check_int "fractional cycles round up" 61 (Faults.inflate_cycles f 55)
-  | Error e -> Alcotest.failf "parse failed: %s" e);
-  check_int "no fault is identity" 123 (Faults.inflate_cycles Faults.none 123);
-  match Faults.parse "cycles-inflate:-3" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "negative inflation must be rejected"
-
-(* ------------------------------------------------------------------ *)
 (* Table CSV escaping: RFC 4180 round-trip *)
 
 (* a small RFC 4180 reader: quoted fields may contain commas, newlines
@@ -501,8 +337,7 @@ let test_csv_round_trip () =
 
 let test_csv_na_cell () =
   (* a failed grid cell must render as n/a in the CSV — identically to
-     the pretty grid — so a reader can tell it from an empty string, and
-     so `spd bench diff` sees the same encoding in both formats *)
+     the pretty grid — so a reader can tell it from an empty string *)
   let tbl =
     Table.v ~id:"na" ~title:"unit" ~columns:[ "v" ]
       [ Table.row "dead" [ Table.Na ]; Table.row "live" [ Table.Num 1.5 ] ]
@@ -551,14 +386,6 @@ let tests =
     case "alap/slack sanity" test_alap_slack_sanity;
     case "SpD provenance version sets are disjoint" test_provenance_disjoint;
     case "grids annotate SpD versions" test_grid_marks_spd_versions;
-    case "benchdiff: identical reports" test_benchdiff_identical;
-    case "benchdiff: polarity by table id" test_benchdiff_polarity;
-    case "benchdiff: threshold" test_benchdiff_threshold;
-    case "benchdiff: missing value regresses" test_benchdiff_missing_value;
-    case "benchdiff: n/a transitions" test_benchdiff_na_transitions;
-    case "benchdiff: malformed reports rejected" test_benchdiff_rejects_garbage;
-    case "benchdiff: relative change at zero base" test_pct_change_zero_base;
-    case "faults: cycles-inflate" test_cycles_inflate_fault;
     case "table: CSV round-trips per RFC 4180" test_csv_round_trip;
     case "table: CSV n/a encoding matches the grid" test_csv_na_cell;
     case "trace: capture survives a crash" test_trace_capture_on_raise;

@@ -28,7 +28,22 @@ let test_faults_parse () =
       | Ok _ -> Alcotest.failf "Faults.parse %S unexpectedly succeeded" bad
       | Error _ -> ())
     [ "bogus"; "cache-corrupt:x"; "cache-corrupt:0"; "fuel:"; "cell-raise:";
-      "cell-raise:k@x"; "worker-raise:0" ]
+      "cell-raise:k@x"; "worker-raise:0" ];
+  (* no fault perturbs reported cycle counts *)
+  (match Faults.parse "cycles-inflate:10" with
+  | Ok _ -> Alcotest.fail "a removed fault kind parsed"
+  | Error msg ->
+      check_bool "the removed fault is an unknown fault" true
+        (Test_harness.contains msg "unknown fault"));
+  match Faults.parse "bogus" with
+  | Ok _ -> Alcotest.fail "a spec without a colon parsed"
+  | Error msg ->
+      List.iter
+        (fun kind ->
+          check_bool ("malformed-spec message names " ^ kind) true
+            (Test_harness.contains msg kind))
+        [ "cache-corrupt"; "cell-raise"; "fuel"; "worker-raise";
+          "checker-raise" ]
 
 (* the chaos harness's client budgets are its own constants, not
    faults: the product refuses their old spellings *)

@@ -9,7 +9,15 @@
     readable grid diff.  After an intentional change, re-bless with
     [make golden-promote] and commit the diff.
 
-    The committed [BENCH_REPORT.json] is the other corpus: every
+    [documents.txt] pins every [spd why], [spd validate] and
+    [spd explain] document (at widths 1, 5 and 8) of every paper
+    workload plus matmul300 at both memory latencies, by a rollup and
+    the MD5 of each JSON document, and the report artefacts that
+    [BENCH_REPORT.json] leaves out ({!Golden_render.render_documents}).
+    A failure names the workload and latency, or the artefact, and the
+    first field that moved.
+
+    The committed [BENCH_REPORT.json] is the last corpus: every
     artefact of [spd report all], rendered in process from a fresh
     session without a disk cache, must equal its artefacts and
     failures.  After an intentional change, regenerate it with
@@ -26,6 +34,12 @@ let check_workload workload width () =
   Option.iter Alcotest.fail
     (Golden_render.drift ~what:"schedule" path
        (Golden_render.render ~workload ~width))
+
+let check_documents () =
+  Option.iter Alcotest.fail
+    (Golden_render.drift ~what:"documents"
+       (Filename.concat "golden" Golden_render.documents_file)
+       (Golden_render.render_documents ()))
 
 let member name doc =
   match Json.member name doc with
@@ -75,4 +89,8 @@ let tests =
             (check_workload workload width))
         Golden_render.widths)
     Spd_workloads.Registry.names
-  @ [ case "every BENCH_REPORT.json artefact renders equal" check_bench_report ]
+  @ [
+      case "why, validate, explain and artefact digests match documents.txt"
+        check_documents;
+      case "every BENCH_REPORT.json artefact renders equal" check_bench_report;
+    ]
