@@ -7,9 +7,14 @@
     made concrete per path: whenever the truth of a guard, a select
     predicate or an address comparison cannot be decided from the terms'
     affine forms, the evaluator raises {!Need_atom} and the exploration
-    driver replays the path once under each truth value of that atom —
+    driver explores the path once under each truth value of that atom —
     this is how the speculated alias predicate of an SpD application is
-    split into its alias and no-alias cases.
+    split into its alias and no-alias cases.  Each tree runs on a
+    cursor that stops at the instruction that raised, so a child whose
+    assumptions leave the path's equality basis unchanged resumes from
+    a copy of its parent's state; only an assumed-true equality, which
+    rebuilds the basis, replays both trees from their first
+    instruction.
 
     Address equality is decided with the same machinery the static
     disambiguator uses ({!Spd_analysis.Affine}): a constant difference
@@ -377,11 +382,16 @@ type path = {
   decided : bool Itbl.t;
       (* [decide_eq] answers on this path, keyed by the ordered pair of
          term ids packed into one int (ids stay far below 2^31) *)
+  ordered : bool option Itbl.t;
+      (* [ordered] answers by compare term id: a function of [basis]
+         alone, so every path on this basis shares the table *)
 }
 
 (* Memoised per path: the answer is a pure function of the two terms,
-   [basis] and [asm], none of which changes during a replay, and only
-   answers that did not raise [Need_atom] are stored. *)
+   [basis] and [asm], and only answers that did not raise [Need_atom]
+   are stored, so no stored answer read an atom the path has not
+   assumed.  A child that resumes its parent's path keeps the basis and
+   adds one such atom, so it starts from a copy of the memo. *)
 let decide_eq (st : path) (a : term) (b : term) : bool =
   if a.tid = b.tid then true
   else
@@ -413,6 +423,30 @@ let rec is_boolish (t : term) =
       is_boolish a && is_boolish b
   | _ -> false
 
+(* Whether [t], the ordered compare [op] of [a] and [b], holds as the
+   basis decides it; [None] when their difference does not reduce to a
+   constant. *)
+let ordered (st : path) (t : term) op a b =
+  match Itbl.find st.ordered t.tid with
+  | v -> v
+  | exception Not_found ->
+      let d =
+        reduce st.basis (Affine.sub (aff_term st.ctx a) (aff_term st.ctx b))
+      in
+      let v =
+        Option.map
+          (fun c ->
+            match op with
+            | Opcode.Lt -> c < 0
+            | Opcode.Le -> c <= 0
+            | Opcode.Gt -> c > 0
+            | Opcode.Ge -> c >= 0
+            | Opcode.Eq | Opcode.Ne -> assert false)
+          (Affine.const_value d)
+      in
+      Itbl.add st.ordered t.tid v;
+      v
+
 let rec truth (st : path) (t : term) : bool =
   match t.node with
   | Const v -> Value.is_true v
@@ -425,17 +459,8 @@ let rec truth (st : path) (t : term) : bool =
   | App (Opcode.Ibin Opcode.And, [ a; b ]) when is_boolish a && is_boolish b ->
       truth st a && truth st b
   | App (Opcode.Icmp op, [ a; b ]) -> (
-      let d =
-        reduce st.basis (Affine.sub (aff_term st.ctx a) (aff_term st.ctx b))
-      in
-      match Affine.const_value d with
-      | Some c -> (
-          match op with
-          | Opcode.Lt -> c < 0
-          | Opcode.Le -> c <= 0
-          | Opcode.Gt -> c > 0
-          | Opcode.Ge -> c >= 0
-          | Opcode.Eq | Opcode.Ne -> assert false)
+      match ordered st t op a b with
+      | Some v -> v
       | None -> lookup_truth st t)
   | _ -> lookup_truth st t
 
@@ -482,69 +507,182 @@ type observable =
 
 type run = { obs : observable; mem : mem }
 
-let exec (st : path) (tree : Tree.t) : run =
-  let env = Hashtbl.create 64 in
-  let lookup r =
-    match Hashtbl.find_opt env r with Some t -> t | None -> param st.ctx r
+(* A tree is compiled once per exploration.  Every register it
+   mentions gets a dense slot, so a path's register file is a small
+   array a split can copy.  Each pure instruction keeps the argument
+   terms and the result of its last evaluation, on any path: terms are
+   hash-consed, so physically equal arguments give the result [app]
+   would, without its normalisation or an intern-table lookup. *)
+
+type pure = {
+  op : Opcode.t;
+  dst : int;
+  srcs : int array;
+  args : term array;  (* the last evaluation's arguments *)
+  mutable result : term;  (* its result, [unbound] until there is one *)
+}
+
+type step =
+  | Sstore of { guard : (int * bool) option; addr : int; value : int }
+  | Sload of { dst : int option; addr : int }
+  | Sselect of { dst : int; pred : int; yes : int; no : int }
+  | Spure of pure
+  | Smalformed of string
+
+type code = {
+  regs : Reg.t array;  (* by slot *)
+  slots : int Itbl.t;  (* slot of each register *)
+  steps : step array;  (* the instructions, less pure ones with no result *)
+  exits : Tree.exit array;
+}
+
+(* One tree's execution on one path.  A [Need_atom] leaves [pc] at the
+   step that raised, which has changed nothing but [env]'s cache of
+   parameter terms, so the cursor resumes there. *)
+type cursor = {
+  code : code;
+  env : term array;  (* by slot; [unbound] until bound or first read *)
+  mutable pc : int;
+  mutable mem : mem;
+  mutable run : run option;  (* once the taken exit is known *)
+}
+
+let unbound = { tid = -1; node = Const (Value.Int 0) }
+
+let compile (tree : Tree.t) : code =
+  let regs = Array.of_list (Reg.Set.elements (Tree.all_regs tree)) in
+  let slots = Itbl.create (Array.length regs) in
+  Array.iteri (fun s r -> Itbl.replace slots r s) regs;
+  let slot = Itbl.find slots in
+  let step (insn : Insn.t) =
+    match (insn.op, insn.dst, insn.srcs) with
+    | Opcode.Store, _, _ ->
+        Some
+          (Sstore
+             {
+               guard =
+                 Option.map
+                   (fun { Insn.greg; positive } -> (slot greg, positive))
+                   insn.guard;
+               addr = slot (Insn.addr insn);
+               value = slot (Insn.store_value insn);
+             })
+    | Opcode.Load, dst, _ ->
+        Some (Sload { dst = Option.map slot dst; addr = slot (Insn.addr insn) })
+    | Opcode.Select, Some d, [ p; a; b ] ->
+        Some (Sselect { dst = slot d; pred = slot p; yes = slot a; no = slot b })
+    | Opcode.Select, _, _ -> Some (Smalformed "malformed select")
+    | _, None, _ -> None
+    | op, Some d, srcs ->
+        let srcs = Array.of_list (List.map slot srcs) in
+        Some
+          (Spure
+             {
+               op;
+               dst = slot d;
+               srcs;
+               args = Array.make (Array.length srcs) unbound;
+               result = unbound;
+             })
   in
-  let bind r t = Hashtbl.replace env r t in
-  let mem = ref init_mem in
-  Array.iter
-    (fun (insn : Insn.t) ->
-      match insn.op with
-      | Opcode.Store ->
-          let committed =
-            match insn.guard with
-            | None -> true
-            | Some { greg; positive } ->
-                let b = truth st (lookup greg) in
-                if positive then b else not b
-          in
-          if committed then
-            let addr = lookup (Insn.addr insn) in
-            let value = lookup (Insn.store_value insn) in
-            mem := store st.ctx !mem ~addr ~value
-      | Opcode.Load -> (
-          let v = resolve_load st !mem (lookup (Insn.addr insn)) in
-          match insn.dst with Some d -> bind d v | None -> ())
-      | Opcode.Select -> (
-          match (insn.dst, insn.srcs) with
-          | Some d, [ p; a; b ] ->
-              bind d (if truth st (lookup p) then lookup a else lookup b)
-          | _ -> raise (Unsupported "malformed select"))
-      | op -> (
-          match insn.dst with
-          | None -> ()
-          | Some d -> bind d (app st.ctx op (List.map lookup insn.srcs))))
-    tree.insns;
-  let n = Array.length tree.exits in
-  let rec taken i =
-    if i >= n - 1 then i
-    else
-      match tree.exits.(i).Tree.xguard with
-      | None -> i
-      | Some { greg; positive } ->
-          let b = truth st (lookup greg) in
-          if (if positive then b else not b) then i else taken (i + 1)
-  in
-  let idx = taken 0 in
-  let e = tree.exits.(idx) in
-  let obs =
-    match e.Tree.kind with
-    | Tree.Jump { target; args } ->
-        Ojump { target; args = List.map lookup args }
-    | Tree.Call { callee; call_args; ret; return_to; cont_args } ->
-        Ocall
-          {
-            callee;
-            call_args = List.map lookup call_args;
-            ret;
-            return_to;
-            cont_args = List.map lookup cont_args;
-          }
-    | Tree.Return { value } -> Oreturn (Option.map lookup value)
-  in
-  { obs; mem = !mem }
+  {
+    regs;
+    slots;
+    steps = Array.of_list (List.filter_map step (Array.to_list tree.insns));
+    exits = tree.exits;
+  }
+
+let start code =
+  {
+    code;
+    env = Array.make (Array.length code.regs) unbound;
+    pc = 0;
+    mem = init_mem;
+    run = None;
+  }
+
+let copy_cursor c = { c with env = Array.copy c.env }
+
+let lookup ctx c s =
+  let t = c.env.(s) in
+  if t != unbound then t
+  else
+    let t = param ctx c.code.regs.(s) in
+    c.env.(s) <- t;
+    t
+
+let exec_step (st : path) c = function
+  | Sstore { guard; addr; value } ->
+      let committed =
+        match guard with
+        | None -> true
+        | Some (g, positive) -> truth st (lookup st.ctx c g) = positive
+      in
+      if committed then
+        let addr = lookup st.ctx c addr in
+        let value = lookup st.ctx c value in
+        c.mem <- store st.ctx c.mem ~addr ~value
+  | Sload { dst; addr } -> (
+      let v = resolve_load st c.mem (lookup st.ctx c addr) in
+      match dst with Some d -> c.env.(d) <- v | None -> ())
+  | Sselect { dst; pred; yes; no } ->
+      c.env.(dst) <-
+        lookup st.ctx c (if truth st (lookup st.ctx c pred) then yes else no)
+  | Spure p ->
+      let fresh = ref (p.result == unbound) in
+      for i = 0 to Array.length p.srcs - 1 do
+        let t = lookup st.ctx c p.srcs.(i) in
+        if t != p.args.(i) then begin
+          p.args.(i) <- t;
+          fresh := true
+        end
+      done;
+      if !fresh then begin
+        p.result <- unbound;
+        p.result <- app st.ctx p.op (Array.to_list p.args)
+      end;
+      c.env.(p.dst) <- p.result
+  | Smalformed msg -> raise (Unsupported msg)
+
+(* Run the cursor to its taken exit, from wherever it stopped. *)
+let advance (st : path) c : run =
+  match c.run with
+  | Some r -> r
+  | None ->
+      let steps = c.code.steps in
+      while c.pc < Array.length steps do
+        exec_step st c steps.(c.pc);
+        c.pc <- c.pc + 1
+      done;
+      let lookup r = lookup st.ctx c (Itbl.find c.code.slots r) in
+      let exits = c.code.exits in
+      let n = Array.length exits in
+      let rec taken i =
+        if i >= n - 1 then i
+        else
+          match exits.(i).Tree.xguard with
+          | None -> i
+          | Some { greg; positive } ->
+              if truth st (lookup greg) = positive then i else taken (i + 1)
+      in
+      let obs =
+        match exits.(taken 0).Tree.kind with
+        | Tree.Jump { target; args } ->
+            Ojump { target; args = List.map lookup args }
+        | Tree.Call { callee; call_args; ret; return_to; cont_args } ->
+            Ocall
+              {
+                callee;
+                call_args = List.map lookup call_args;
+                ret;
+                return_to;
+                cont_args = List.map lookup cont_args;
+              }
+        | Tree.Return { value } -> Oreturn (Option.map lookup value)
+      in
+      let r = { obs; mem = c.mem } in
+      c.run <- Some r;
+      r
 
 (* ------------------------------------------------------------------ *)
 (* Path comparison *)
@@ -668,22 +806,6 @@ let pp_atom ppf = function
   | Aeq f -> Fmt.pf ppf "0 = %a" Affine.pp f
   | Atruth tid -> Fmt.pf ppf "t%d" tid
 
-(* [names] memoises each atom's rendering for one exploration: every
-   leaf path renders its whole assumption set. *)
-let render_assumptions names asm =
-  List.map
-    (fun (a, v) ->
-      let name =
-        match Atom_map.find_opt a !names with
-        | Some name -> name
-        | None ->
-            let name = Fmt.str "%a" pp_atom a in
-            names := Atom_map.add a name !names;
-            name
-      in
-      if v then name else "!" ^ name)
-    (Atom_map.bindings asm)
-
 let render_obs buf (r : run) =
   Buffer.add_string buf
     (match r.obs with
@@ -708,12 +830,54 @@ let render_classes buf classes =
 
 exception Too_many_paths
 
-(* Check one fully-split path; raises [Need_atom] when a new split is
-   required.  Recording into the digest buffers happens only after all
-   raising work is done, so re-explored prefixes never record twice. *)
-let check_path st ~names ~before ~after ~exit_buf ~store_buf : string option =
-  let ra = exec st before in
-  let rb = exec st after in
+(* What one exploration records: its counters, the first mismatching
+   path, and every leaf path's taken exit and store classes, under its
+   assumption set, for the two digests. *)
+type log = {
+  mutable paths : int;
+  mutable splits : int;
+  mutable found : (string list * string) option;
+  mutable names : string Atom_map.t;  (* each atom's rendering, once *)
+  exit_buf : Buffer.t;
+  store_buf : Buffer.t;
+}
+
+let new_log () =
+  {
+    paths = 0;
+    splits = 0;
+    found = None;
+    names = Atom_map.empty;
+    exit_buf = Buffer.create 256;
+    store_buf = Buffer.create 256;
+  }
+
+let render_assumptions log asm =
+  List.map
+    (fun (a, v) ->
+      let name =
+        match Atom_map.find_opt a log.names with
+        | Some name -> name
+        | None ->
+            let name = Fmt.str "%a" pp_atom a in
+            log.names <- Atom_map.add a name log.names;
+            name
+      in
+      if v then name else "!" ^ name)
+    (Atom_map.bindings asm)
+
+(* Whether the driver explores one more assumption set: not once a path
+   has mismatched, and never past [max_paths]. *)
+let proceed log ~max_paths =
+  if log.found <> None then false
+  else if log.paths >= max_paths then raise Too_many_paths
+  else true
+
+(* Check a path on which both trees ran to their taken exits; raises
+   [Need_atom] when a new split is required.  Recording happens only
+   after all raising work is done, so a path is recorded once, when it
+   is a leaf. *)
+let check_runs log st (ra : run) (rb : run) =
   let ca = mem_classes st ra.mem in
   let cb = mem_classes st rb.mem in
   let result =
@@ -721,62 +885,102 @@ let check_path st ~names ~before ~after ~exit_buf ~store_buf : string option =
     | Some d -> Some d
     | None -> compare_classes st ca cb
   in
-  let prefix = String.concat " & " (render_assumptions names st.asm) in
-  Buffer.add_string exit_buf ("{" ^ prefix ^ "} ");
-  render_obs exit_buf ra;
-  Buffer.add_char exit_buf '\n';
-  Buffer.add_string store_buf ("{" ^ prefix ^ "} ");
-  render_classes store_buf ca;
-  Buffer.add_char store_buf '\n';
-  result
+  let prefix = String.concat " & " (render_assumptions log st.asm) in
+  Buffer.add_string log.exit_buf ("{" ^ prefix ^ "} ");
+  render_obs log.exit_buf ra;
+  Buffer.add_char log.exit_buf '\n';
+  Buffer.add_string log.store_buf ("{" ^ prefix ^ "} ");
+  render_classes log.store_buf ca;
+  Buffer.add_char log.store_buf '\n';
+  log.paths <- log.paths + 1;
+  Option.iter
+    (fun detail -> log.found <- Some (render_assumptions log st.asm, detail))
+    result
 
+(* Run an exploration driver over [ctx] and [log] to its outcome. *)
+let conclude ctx log drive : outcome * stats * digests =
+  let outcome =
+    match drive () with
+    | () -> (
+        match log.found with
+        | None -> Equivalent
+        | Some (assumptions, detail) -> Mismatch { assumptions; detail })
+    | exception Too_many_paths -> Overflow log.paths
+    | exception Unsupported msg -> Unmodelled msg
+  in
+  let digest buf = Digest.to_hex (Digest.string (Buffer.contents buf)) in
+  ( outcome,
+    { paths = log.paths; splits = log.splits; terms = ctx.next_tid },
+    { exit_digest = digest log.exit_buf; store_digest = digest log.store_buf }
+  )
+
+(* Depth first, the assumed-true child of each split before the
+   assumed-false one.  A split forks the path state:
+   - Both children of an [Atruth] split, and the assumed-false child of
+     an [Aeq] split, keep the parent's basis ([basis_of_asm] folds only
+     assumed-true equalities), and no decision of the prefix read the
+     new atom (reading an atom not yet assumed raises).  They resume at
+     the step that raised, from copies of the cursors, the residual
+     loads and the [decided] memo, and share the [ordered] memo.  The
+     false [Aeq] child is infeasible exactly when the basis reduces its
+     form to the constant 0.
+   - The assumed-true [Aeq] child rebuilds the basis in atom order,
+     which can re-decide compares the prefix made, so it replays both
+     trees from their first instruction.
+   Either way a child makes the decisions, and interns the terms, that
+   replaying it from the first instruction would, in the same order, so
+   paths, splits, terms and digests are those of a replay of every
+   child.  [check_runs] is redone on every state, because
+   [equal_value] looks atoms up without raising. *)
 let explore ?(max_paths = 4096) ~is_addr_param ~(before : Tree.t)
     ~(after : Tree.t) () : outcome * stats * digests =
   let ctx = create ~is_addr_param in
-  let exit_buf = Buffer.create 256 and store_buf = Buffer.create 256 in
-  let names = ref Atom_map.empty in
-  let paths = ref 0 and splits = ref 0 in
-  let found = ref None in
-  (* Every assumption set replays both trees from the first instruction:
-     an assumed-true equality rebuilds the basis in atom order and can
-     re-decide compares the prefix already made, so resuming at the
-     split point would not be exact. *)
-  let rec go asm =
-    if !found <> None then ()
-    else if !paths >= max_paths then raise Too_many_paths
-    else
-      match basis_of_asm asm with
-      | None -> () (* infeasible assumption set: no concrete run reaches it *)
-      | Some basis -> (
-          let st =
-            { ctx; asm; basis; residuals = []; decided = Itbl.create 16 }
-          in
-          match check_path st ~names ~before ~after ~exit_buf ~store_buf with
-          | None -> incr paths
-          | Some detail ->
-              incr paths;
-              found := Some (render_assumptions names asm, detail)
-          | exception Need_atom a ->
-              incr splits;
-              go (Atom_map.add a true asm);
-              go (Atom_map.add a false asm))
+  let before = compile before and after = compile after in
+  let log = new_log () in
+  let replay asm =
+    match basis_of_asm asm with
+    | None -> None (* infeasible assumption set: no concrete run reaches it *)
+    | Some basis ->
+        Some
+          ( {
+              ctx;
+              asm;
+              basis;
+              residuals = [];
+              decided = Itbl.create 16;
+              ordered = Itbl.create 16;
+            },
+            start before,
+            start after )
   in
-  let finish outcome =
-    let stats = { paths = !paths; splits = !splits; terms = ctx.next_tid } in
-    let digests =
-      {
-        exit_digest = Digest.to_hex (Digest.string (Buffer.contents exit_buf));
-        store_digest =
-          Digest.to_hex (Digest.string (Buffer.contents store_buf));
-      }
-    in
-    (outcome, stats, digests)
+  let rec visit state =
+    if proceed log ~max_paths then
+      match state with
+      | None -> ()
+      | Some (st, cur_b, cur_a) -> (
+          match
+            let ra = advance st cur_b in
+            let rb = advance st cur_a in
+            check_runs log st ra rb
+          with
+          | () -> ()
+          | exception Need_atom a -> (
+              log.splits <- log.splits + 1;
+              let assume v st = { st with asm = Atom_map.add a v st.asm } in
+              match a with
+              | Aeq f ->
+                  visit (replay (Atom_map.add a true st.asm));
+                  visit
+                    (if Affine.const_value (reduce st.basis f) = Some 0 then
+                       None
+                     else Some (assume false st, cur_b, cur_a))
+              | Atruth _ ->
+                  let sibling =
+                    ( assume false { st with decided = Itbl.copy st.decided },
+                      copy_cursor cur_b,
+                      copy_cursor cur_a )
+                  in
+                  visit (Some (assume true st, cur_b, cur_a));
+                  visit (Some sibling)))
   in
-  match go Atom_map.empty with
-  | () ->
-      finish
-        (match !found with
-        | None -> Equivalent
-        | Some (assumptions, detail) -> Mismatch { assumptions; detail })
-  | exception Too_many_paths -> finish (Overflow !paths)
-  | exception Unsupported msg -> finish (Unmodelled msg)
+  conclude ctx log (fun () -> visit (replay Atom_map.empty))

@@ -30,7 +30,10 @@
     against the concrete differential stages: a transform every
     concrete run certified must not be [Refuted] symbolically — the
     two oracles fail independently, so a divergence flags a bug in
-    whichever one is wrong.
+    whichever one is wrong.  The explorer oracle then explores each of
+    those applications again, forked and with {!Explore_reference}'s
+    replay driver, under a small path budget, and requires the same
+    outcome, path, split and term counts and digests.
 
     On a mismatch (or a crash in any stage) the failing case is
     greedily shrunk to a minimal spec, and the seed, case number and
@@ -53,6 +56,9 @@ module Ddg = Spd_analysis.Ddg
 (* a per-case fuel well under the default: generated programs are tiny,
    so a runaway traversal count is itself a bug worth failing on *)
 let case_fuel = ref 2_000_000
+
+(* the path budget of the explorer oracle's two explorations *)
+let reference_max_paths = 256
 
 type mismatch = {
   stage : string;
@@ -257,21 +263,41 @@ let check (spec : Gen_prog.spec) : (unit, mismatch) result =
      [Validation_failed] here means the validator refuted a passing
      program ([Unknown] verdicts are tolerated; [Proved] agreement with
      concrete runs is what the earlier diff stages established). *)
+  let obligations = ref [] in
   let* p =
     stage "validate-oracle (symbolic vs concrete)" (fun () ->
         Pipeline.prepare
           ~config:
             (Pipeline.Config.v ~check:false ~validate:true ~fuel:!case_fuel ())
+          ~validator:(fun ~func ~before app after ->
+            obligations := (before, after) :: !obligations;
+            Pipeline.explore ~func ~before app after)
           Pipeline.Spec lowered)
   in
-  if List.length p.Pipeline.verdicts <> List.length p.Pipeline.applications
-  then
-    Error
-      {
-        stage = "validate-oracle (symbolic vs concrete)";
-        detail = "validation ledger is missing applications";
-      }
-  else Ok ()
+  let* () =
+    if List.length p.Pipeline.verdicts <> List.length p.Pipeline.applications
+    then
+      Error
+        {
+          stage = "validate-oracle (symbolic vs concrete)";
+          detail = "validation ledger is missing applications";
+        }
+    else Ok ()
+  in
+  (* Explorer oracle: the forked explorer against the replay driver,
+     under a path budget that keeps the reference's replays cheap *)
+  stage "explore (forked vs replay reference)" (fun () ->
+      List.iter
+        (fun (before, after) ->
+          match
+            Explore_reference.check ~max_paths:reference_max_paths ~before
+              ~after ()
+          with
+          | Ok _ -> ()
+          | Error d ->
+              failwith
+                (Printf.sprintf "tree %d: %s" before.Spd_ir.Tree.id d))
+        (List.rev !obligations))
 
 let spec_of ~seed ~case =
   let rand = Random.State.make [| seed; case |] in

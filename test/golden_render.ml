@@ -159,11 +159,13 @@ let drift ~what path got =
 
 (** Every SpD application the heuristic performs on [src], as
     [(func, before, application, after)] in application order: the
-    SPEC chain (forwarding, arc annotation, static disambiguation, the
-    NAIVE profile) with a recording checker. *)
-let spec_pairs ?(mem_latency = 2) src =
+    SPEC chain (forwarding, grafting when [graft], arc annotation,
+    static disambiguation, the NAIVE profile) with a recording
+    checker. *)
+let spec_pairs ?(mem_latency = 2) ?(graft = false) src =
   let lowered = Spd_lang.Lower.compile src in
   let cleaned = Spd_analysis.Forwarding.run lowered in
+  let cleaned = if graft then Spd_analysis.Unroll.run cleaned else cleaned in
   let naive = Spd_analysis.Memarcs.annotate cleaned in
   let static = Spd_disambig.Static_disambig.run naive in
   let profile = Pipeline.profile_of static in

@@ -66,6 +66,52 @@ let test_golden_ledger () =
        (Golden_render.render_validate ()))
 
 (* ------------------------------------------------------------------ *)
+(* The forked explorer reaches exactly what replaying every child of
+   every split reaches ({!Explore_reference}): on every obligation of
+   the ledger corpus, and on those of seeded random programs, plain and
+   grafted, at a path budget small enough that both sides also
+   overflow, at the same point. *)
+
+let generated_programs = 100
+let generated_max_paths = 64
+
+let test_fork_equals_replay () =
+  let overflows = ref 0 in
+  let check ?max_paths what pairs =
+    List.iteri
+      (fun i (func, before, _, after) ->
+        match Explore_reference.check ?max_paths ~before ~after () with
+        | Ok (Spd_validate.Symexec.Overflow _) -> incr overflows
+        | Ok _ -> ()
+        | Error d -> Alcotest.failf "%s, application %d (%s): %s" what i func d)
+      pairs
+  in
+  List.iter
+    (fun workload ->
+      List.iter
+        (fun mem_latency ->
+          check
+            (Printf.sprintf "%s/lat%d" workload mem_latency)
+            (Golden_render.spec_pairs ~mem_latency
+               (Spd_workloads.Registry.by_name workload)
+                 .Spd_workloads.Workload.source))
+        Golden_render.latencies)
+    Golden_render.corpus_workloads;
+  let rand = Random.State.make [| 7 |] in
+  for case = 1 to generated_programs do
+    let src = QCheck.Gen.generate1 ~rand Gen_prog.gen_source in
+    List.iter
+      (fun graft ->
+        check ~max_paths:generated_max_paths
+          (Printf.sprintf "generated program %d%s" case
+             (if graft then " (grafted)" else ""))
+          (Golden_render.spec_pairs ~graft src))
+      [ false; true ]
+  done;
+  check_bool "generated obligations overflow the small budget" true
+    (!overflows > 0)
+
+(* ------------------------------------------------------------------ *)
 (* Miscompile fixtures: surgically broken transforms must be refuted,
    and the counterexample must concretize to a real divergence. *)
 
@@ -370,6 +416,7 @@ let tests =
   [
     case "paper grid: every application proved" test_paper_grid_proved;
     case "ledger matches the golden file" test_golden_ledger;
+    case "forked explorer = replay reference" test_fork_equals_replay;
     case "session memo rows = fresh explorations" test_memo_rows_equal_fresh;
     case "obligation key: what the checker reads" test_obligation_key;
     case "refutes a flipped store guard" test_refutes_flipped_guard;
