@@ -31,12 +31,16 @@ test:
 fuzz-smoke:
 	$(DUNE) exec test/fuzz_diff.exe -- --count 200 --seed 42
 
-# Telemetry smoke: a traced machine-readable run, then both output
-# files validated by test/json_lint.exe.
+# Telemetry smoke: a traced machine-readable run whose --timings must
+# add the timings artefact to the JSON report, then every output file
+# validated by test/json_lint.exe.
 telemetry-smoke:
 	$(DUNE) exec bin/spd.exe -- report table6_3 --jobs 2 --no-cache \
-	  --trace $(SMOKE_DIR)/spd_trace.json --format json \
+	  --trace $(SMOKE_DIR)/spd_trace.json --format json --timings \
 	  > $(SMOKE_DIR)/spd_report.json
+	@grep -q '"name":"timings"' $(SMOKE_DIR)/spd_report.json \
+	  || { echo "telemetry-smoke: --format json --timings carries no" \
+	    "timings artefact"; exit 1; }
 	$(DUNE) exec bin/spd.exe -- explain matmul300 --format json \
 	  > $(SMOKE_DIR)/spd_explain.json
 	$(DUNE) exec bin/spd.exe -- why matmul300 --format json \
@@ -151,8 +155,9 @@ check: all
 bench:
 	$(DUNE) exec bin/spd.exe -- report all --timings
 
-# The full report (paper artefacts + extensions) as one spd-report/1
-# JSON document; see EXPERIMENTS.md for the schema.
+# The full report (paper artefacts + extensions) as one spd-report/2
+# JSON document; see EXPERIMENTS.md for the schema.  It holds no wall
+# clock, so a rerun rewrites the same bytes, and test_golden pins it.
 bench-json:
 	$(DUNE) exec bin/spd.exe -- report all --format json > BENCH_REPORT.json
 

@@ -463,6 +463,11 @@ let report_cmd =
                  ?faults:(Option.map Fun.id faults) ())
               (fun session ->
                 let render names =
+                  let names =
+                    if timings && not (List.mem "timings" names) then
+                      names @ [ "timings" ]
+                    else names
+                  in
                   Artefact.render ~session format Fmt.stdout
                     (Artefact.of_names names)
                 in
@@ -477,14 +482,8 @@ let report_cmd =
                         Fmt.epr "unknown artefact %s (one of: all, %s)@." n
                           (String.concat ", " (Artefact.names ()));
                         exit 1));
-                (match format with
-                | Artefact.Pretty ->
-                    if timings && name <> Some "timings" then
-                      List.iter
-                        (Spd_harness.Table.pp Fmt.stdout)
-                        (Spd_harness.Report.timings_tables session);
-                    Spd_harness.Report.failure_appendix session Fmt.stdout ()
-                | _ -> ());
+                if format = Artefact.Pretty then
+                  Spd_harness.Report.failure_appendix session Fmt.stdout ();
                 Spd_harness.Engine.Session.failures session <> []))
       in
       if failed then exit 2
@@ -509,7 +508,9 @@ let report_cmd =
     Arg.(
       value & flag
       & info [ "timings" ]
-          ~doc:"Append the engine's per-stage wall-clock report.")
+          ~doc:
+            "Append the $(b,timings) artefact (the engine's per-stage \
+             wall clock and the session's counters), in every format.")
   in
   let validate_arg =
     Arg.(
@@ -547,8 +548,8 @@ let report_cmd =
       $ format_arg
           ~doc:
             "Output format: $(b,pretty) (default), $(b,json) (one \
-             spd-report/1 document with every table, the failures and a \
-             metrics snapshot) or $(b,csv) (long format).")
+             spd-report/2 document with every table and the failures) or \
+             $(b,csv) (long format).")
 
 (* [spd explain], [spd why] and [spd validate]: one workload's analysis,
    read through an engine session and narrowed by [--fn]/[--tree].

@@ -7,17 +7,18 @@
     the same values:
 
     - [Pretty]: the fixed-width terminal rendering ({!Table.pp});
-    - [Json]: one schema-versioned document ([spd-report/1]) holding
-      every table, the recorded cell failures and a metrics snapshot
-      ([spd-metrics/1]);
-    - [Csv]: long format, one [table,row,column,value] line per cell,
-      with the metrics counters appended under the pseudo-table
-      [metrics]. *)
+    - [Json]: one schema-versioned document ([spd-report/2]) holding
+      every table and the recorded cell failures;
+    - [Csv]: long format, one [table,row,column,value] line per cell.
+
+    A document holds what the artefacts computed and nothing of the
+    process around them: the metrics registry is read through the
+    daemon's [metrics] and [stats] methods, and the session's counters
+    and stage seconds are the [timings] artefact. *)
 
 module Json = Spd_telemetry.Json
-module Metrics = Spd_telemetry.Metrics
 
-let report_schema = "spd-report/1"
+let report_schema = "spd-report/2"
 
 type format = Pretty | Json | Csv
 
@@ -114,9 +115,9 @@ let failure_json (f : Engine.failure) =
       ("elapsed_seconds", Json.Float f.elapsed);
     ]
 
-(** The whole report as one JSON document.  Building the artefact
-    tables first (warming every grid cell) and snapshotting metrics and
-    failures last, so both cover all the work done. *)
+(** The whole report as one JSON document.  The artefact tables are
+    built first (warming every grid cell) and the failures read last,
+    so they cover all the work done. *)
 let to_json ~session (arts : t list) : Json.t =
   let artefacts =
     List.map
@@ -136,37 +137,7 @@ let to_json ~session (arts : t list) : Json.t =
       ( "failures",
         Json.List
           (List.map failure_json (Engine.Session.failures session)) );
-      ("metrics", Metrics.snapshot_json (Metrics.snapshot ()));
     ]
-
-let render_csv ~session ppf (arts : t list) =
-  Fmt.pf ppf "%s@." Table.csv_header;
-  List.iter
-    (fun a ->
-      List.iter
-        (fun t -> List.iter (Fmt.pf ppf "%s@.") (Table.to_csv_lines t))
-        (a.tables session))
-    arts;
-  (* metrics counters as a pseudo-table; histograms are summarised by
-     their count and sum *)
-  List.iter
-    (fun (name, v) ->
-      match v with
-      | Metrics.Counter n -> Fmt.pf ppf "metrics,%s,value,%d@." name n
-      | Metrics.Hist h ->
-          Fmt.pf ppf "metrics,%s,count,%d@." name h.count;
-          Fmt.pf ppf "metrics,%s,sum,%.17g@." name h.sum)
-    (Metrics.snapshot ())
-
-(** Render the given artefacts.  [Pretty] appends nothing extra (the
-    CLI adds the failure appendix); [Json] emits one document, [Csv]
-    one header plus data lines. *)
-let render ~session (format : format) ppf (arts : t list) =
-  match format with
-  | Pretty ->
-      List.iter (fun a -> List.iter (Table.pp ppf) (a.tables session)) arts
-  | Json -> Fmt.pf ppf "%s@." (Json.to_string (to_json ~session arts))
-  | Csv -> render_csv ~session ppf arts
 
 (** Render one document: [Pretty] prints [tables ()], [Json] prints
     [json ()] on one line, [Csv] prints the header and every line of
@@ -180,3 +151,10 @@ let render_doc (format : format) ppf ~tables ~json =
       List.iter
         (fun t -> List.iter (Fmt.pf ppf "%s@.") (Table.to_csv_lines t))
         (tables ())
+
+(** Render the given artefacts as one document.  [Pretty] appends
+    nothing extra (the CLI adds the failure appendix). *)
+let render ~session format ppf (arts : t list) =
+  render_doc format ppf
+    ~tables:(fun () -> List.concat_map (fun a -> a.tables session) arts)
+    ~json:(fun () -> to_json ~session arts)

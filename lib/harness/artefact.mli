@@ -6,7 +6,7 @@
     — exposed as a table-data builder so every output format renders
     the same values. *)
 
-(** The JSON document's schema key ([spd-report/1]); bump on any
+(** The JSON document's schema key ([spd-report/2]); bump on any
     incompatible change to the document layout. *)
 val report_schema : string
 
@@ -37,15 +37,15 @@ val extension_set : string list
 (** Resolve names; raises [Invalid_argument] on an unknown one. *)
 val of_names : string list -> t list
 
-(** The whole report as one [spd-report/1] JSON document: every table
-    of every artefact, the recorded cell failures, and a metrics
-    snapshot taken after all tables were built. *)
+(** The whole report as one [spd-report/2] JSON document: every table
+    of every artefact and the cell failures recorded once all tables
+    were built.  It carries no process metrics, so the same artefacts
+    over the same cells serialise to the same bytes. *)
 val to_json : session:Engine.Session.t -> t list -> Spd_telemetry.Json.t
 
-(** Render the given artefacts.  [Pretty] appends nothing extra (the
-    CLI adds the failure appendix); [Json] emits one document, [Csv]
-    one header plus data lines with metrics appended under the
-    pseudo-table [metrics]. *)
+(** Render the given artefacts as one document ({!render_doc} of
+    their tables and {!to_json}).  [Pretty] appends nothing extra (the
+    CLI adds the failure appendix). *)
 val render :
   session:Engine.Session.t -> format -> Format.formatter -> t list -> unit
 

@@ -17,7 +17,7 @@ Content-Length: 68\r\n
     {!max_headers} lines and {!max_header_bytes} bytes), so a header
     flood is a framing error, not unbounded memory.  Response
     [result]s are documents in the repository's existing schemas
-    ([spd-report/1], [spd-explain/1], [spd-micro/1], [spd-metrics/1])
+    ([spd-report/2], [spd-explain/1], [spd-micro/1], [spd-metrics/1])
     or the daemon's own [spd-serve/1]. *)
 
 (** Schema identifier of the daemon's own response documents:

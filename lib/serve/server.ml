@@ -368,8 +368,11 @@ let value_json : type a. a Query.artefact -> a -> Json.t =
 
 (* ------------------------------------------------------------------ *)
 (* Method dispatch.  Every result is either one of the repository's
-   existing schema documents (spd-report/1, spd-explain/1, spd-micro/1,
-   spd-metrics/1) or an spd-serve/1 object tagged with its "kind". *)
+   existing schema documents (spd-report/2, spd-explain/1,
+   spd-decisions/1, spd-validate/1, spd-micro/1, spd-metrics/1) or an
+   spd-serve/1 object tagged with its "kind".  Only [metrics],
+   [metrics_prom] and [stats] read the process's metrics registry: a
+   [report] is its artefacts' tables and the session's failures. *)
 
 let serve_doc kind fields =
   Json.Obj

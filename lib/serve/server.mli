@@ -27,10 +27,9 @@
     [validate], [micro], [run], [metrics], [metrics_prom], [stats],
     [shutdown].  [report] responses reuse
     {!Spd_harness.Artefact.to_json} verbatim, which is what makes a
-    served report byte-identical to [spd report --format json] (modulo
-    the run-dependent ["metrics"] member); [explain], [why] and
-    [validate] read the shared session through one dispatch arm and
-    answer the CLI's [--format json] document.
+    served report byte-identical to [spd report --format json];
+    [explain], [why] and [validate] read the shared session through one
+    dispatch arm and answer the CLI's [--format json] document.
 
     Observability: the daemon assigns every RPC a request id, runs its
     dispatch under that id as the ambient {!Spd_telemetry.Context}

@@ -1,7 +1,7 @@
 (** Validate that each file named on the command line is a complete
     JSON document, using the repository's own parser — the same one the
     test suite uses on trace and report output.  Documents carrying a
-    known [schema] key ([spd-explain/1], [spd-micro/1],
+    known [schema] key ([spd-report/2], [spd-explain/1], [spd-micro/1],
     [spd-decisions/1], [spd-validate/1], [spd-cache/1], [spd-serve/1],
     [spd-log/1]) and JSON-RPC envelopes are additionally checked
     structurally.  Exits nonzero on the first malformed file (see
@@ -63,6 +63,33 @@ let check_table tbl =
     (require_list "rows" tbl
     @ Option.value ~default:[]
         (Option.bind (Json.member "footers" tbl) Json.to_list))
+
+(* spd-report/2: the artefacts' tables and the cell failures, and
+   nothing else — in particular no snapshot of the process's metrics *)
+let check_report doc =
+  (match doc with
+  | Json.Obj kvs ->
+      let keys = List.map fst kvs in
+      if List.sort compare keys <> [ "artefacts"; "failures"; "schema" ]
+      then
+        bad "members are %s, not schema, artefacts, failures"
+          (String.concat ", " keys)
+  | _ -> bad "not an object");
+  let artefacts = require_list "artefacts" doc in
+  if artefacts = [] then bad "empty \"artefacts\" list";
+  List.iter
+    (fun a ->
+      let (_ : string) = require_string "name" a in
+      List.iter check_table (require_list "tables" a))
+    artefacts;
+  List.iter
+    (fun f ->
+      let (_ : string) = require_string "key" f in
+      let (_ : string) = require_string "error" f in
+      if require_int "attempts" f < 1 then bad "attempts < 1";
+      if require_number "elapsed_seconds" f < 0.0 then
+        bad "negative elapsed_seconds")
+    (require_list "failures" doc)
 
 let check_explain doc =
   let (_ : string) = require_string "workload" doc in
@@ -373,6 +400,7 @@ let check_log_lines path text =
 
 let check_schema doc =
   match Option.bind (Json.member "schema" doc) Json.to_string_opt with
+  | Some "spd-report/2" -> check_report doc; Some "spd-report/2"
   | Some "spd-explain/1" -> check_explain doc; Some "spd-explain/1"
   | Some "spd-micro/1" -> check_micro doc; Some "spd-micro/1"
   | Some "spd-decisions/1" -> check_decisions doc; Some "spd-decisions/1"

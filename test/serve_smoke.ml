@@ -53,10 +53,6 @@ let member name j =
   | Some v -> v
   | None -> die "response lacks %S: %s" name (Json.to_string j)
 
-let drop_member name = function
-  | Json.Obj kvs -> Json.Obj (List.filter (fun (k, _) -> k <> name) kvs)
-  | j -> j
-
 let call_ok c meth params =
   match Protocol.call c meth params with
   | Ok r -> r
@@ -185,14 +181,15 @@ let () =
     | Ok j -> j
     | Error e -> die "CLI report is not valid JSON: %s" e
   in
-  let norm j = Json.to_string (drop_member "metrics" j) in
-  if not (String.equal (norm served_report) (norm cli_report)) then begin
+  let served_report = Json.to_string served_report
+  and cli_report = Json.to_string cli_report in
+  if not (String.equal served_report cli_report) then begin
     write_file
       (Filename.concat !smoke_dir "spd_serve_report_served.json")
-      (norm served_report);
+      served_report;
     write_file
       (Filename.concat !smoke_dir "spd_serve_report_cli.json")
-      (norm cli_report);
+      cli_report;
     die "served report differs from the CLI's (see %s)" !smoke_dir
   end;
   (* a quota-starved duplicate fails alone (its budgeted cell is its

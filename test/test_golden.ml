@@ -17,11 +17,11 @@
     A failure names the workload and latency, or the artefact, and the
     first field that moved.
 
-    The committed [BENCH_REPORT.json] is the last corpus: every
-    artefact of [spd report all], rendered in process from a fresh
-    session without a disk cache, must equal its artefacts and
-    failures.  After an intentional change, regenerate it with
-    [make bench-json]. *)
+    The committed [BENCH_REPORT.json] is the last corpus: [spd report
+    all], rendered in process from a fresh session without a disk
+    cache, must equal it byte for byte; a failure names the first
+    artefact that differs.  After an intentional change, regenerate it
+    with [make bench-json]. *)
 
 module Json = Spd_telemetry.Json
 module Artefact = Spd_harness.Artefact
@@ -55,10 +55,11 @@ let artefacts doc =
     (Option.value ~default:[] (Json.to_list (member "artefacts" doc)))
 
 let check_bench_report () =
+  let committed =
+    In_channel.with_open_bin "../BENCH_REPORT.json" In_channel.input_all
+  in
   let expected =
-    match
-      Json.of_string (In_channel.with_open_bin "../BENCH_REPORT.json" In_channel.input_all)
-    with
+    match Json.of_string committed with
     | Ok doc -> doc
     | Error e -> Alcotest.failf "BENCH_REPORT.json: %s" e
   in
@@ -77,7 +78,12 @@ let check_bench_report () =
     want;
   Alcotest.(check string) "failures"
     (Json.to_string (member "failures" expected))
-    (Json.to_string (member "failures" rendered))
+    (Json.to_string (member "failures" rendered));
+  (* what [make bench-json] writes: the document and a newline *)
+  if Json.to_string rendered ^ "\n" <> committed then
+    Alcotest.fail
+      "BENCH_REPORT.json differs from the rendered document outside its \
+       artefacts and failures"
 
 let tests =
   List.concat_map

@@ -274,20 +274,11 @@ let test_engine_determinism () =
   check_bool "jobs=4 output bit-identical to jobs=1" true (String.equal seq par)
 
 (* The machine-readable rendering must be as deterministic as the
-   pretty one: the same artefact rendered through a 1-job and a 4-job
-   session serialises to bit-identical JSON.  (Only the artefact tables
-   are compared — the process-global metrics snapshot accumulates
-   across the whole test binary and is deliberately excluded.) *)
+   pretty one: the same artefact's whole report document, built through
+   a 1-job and a 4-job session, serialises to bit-identical JSON. *)
 let artefact_json s name =
-  let a =
-    match H.Artefact.find name with
-    | Some a -> a
-    | None -> Alcotest.failf "artefact %s not registered" name
-  in
-  String.concat "\n"
-    (List.map
-       (fun t -> Spd_telemetry.Json.to_string (H.Table.to_json t))
-       (a.H.Artefact.tables s))
+  Spd_telemetry.Json.to_string
+    (H.Artefact.to_json ~session:s (H.Artefact.of_names [ name ]))
 
 let test_artefact_json_jobs_invariant () =
   let j1 =

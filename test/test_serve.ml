@@ -5,7 +5,7 @@
     - a burst of 100 identical concurrent [query] requests records
       exactly one cell computation in the engine's counters, and
     - a served [report] is byte-identical to [Artefact.to_json] on the
-      same session (modulo the run-dependent metrics snapshot). *)
+      same session. *)
 
 open Util
 module H = Spd_harness
@@ -329,13 +329,8 @@ let test_quota_isolation () =
   check_bool "unbudgeted neighbour succeeds" true
     (member "ok" clean = Json.Bool true)
 
-let drop_member name = function
-  | Json.Obj kvs -> Json.Obj (List.filter (fun (k, _) -> k <> name) kvs)
-  | j -> j
-
 (* ACCEPTANCE: the served report is the same document [Artefact.to_json]
-   builds — one code path, so byte-identical JSON (metrics excluded:
-   the process-global snapshot moves between the two calls) *)
+   builds — one code path, so byte-identical JSON *)
 let test_report_byte_identical () =
   with_server @@ fun ~addr ~session ~server:_ ->
   let artefacts = Json.List [ Json.String "table6_3" ] in
@@ -345,9 +340,8 @@ let test_report_byte_identical () =
   let direct =
     H.Artefact.to_json ~session (H.Artefact.of_names [ "table6_3" ])
   in
-  check_string "served report = direct to_json"
-    (Json.to_string (drop_member "metrics" direct))
-    (Json.to_string (drop_member "metrics" served))
+  check_string "served report = direct to_json" (Json.to_string direct)
+    (Json.to_string served)
 
 (* Explain reads the daemon's session like why and validate: the
    served document is [Explain.to_json] of the same session's analysis,
