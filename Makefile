@@ -5,7 +5,9 @@
 # table6_3 smoke run twice — the second pass must be served entirely
 # from the warm _spd_cache/ (its --timings must read preparations 0 and
 # simulations 0, or the check fails) — a zero --mem-latency or --width
-# refused with exit 124 and the shared positive-integer wording, a
+# refused with exit 124 and the shared positive-integer wording,
+# `report --validate` with --format json or an ARTEFACT refused with
+# exit 1 and a pointer to `report spd-validate --format json`, a
 # telemetry smoke that lints the trace and JSON report output with the
 # in-repo JSON reader, the daemon smokes, a translation-validation smoke
 # that certifies every SpD application on the paper grid with the
@@ -144,6 +146,18 @@ check: all
 	  then echo "check: spd $$cmd exited $$status without the" \
 	    "positive-integer refusal"; cat $(SMOKE_DIR)/spd_bad_flag.txt; \
 	    exit 1; fi; \
+	done
+	@for cmd in "report --validate --format json" \
+	    "report --validate table6_3"; do \
+	  $(DUNE) exec bin/spd.exe -- $$cmd > /dev/null \
+	    2> $(SMOKE_DIR)/spd_bad_flag.txt; \
+	  status=$$?; \
+	  if [ $$status -ne 1 ] \
+	    || ! grep -q 'spd report spd-validate --format json' \
+	      $(SMOKE_DIR)/spd_bad_flag.txt; \
+	  then echo "check: spd $$cmd exited $$status without naming" \
+	    "spd report spd-validate --format json"; \
+	    cat $(SMOKE_DIR)/spd_bad_flag.txt; exit 1; fi; \
 	done
 	$(MAKE) telemetry-smoke
 	$(MAKE) serve-smoke

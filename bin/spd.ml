@@ -429,6 +429,13 @@ let report_cmd =
   let run list_only validate name jobs no_cache timings retries fuel
       deadline widths faults trace format =
     if list_only then Artefact.pp_list Fmt.stdout ()
+    else if validate && (format <> Artefact.Pretty || name <> None) then begin
+      Fmt.epr
+        "spd report --validate prints the pretty tally of the whole grid and \
+         takes no ARTEFACT or --format; the machine-readable tally is spd \
+         report spd-validate --format json@.";
+      exit 1
+    end
     else if validate then begin
       (* grid certification: translation-validate every SpD application
          of the paper grid instead of rendering artefacts *)
@@ -521,7 +528,10 @@ let report_cmd =
              translation-validate every SpD application (each built-in \
              workload at 2- and 6-cycle memory) and print the verdict \
              tally.  Exits 2 on any $(b,refuted) verdict or failed \
-             cell; $(b,unknown) verdicts are tolerated and counted.")
+             cell; $(b,unknown) verdicts are tolerated and counted.  \
+             Takes no ARTEFACT and no $(b,--format) other than \
+             $(b,pretty) (exit 1): $(b,spd report spd-validate --format \
+             json) is the machine-readable tally.")
   in
   let widths_conv =
     Arg.conv

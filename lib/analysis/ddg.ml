@@ -252,11 +252,10 @@ let slack (g : t) : int array =
   let early = asap g in
   Array.init (n_nodes g) (fun node -> late.(node) - early.(node))
 
-(** Completion times on the unbounded machine, directly consumable as a
-    timing table entry: instruction completions by position, exit
+(** Completion times of the nodes issued at [issue], directly consumable
+    as a timing table entry: instruction completions by position, exit
     completions by exit index. *)
-let asap_completion (g : t) : int array * int array =
-  let issue = asap g in
+let completion (g : t) (issue : int array) : int array * int array =
   let insn_completion =
     Array.init g.n_insns (fun pos -> issue.(pos) + node_latency g pos)
   in
@@ -265,6 +264,9 @@ let asap_completion (g : t) : int array * int array =
         issue.(exit_node g k) + Opcode.branch_latency)
   in
   (insn_completion, exit_completion)
+
+(** Completion times on the unbounded machine. *)
+let asap_completion (g : t) : int array * int array = completion g (asap g)
 
 (* ------------------------------------------------------------------ *)
 (* Graphviz export *)

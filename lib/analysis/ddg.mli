@@ -86,9 +86,13 @@ val alap : t -> span:int -> int array
     a critical path. *)
 val slack : t -> int array
 
-(** Completion times on the unbounded machine, directly consumable as a
-    timing table entry: instruction completions by position, exit
-    completions by exit index. *)
+(** Completion times of the nodes issued at the given cycles (one per
+    node), directly consumable as a timing table entry: instruction
+    completions by position, exit completions by exit index. *)
+val completion : t -> int array -> int array * int array
+
+(** {!completion} of the {!asap} issue times: the unbounded machine's
+    timing table entry. *)
 val asap_completion : t -> int array * int array
 
 (** Render the dependence graph in DOT format: register-flow edges with

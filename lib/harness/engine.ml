@@ -35,6 +35,17 @@ module W = Spd_workloads
    records each, instead of one file per entry. *)
 let cache_version = "6"
 
+(* The hex MD5 of every registry workload's source, taken once: each
+   cell payload names its workload's.  An unknown name raises
+   [Registry.by_name]'s error. *)
+let source_digests =
+  List.map
+    (fun (w : W.Workload.t) -> (w.name, Digest.to_hex (Digest.string w.source)))
+    (W.Registry.all @ W.Registry.extras)
+
+let source_digest bench =
+  List.assoc (W.Registry.by_name bench).name source_digests
+
 (* Engine-level metrics, mirrored alongside the per-session [Stats]
    counters so a metrics snapshot covers multi-session processes too. *)
 module M = Spd_telemetry.Metrics
@@ -560,6 +571,7 @@ module Session = struct
     lowered_memo : (string, Spd_ir.Prog.t) Memo.t;
     front_memo : (string, Spd_ir.Prog.t) Memo.t;
     prep_memo : (key, Pipeline.prepared) Memo.t;
+    plan_memo : (key, Spd_machine.Timing_builder.plan) Memo.t;
     reference_memo : (key, Pipeline.reference) Memo.t;
     run_memo :
       ( Digest.t * int option * float option,
@@ -624,6 +636,7 @@ module Session = struct
       lowered_memo = Memo.create 16;
       front_memo = Memo.create 16;
       prep_memo = Memo.create 64;
+      plan_memo = Memo.create 64;
       reference_memo = Memo.create 16;
       run_memo = Memo.create 32;
       cycles_memo = Memo.create 256;
@@ -941,11 +954,10 @@ module Session = struct
      successfully computed value, so budgeted successes share their
      disk entry with the unbudgeted cell. *)
   let cell_payload t (k : key) =
-    let w = W.Registry.by_name k.bench in
     String.concat "|"
       [
         "spd"; cache_version;
-        Digest.to_hex (Digest.string w.source);
+        source_digest k.bench;
         Pipeline.name k.kind;
         Pipeline.Config.fingerprint
           { t.config with mem_latency = k.latency };
@@ -1083,6 +1095,11 @@ module Session = struct
   let prepared t ~bench ~latency kind =
     prepared_cell t { bench; latency; kind; q_fuel = None; q_deadline = None }
 
+  (* A cell's schedule plan, built by the first width it prices: every
+     width of the cell is timed from its graphs and ASAP timings. *)
+  let plan_cell t (k : key) =
+    Memo.get t.plan_memo k (fun () -> Pipeline.plan (prepared_cell t k))
+
   (* The instrumented run whose histogram prices a cell at every width.
      NAIVE, STATIC and PERFECT execute NAIVE's code, arcs aside (their
      preparations check it), so they share the reference run; SPEC's is
@@ -1124,7 +1141,7 @@ module Session = struct
       ~load:(function D_cycles n -> Some n | _ -> None)
       (fun () ->
         let p = prepared_cell t k in
-        Pipeline.price p (run_cell t k) ~width)
+        Pipeline.price ~plan:(plan_cell t k) p (run_cell t k) ~width)
 
   (* code size and Table 6-3 counts of a cell, from one preparation *)
   let summary_cell t (k : key) =

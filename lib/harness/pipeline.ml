@@ -529,13 +529,25 @@ let prepare ?(config = Config.default) ?front:shared_front ?reference:shared
 let run (p : prepared) : run =
   match p.run with Some r -> r | None -> fresh_run p
 
+(** The schedule plan of [p]'s program: every tree's graph and ASAP
+    timing, built once for all widths. *)
+let plan (p : prepared) : Spd_machine.Timing_builder.plan =
+  time Schedule (fun () ->
+      Spd_machine.Timing_builder.plan ~mem_latency:p.mem_latency p.prog)
+
 (** [p]'s cycles on [width] functional units, from [r], a run of [p]'s
-    code: schedule, then fold [r]'s histogram with the schedule. *)
-let price (p : prepared) (r : run) ~(width : Spd_machine.Descr.width) : int =
-  let descr = { Spd_machine.Descr.width; mem_latency = p.mem_latency } in
+    code: schedule (from [plan], [p]'s, when given), then fold [r]'s
+    histogram with the schedule. *)
+let price ?plan (p : prepared) (r : run) ~(width : Spd_machine.Descr.width) :
+    int =
   let timing =
     time Schedule (fun () ->
-        Spd_machine.Timing_builder.program descr p.prog)
+        match plan with
+        | Some plan -> Spd_machine.Timing_builder.timing plan width
+        | None ->
+            Spd_machine.Timing_builder.program
+              { Spd_machine.Descr.width; mem_latency = p.mem_latency }
+              p.prog)
   in
   Spd_telemetry.Trace.with_span ~name:"sim.price" (fun () ->
       Spd_sim.Histogram.price r.histogram timing)

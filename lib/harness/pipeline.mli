@@ -250,11 +250,20 @@ val prepare :
     preparation made, or a fresh one (the [Simulate] stage). *)
 val run : prepared -> run
 
+(** [p]'s schedule plan ({!Spd_machine.Timing_builder.plan}), built as
+    the [Schedule] stage: what {!price} times [p] from at every width. *)
+val plan : prepared -> Spd_machine.Timing_builder.plan
+
 (** [price p r ~width] schedules [p] on [width] functional units and
     folds the histogram of [r] — a run of [p]'s code — with the
     schedule (a [sim.price] trace span): exactly the cycles
-    [Spd_sim.Interp.run ~timing] charges. *)
-val price : prepared -> run -> width:Spd_machine.Descr.width -> int
+    [Spd_sim.Interp.run ~timing] charges.  With [plan], {!plan} of [p],
+    the schedule comes from it ({!Spd_machine.Timing_builder.timing});
+    without, from {!Spd_machine.Timing_builder.program}, the one-shot
+    path for a single width.  The cycles are the same. *)
+val price :
+  ?plan:Spd_machine.Timing_builder.plan ->
+  prepared -> run -> width:Spd_machine.Descr.width -> int
 
 (** Cycle count of a prepared program on [width] functional units:
     {!price} over {!run}. *)

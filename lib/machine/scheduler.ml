@@ -13,7 +13,11 @@
     that scan (kept as the tests' reference scheduler) — and, being a
     pure function of the graph, identical across [--jobs] domain counts.  Nodes whose operands complete in a
     future cycle wait in a release queue (a min-heap on ready cycle)
-    instead of being re-scanned every cycle. *)
+    instead of being re-scanned every cycle.
+
+    [spd.scheduler.schedules] and [spd.scheduler.fu_occupancy] count
+    list schedules only: a schedule plan's widths at or above a tree's
+    peak take its ASAP timing and never reach {!run}. *)
 
 module Ddg = Spd_analysis.Ddg
 
@@ -228,14 +232,7 @@ let run ?fus (g : Ddg.t) : t =
 (** Convert a schedule into the timing table entry the simulator charges
     traversals with. *)
 let timing (g : Ddg.t) (s : t) : Spd_sim.Timing.tree_timing =
-  let insn_completion =
-    Array.init g.n_insns (fun pos ->
-        s.issue.(pos) + Ddg.node_latency g pos)
-  in
-  let exit_completion =
-    Array.init g.n_exits (fun k ->
-        s.issue.(Ddg.exit_node g k) + Spd_ir.Opcode.branch_latency)
-  in
+  let insn_completion, exit_completion = Ddg.completion g s.issue in
   { Spd_sim.Timing.insn_completion; exit_completion }
 
 (** Check that a schedule respects every dependence edge and the [fus]

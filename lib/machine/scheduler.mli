@@ -8,7 +8,14 @@
     heap with deterministic tie-breaking (equal heights pop the lower
     node index), so schedules are bit-identical to the historical
     ready-list scan (the tests' reference scheduler) and across
-    [--jobs] domain counts. *)
+    [--jobs] domain counts.
+
+    [spd.scheduler.schedules] counts the calls of {!run} and
+    [spd.scheduler.fu_occupancy] observes each one on a finite machine:
+    they count list schedules, not timed trees.  A schedule plan
+    ({!Timing_builder.timing}) takes a tree's ASAP timing without
+    calling {!run} at every width where the width cannot bind, so a cold
+    paper report counts 1,788 schedules for its 8,444 tree timings. *)
 
 module Ddg = Spd_analysis.Ddg
 

@@ -16,9 +16,10 @@
     reports: for all four pipelines at both memory latencies, cycles
     priced from one instrumented run's path histogram — NAIVE's run for
     NAIVE, STATIC and PERFECT, SPEC's own for SPEC — must equal a timed
-    interpreter run at 1–8 FUs and on the infinite machine, and the
-    per-tree breakdown [spd explain] prints must sum to that run's
-    cycles and traversals.
+    interpreter run at 1–8 FUs and on the infinite machine, both from
+    the one-shot timing table and through the program's schedule plan,
+    and the per-tree breakdown [spd explain] prints must sum to that
+    run's cycles and traversals.
 
     The gain oracle re-prices the heuristic's estimator: on every tree
     of the STATIC and the SpD program, at both memory latencies,
@@ -104,7 +105,8 @@ let check_scheduler_equivalence (prog : Spd_ir.Prog.t) =
 
 (* Pricing oracle: [Histogram.price] over one instrumented run, and its
    per-tree breakdown, against [Interp.run ~timing], the reference, on
-   every machine. *)
+   every machine; and the same price through the program's schedule
+   plan, the engine's path. *)
 let check_pricing (lowered : Spd_ir.Prog.t) =
   List.iter
     (fun mem_latency ->
@@ -126,6 +128,7 @@ let check_pricing (lowered : Spd_ir.Prog.t) =
             | Pipeline.Naive | Pipeline.Static | Pipeline.Perfect ->
                 reference.Pipeline.run
           in
+          let plan = Pipeline.plan p in
           List.iter
             (fun width ->
               let timing =
@@ -134,6 +137,7 @@ let check_pricing (lowered : Spd_ir.Prog.t) =
               in
               let timed = Interp.run ~timing ~fuel:!case_fuel p.prog in
               let priced = Spd_sim.Histogram.price run.histogram timing in
+              let planned = Pipeline.price ~plan p run ~width in
               let trees = Spd_sim.Histogram.breakdown run.histogram timing in
               let sum f = List.fold_left (fun n c -> n + f c) 0 trees in
               let fail what ours theirs =
@@ -143,6 +147,9 @@ let check_pricing (lowered : Spd_ir.Prog.t) =
                      mem_latency what ours theirs)
               in
               if priced <> timed.cycles then fail "priced" priced timed.cycles;
+              (* the schedule plan the engine prices every width from *)
+              if planned <> priced then
+                fail "priced through the schedule plan" planned timed.cycles;
               (* the per-tree breakdown [spd explain] prints *)
               let cycles = sum (fun c -> c.Spd_sim.Histogram.cycles) in
               if cycles <> timed.cycles then

@@ -2,7 +2,9 @@
     (dependences and resources, checked on real and random programs),
     the ready heap's deterministic total order, bit-identity of the
     indexed DDG + heap scheduler with their preserved references,
-    critical-path tiling across widths, timing construction. *)
+    critical-path tiling across widths, timing construction, and
+    schedule plans: equal to the one-shot timing builder at every width,
+    and the list schedule equal to ASAP exactly from the peak up. *)
 
 open Util
 module Ir = Spd_ir
@@ -348,6 +350,93 @@ let test_cycles_decrease_with_width () =
   check_bool "8 FUs faster than 1 FU" true (c8 < c1);
   check_bool "infinite at least as fast as 8" true (cinf <= c8)
 
+(* ------------------------------------------------------------------ *)
+(* Schedule plans *)
+
+let widths = M.Descr.Infinite :: List.init 8 (fun i -> M.Descr.Fus (i + 1))
+
+(* Every paper workload plus matmul300, all four pipelines, both
+   latencies, as one session prepares them. *)
+let iter_paper_programs f =
+  let module Engine = Spd_harness.Engine in
+  Engine.Session.with_session
+    (Engine.Session.create ~jobs:1 ~disk_cache:false ())
+    (fun s ->
+      List.iter
+        (fun bench ->
+          List.iter
+            (fun latency ->
+              List.iter
+                (fun kind ->
+                  f ~bench ~latency kind
+                    (Engine.Session.prepared s ~bench ~latency kind))
+                Spd_harness.Pipeline.all)
+            [ 2; 6 ])
+        Golden_render.corpus_workloads)
+
+let test_plan_matches_program () =
+  iter_paper_programs (fun ~bench ~latency kind p ->
+      let plan = Spd_harness.Pipeline.plan p in
+      List.iter
+        (fun width ->
+          let reference =
+            M.Timing_builder.program { M.Descr.width; mem_latency = latency }
+              p.prog
+          in
+          let timing = M.Timing_builder.timing plan width in
+          let where = Fmt.str "%s %d-cycle %s at %a" bench latency
+              (Spd_harness.Pipeline.name kind) M.Descr.pp_width width
+          in
+          check_int (where ^ ": trees timed") (Hashtbl.length reference)
+            (Hashtbl.length timing);
+          Hashtbl.iter
+            (fun (func, tree_id) tt ->
+              if Spd_sim.Timing.find timing ~func ~tree_id <> tt then
+                Alcotest.failf "%s: tree %s/%d differs from program's" where
+                  func tree_id)
+            reference)
+        widths)
+
+(* The plan's lemma: at [n >= peak] units the list schedule issues every
+   node at its ASAP cycle; below the peak some cycle overflows, so some
+   node issues later. *)
+let schedule_is_asap_from_peak g =
+  let asap = Ddg.asap g in
+  let peak = M.Timing_builder.peak asap in
+  let issue fus = (M.Scheduler.run ~fus g).M.Scheduler.issue in
+  let from_peak =
+    List.init (min 8 (Ddg.n_nodes g - peak + 1)) (fun i -> peak + i)
+  in
+  List.for_all (fun n -> issue n = asap) (Ddg.n_nodes g :: from_peak)
+  && (peak = 1 || issue (peak - 1) <> asap)
+
+let prop_schedule_asap_from_peak =
+  QCheck.Test.make ~name:"list schedule = ASAP exactly from the peak"
+    ~count:15 Gen_prog.arbitrary_source (fun src ->
+      let spec =
+        Spd_harness.Pipeline.prepare
+          ~config:(Spd_harness.Pipeline.Config.v ~mem_latency:2 ())
+          Spd_harness.Pipeline.Spec (compile src)
+      in
+      List.for_all
+        (fun tree ->
+          List.for_all
+            (fun mem_latency ->
+              schedule_is_asap_from_peak (Ddg.build ~mem_latency tree))
+            [ 2; 6 ])
+        (all_trees spec.prog))
+
+let test_schedule_asap_from_peak_on_workloads () =
+  iter_paper_programs (fun ~bench ~latency kind p ->
+      List.iter
+        (fun tree ->
+          if not (schedule_is_asap_from_peak (Ddg.build ~mem_latency:latency tree))
+          then
+            Alcotest.failf "%s %d-cycle %s %s: list schedule is not ASAP \
+                            exactly from the peak"
+              bench latency (Spd_harness.Pipeline.name kind) tree.Tree.name)
+        (all_trees p.prog))
+
 let tests =
   [
     case "Table 6-1 matches opcode latencies" test_descr_table_matches_opcodes;
@@ -365,6 +454,10 @@ let tests =
     case "critical path tiles the makespan at every width"
       test_critpath_tiles_across_widths;
     case "cycles decrease with width" test_cycles_decrease_with_width;
+    case "schedule plan = program at every width" test_plan_matches_program;
+    qcase prop_schedule_asap_from_peak;
+    case "list schedule = ASAP from the peak on workloads"
+      test_schedule_asap_from_peak_on_workloads;
   ]
 
 (* ------------------------------------------------------------------ *)
