@@ -7,8 +7,10 @@
 # simulations 0, or the check fails) — a zero --mem-latency or --width
 # refused with exit 124 and the shared positive-integer wording,
 # `report --validate` with --format json or an ARTEFACT refused with
-# exit 1 and a pointer to `report spd-validate --format json`, a
-# telemetry smoke that lints the trace and JSON report output with the
+# exit 1 and a pointer to `report spd-validate --format json`, the
+# extension experiments contained per cell (ext_dynamic under an
+# injected adi/6/STATIC fault and ext_params under a 1000-traversal
+# budget exit 2 with the failure appendix), a telemetry smoke that lints the trace and JSON report output with the
 # in-repo JSON reader, the daemon smokes, a translation-validation smoke
 # that certifies every SpD application on the paper grid with the
 # symbolic equivalence checker, and last the hot-path throughput gate
@@ -158,6 +160,17 @@ check: all
 	  then echo "check: spd $$cmd exited $$status without naming" \
 	    "spd report spd-validate --format json"; \
 	    cat $(SMOKE_DIR)/spd_bad_flag.txt; exit 1; fi; \
+	done
+	@for cmd in \
+	    "report ext_dynamic --no-cache --inject-fault cell-raise:adi/6/STATIC" \
+	    "report ext_params --no-cache --fuel 1000"; do \
+	  $(DUNE) exec bin/spd.exe -- $$cmd > $(SMOKE_DIR)/spd_contained.txt \
+	    2> /dev/null; \
+	  status=$$?; \
+	  if [ $$status -ne 2 ] \
+	    || ! grep -q '^Failed cells' $(SMOKE_DIR)/spd_contained.txt; \
+	  then echo "check: spd $$cmd exited $$status without the failure" \
+	    "appendix"; exit 1; fi; \
 	done
 	$(MAKE) telemetry-smoke
 	$(MAKE) serve-smoke

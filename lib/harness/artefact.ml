@@ -66,11 +66,11 @@ let registry : t list =
       title = "SpD translation validation (verdict tally per grid cell)";
       tables = Report.spd_validate_tables };
     { name = "ext_dynamic"; title = "SpD vs hardware dynamic disambiguation";
-      tables = Extensions.ext_dynamic_tables };
+      tables = Report.ext_dynamic_tables };
     { name = "ext_grafting"; title = "Tree grafting";
-      tables = Extensions.ext_grafting_tables };
+      tables = Report.ext_grafting_tables };
     { name = "ext_params"; title = "Guidance heuristic ablation";
-      tables = Extensions.ext_params_tables };
+      tables = Report.ext_params_tables };
     { name = "timings"; title = "Engine wall clock and counters";
       tables = Report.timings_tables };
   ]

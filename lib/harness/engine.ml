@@ -278,17 +278,36 @@ let () =
 
 (* ------------------------------------------------------------------ *)
 (* Typed queries: the one request shape the engine accepts.  A query
-   names an artefact of a (bench, latency) cell plus optional
-   per-request budgets; the artefact's type parameter is the type of
-   its answer.  Budgets only *tighten* the session's own
-   budgets, and a budgeted query memoizes under its own cell — a
-   quota-starved request can fail without poisoning the unbudgeted
-   cell, while N identical budgeted requests still cost one
-   computation. *)
+   names an artefact of a (bench, latency) cell, where the cell's
+   program departs from the paper's (grafted loop trees, other
+   heuristic parameters), plus optional per-request budgets; the
+   artefact's type parameter is the type of its answer.  Budgets only
+   *tighten* the session's own budgets, and a budgeted query memoizes
+   under its own cell — a quota-starved request can fail without
+   poisoning the unbudgeted cell, while N identical budgeted requests
+   still cost one computation. *)
 
 let width_tag = function
   | Spd_machine.Descr.Infinite -> "inf"
   | Spd_machine.Descr.Fus n -> "fus" ^ string_of_int n
+
+module H = Spd_core.Heuristic
+
+type variant = { graft : bool; spd_params : H.params option }
+
+(* [+graft], then each heuristic parameter off its default *)
+let variant_tag = function
+  | None -> ""
+  | Some { graft; spd_params } ->
+      let d = H.default_params in
+      let p = Option.value spd_params ~default:d in
+      let tag name fmt v dv =
+        if v = dv then "" else Printf.sprintf ("+%s=" ^^ fmt) name v
+      in
+      (if graft then "+graft" else "")
+      ^ tag "max_expansion" "%g" p.max_expansion d.max_expansion
+      ^ tag "min_gain" "%g" p.min_gain d.min_gain
+      ^ tag "max_applications" "%d" p.max_applications d.max_applications
 
 module Query = struct
   type _ artefact =
@@ -314,6 +333,7 @@ module Query = struct
     bench : string;
     latency : int;
     artefact : 'a artefact;
+    variant : variant option;
     fuel : int option;
     deadline : float option;
   }
@@ -335,7 +355,8 @@ module Query = struct
       "spd-validate"; "speedup-over-naive"; "spec-over-static"; "code-growth";
     ]
 
-  let v ?fuel ?deadline ~bench ~latency artefact =
+  let v ?(graft = false) ?spd_params ?fuel ?deadline ~bench ~latency
+      artefact =
     if latency < 1 then
       invalid_arg
         (Printf.sprintf "Engine.Query.v: latency must be positive, got %d"
@@ -351,7 +372,13 @@ module Query = struct
           (Printf.sprintf "Engine.Query.v: deadline must be positive, got %g"
              d)
     | _ -> ());
-    { bench; latency; artefact; fuel; deadline }
+    (* the paper's program, however spelled: no compare, no allocation *)
+    let variant =
+      match spd_params with
+      | Some p when p <> H.default_params -> Some { graft; spd_params }
+      | _ -> if graft then Some { graft; spd_params = None } else None
+    in
+    { bench; latency; artefact; variant; fuel; deadline }
 
   let key (type a) (q : a t) =
     let detail =
@@ -375,9 +402,9 @@ module Query = struct
       | None -> ""
       | Some d -> Printf.sprintf "+deadline=%g" d
     in
-    Printf.sprintf "%s/%d/%s%s%s" q.bench q.latency
+    Printf.sprintf "%s/%d/%s%s%s%s" q.bench q.latency
       (artefact_name q.artefact)
-      detail budget
+      detail (variant_tag q.variant) budget
 end
 
 (* ------------------------------------------------------------------ *)
@@ -524,11 +551,13 @@ let cache_usage dir =
 module Session = struct
   (* The internal memo key: cell coordinates plus the per-request
      budget.  Budgeted queries memoize under their own cells; the
-     common unbudgeted case is [q_fuel = None; q_deadline = None]. *)
+     common unbudgeted case is [q_fuel = None; q_deadline = None], and
+     a paper cell's [variant] is [None]. *)
   type key = {
     bench : string;
     latency : int;
     kind : Pipeline.kind;
+    variant : variant option;
     q_fuel : int option;
     q_deadline : float option;
   }
@@ -569,7 +598,7 @@ module Session = struct
     disk : disk option;  (* None = on-disk cache disabled *)
     pool : Pool.t;
     lowered_memo : (string, Spd_ir.Prog.t) Memo.t;
-    front_memo : (string, Spd_ir.Prog.t) Memo.t;
+    front_memo : (string * bool, Spd_ir.Prog.t) Memo.t;
     prep_memo : (key, Pipeline.prepared) Memo.t;
     plan_memo : (key, Spd_machine.Timing_builder.plan) Memo.t;
     reference_memo : (key, Pipeline.reference) Memo.t;
@@ -946,39 +975,6 @@ module Session = struct
             Hashtbl.replace d.fresh address entry;
             d.changed <- true)
 
-  (* The full content address of a grid cell: cache format version,
-     digest of the workload source, pipeline kind and configuration
-     fingerprint (which includes the memory latency).  Budgets are
-     deliberately excluded, like they are from the fingerprint: a
-     budget can only turn a result into a failure, never change a
-     successfully computed value, so budgeted successes share their
-     disk entry with the unbudgeted cell. *)
-  let cell_payload t (k : key) =
-    String.concat "|"
-      [
-        "spd"; cache_version;
-        source_digest k.bench;
-        Pipeline.name k.kind;
-        Pipeline.Config.fingerprint
-          { t.config with mem_latency = k.latency };
-      ]
-
-  (* The human-readable cell key: what [cell-raise] faults match against
-     and what the failure appendix prints. *)
-  let cell_key (k : key) =
-    Printf.sprintf "%s/%d/%s" k.bench k.latency (Pipeline.name k.kind)
-
-  (* appended at the END of the full metric key, so [cell-raise]
-     prefixes over unbudgeted keys keep matching exactly as before *)
-  let budget_tag (k : key) =
-    (match k.q_fuel with
-    | None -> ""
-    | Some n -> Printf.sprintf "+fuel=%d" n)
-    ^
-    match k.q_deadline with
-    | None -> ""
-    | Some d -> Printf.sprintf "+deadline=%g" d
-
   let opt_min_int a b =
     match (a, b) with
     | None, x | x, None -> x
@@ -993,14 +989,53 @@ module Session = struct
     opt_min_float t.config.Pipeline.Config.deadline k.q_deadline
 
   (* the pipeline configuration of one cell: per-cell memory latency,
-     session budgets tightened by the request's quotas *)
+     graft and heuristic parameters, session budgets tightened by the
+     request's quotas *)
   let config_for t (k : key) =
+    let { graft; spd_params } =
+      Option.value k.variant ~default:{ graft = false; spd_params = None }
+    in
     {
       t.config with
       Pipeline.Config.mem_latency = k.latency;
+      graft;
+      spd_params;
       fuel = opt_min_int t.config.Pipeline.Config.fuel k.q_fuel;
       deadline = eff_deadline t k;
     }
+
+  (* The full content address of a grid cell: cache format version,
+     digest of the workload source, pipeline kind and configuration
+     fingerprint (memory latency, graft and heuristic parameters).
+     Budgets are deliberately excluded, like they are from the
+     fingerprint: a budget can only turn a result into a failure, never
+     change a successfully computed value, so budgeted successes share
+     their disk entry with the unbudgeted cell. *)
+  let cell_payload t (k : key) =
+    String.concat "|"
+      [
+        "spd"; cache_version;
+        source_digest k.bench;
+        Pipeline.name k.kind;
+        Pipeline.Config.fingerprint (config_for t k);
+      ]
+
+  (* The human-readable cell key: what [cell-raise] faults match against
+     and what the failure appendix prints. *)
+  let cell_key (k : key) =
+    Printf.sprintf "%s/%d/%s%s" k.bench k.latency (Pipeline.name k.kind)
+      (variant_tag k.variant)
+
+  (* appended at the END of the full metric key, so [cell-raise]
+     prefixes over unbudgeted keys keep matching exactly as before *)
+  let budget_tag (k : key) =
+    (match k.q_fuel with
+    | None -> ""
+    | Some n -> Printf.sprintf "+fuel=%d" n)
+    ^
+    match k.q_deadline with
+    | None -> ""
+    | Some d -> Printf.sprintf "+deadline=%g" d
 
   (* ---------------------------------------------------------------- *)
 
@@ -1010,11 +1045,13 @@ module Session = struct
         mark m_lowerings;
         Pipeline.lower (W.Registry.by_name bench).source)
 
-  (* the validated NAIVE program of a benchmark: every preparation and
-     the reference run start from it *)
-  let front t bench =
-    Memo.get t.front_memo bench (fun () ->
-        Pipeline.front ~config:t.config (lowered t bench))
+  (* the validated NAIVE program of a benchmark, grafted or not: every
+     preparation and the reference run start from it *)
+  let front t bench ~graft =
+    Memo.get t.front_memo (bench, graft) (fun () ->
+        Pipeline.front
+          ~config:{ t.config with Pipeline.Config.graft }
+          (lowered t bench))
 
   (* the [run_memo] key of a run identity under [config]'s budgets *)
   let run_key identity (config : Pipeline.Config.t) =
@@ -1022,14 +1059,22 @@ module Session = struct
       config.fuel,
       config.deadline )
 
+  (* a variant as the programs that do not run the heuristic see it *)
+  let graft_only = function
+    | Some { graft = true; _ } -> Some { graft = true; spd_params = None }
+    | _ -> None
+
   (* NAIVE's instrumented run under a budget: it depends on neither the
-     memory latency nor the pipeline, so one serves the bench.  It is
-     also the run of a SPEC program that applies nothing and keeps
-     NAIVE's code, so it seeds [run_memo] under NAIVE's identity. *)
+     memory latency, the pipeline nor the heuristic parameters, so one
+     serves the bench (one per graft).  It is also the run of a SPEC
+     program that applies nothing and keeps NAIVE's code, so it seeds
+     [run_memo] under NAIVE's identity. *)
   let reference_cell t (k : key) =
-    let k = { k with latency = 0; kind = Pipeline.Naive } in
+    let variant = graft_only k.variant in
+    let k = { k with latency = 0; kind = Pipeline.Naive; variant } in
     Memo.get t.reference_memo k (fun () ->
-        let config = config_for t k and naive = front t k.bench in
+        let config = config_for t k in
+        let naive = front t k.bench ~graft:config.graft in
         let r = Pipeline.reference ~config naive in
         let identity = Pipeline.run_identity naive [] in
         ignore
@@ -1085,7 +1130,7 @@ module Session = struct
     let lowered = lowered t k.bench in
     bump t (fun t -> t.preparations <- t.preparations + 1);
     mark m_preparations;
-    Pipeline.prepare ~config ~front:(front t k.bench)
+    Pipeline.prepare ~config ~front:(front t k.bench ~graft:config.graft)
       ~reference:(fun () -> reference_cell t k)
       ~run:(shared_run t) ~validator:(validator t) k.kind lowered
 
@@ -1093,7 +1138,8 @@ module Session = struct
     Memo.get t.prep_memo k (fun () -> prepare t k ~config:(config_for t k))
 
   let prepared t ~bench ~latency kind =
-    prepared_cell t { bench; latency; kind; q_fuel = None; q_deadline = None }
+    prepared_cell t
+      { bench; latency; kind; variant = None; q_fuel = None; q_deadline = None }
 
   (* A cell's schedule plan, built by the first width it prices: every
      width of the cell is timed from its graphs and ASAP timings. *)
@@ -1140,8 +1186,10 @@ module Session = struct
       ~store:(fun n -> D_cycles n)
       ~load:(function D_cycles n -> Some n | _ -> None)
       (fun () ->
-        let p = prepared_cell t k in
-        Pipeline.price ~plan:(plan_cell t k) p (run_cell t k) ~width)
+        (* prepare before waiting on a reference run *)
+        ignore (prepared_cell t k);
+        let run = run_cell t k in
+        Pipeline.price (plan_cell t k) run ~width)
 
   (* code size and Table 6-3 counts of a cell, from one preparation *)
   let summary_cell t (k : key) =
@@ -1203,6 +1251,9 @@ module Session = struct
         bench = q.Query.bench;
         latency = q.Query.latency;
         kind;
+        variant =
+          (if kind = Pipeline.Spec then q.Query.variant
+           else graft_only q.Query.variant);
         q_fuel = q.Query.fuel;
         q_deadline = q.Query.deadline;
       }

@@ -81,6 +81,13 @@ val pp_failure : Format.formatter -> failure -> unit
     quota-starved tenant's failure never poisons the unbudgeted cell,
     and N identical budgeted queries still cost one computation). *)
 
+(** Where a cell's program departs from the paper's: tree grafting
+    (paper section 7) and the heuristic's knobs (section 5.3). *)
+type variant = {
+  graft : bool;
+  spd_params : Spd_core.Heuristic.params option;
+}
+
 module Query : sig
   (** What to compute for the (bench, latency) cell; the type parameter
       is the type of the answer. *)
@@ -116,6 +123,8 @@ module Query : sig
     bench : string;  (** built-in workload name *)
     latency : int;  (** memory latency in cycles (paper: 2 and 6) *)
     artefact : 'a artefact;
+    variant : variant option;
+        (** [None] for the paper's program, however spelled *)
     fuel : int option;
         (** per-request traversal quota; tightens the session budget *)
     deadline : float option;
@@ -123,9 +132,13 @@ module Query : sig
             session budget *)
   }
 
-  (** Build a query.  Raises [Invalid_argument] on a non-positive
-      [latency], [fuel] or [deadline]. *)
+  (** Build a query.  [graft] and [spd_params] default to the paper's
+      program; NAIVE, STATIC and PERFECT cells ignore [spd_params].
+      Raises [Invalid_argument] on a non-positive [latency], [fuel] or
+      [deadline]. *)
   val v :
+    ?graft:bool ->
+    ?spd_params:Spd_core.Heuristic.params ->
     ?fuel:int ->
     ?deadline:float ->
     bench:string -> latency:int -> 'a artefact -> 'a t
@@ -140,7 +153,10 @@ module Query : sig
   val artefact_names : string list
 
   (** Canonical human-readable request key,
-      [bench/latency/artefact[/KIND][/width][+fuel=N][+deadline=S]]. *)
+      [bench/latency/artefact[/KIND][/width][+VARIANT][+fuel=N][+deadline=S]],
+      where [+VARIANT] spells [+graft] and each heuristic parameter off
+      its default ([+max_expansion=1.25]); a failure key spells it
+      after the kind ([adi/6/SPEC+graft/cycles/fus5]). *)
   val key : 'a t -> string
 end
 
@@ -155,8 +171,8 @@ module Stats : sig
             code and watched SpD applications — whose path histogram
             prices it at every width.  NAIVE, STATIC and PERFECT, and a
             SPEC program that applies nothing, are priced from NAIVE's
-            reference run, made once per benchmark in the [Profile]
-            stage *)
+            reference run, made once per benchmark and graft in the
+            [Profile] stage *)
     explorations : int;
         (** translation-validation obligations actually explored (the
             [Validate] stage): one per distinct obligation — what the
@@ -208,7 +224,8 @@ module Session : sig
       armed [fuel:<n>] fault overrides [fuel].
 
       Every cell is prepared under {!Pipeline.Config.default} with its
-      own memory latency and the session's budgets. *)
+      own memory latency, graft and heuristic parameters and the
+      session's budgets. *)
   val create :
     ?jobs:int ->
     ?disk_cache:bool ->
@@ -258,15 +275,12 @@ module Session : sig
 
   (** {1 Pipeline materialization}
 
-    The two compile-stage accessors that return in-memory programs
-    rather than query answers — used by the extension experiments and
-    by {!Explain} ([spd explain] and the daemon's [explain] method).
-    Not failure-contained: an unknown benchmark, a compile error or a
-    failed preparation raises, and the session re-raises it on every
-    later request for the same program. *)
-
-  (** Lowered IR of a built-in benchmark. *)
-  val lowered : t -> string -> Spd_ir.Prog.t
+    The one accessor that returns an in-memory program rather than a
+    query answer, read by {!Explain} ([spd explain] and the daemon's
+    [explain] method) and by [ext_dynamic] after the same program's
+    cells succeeded.  Not failure-contained: an unknown benchmark, a
+    compile error or a failed preparation raises, and the session
+    re-raises it on every later request for the same program. *)
 
   (** Prepared pipeline for a benchmark at a memory latency: the same
       memoized preparation the cells read, made under the session's

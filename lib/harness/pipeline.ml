@@ -535,25 +535,18 @@ let plan (p : prepared) : Spd_machine.Timing_builder.plan =
   time Schedule (fun () ->
       Spd_machine.Timing_builder.plan ~mem_latency:p.mem_latency p.prog)
 
-(** [p]'s cycles on [width] functional units, from [r], a run of [p]'s
-    code: schedule (from [plan], [p]'s, when given), then fold [r]'s
-    histogram with the schedule. *)
-let price ?plan (p : prepared) (r : run) ~(width : Spd_machine.Descr.width) :
-    int =
+(** The cycles on [width] functional units of the program [plan] times,
+    from [r], a run of its code: the width's schedule from the plan,
+    then [r]'s histogram folded with it. *)
+let price plan (r : run) ~(width : Spd_machine.Descr.width) : int =
   let timing =
-    time Schedule (fun () ->
-        match plan with
-        | Some plan -> Spd_machine.Timing_builder.timing plan width
-        | None ->
-            Spd_machine.Timing_builder.program
-              { Spd_machine.Descr.width; mem_latency = p.mem_latency }
-              p.prog)
+    time Schedule (fun () -> Spd_machine.Timing_builder.timing plan width)
   in
   Spd_telemetry.Trace.with_span ~name:"sim.price" (fun () ->
       Spd_sim.Histogram.price r.histogram timing)
 
 (** Cycle count of a prepared program on [width] functional units. *)
-let cycles (p : prepared) ~width : int = price p (run p) ~width
+let cycles (p : prepared) ~width : int = price (plan p) (run p) ~width
 
 (** Static code size in operations (Figure 6-4's metric). *)
 let code_size (p : prepared) : int = Prog.code_size p.prog

@@ -254,19 +254,16 @@ val run : prepared -> run
     the [Schedule] stage: what {!price} times [p] from at every width. *)
 val plan : prepared -> Spd_machine.Timing_builder.plan
 
-(** [price p r ~width] schedules [p] on [width] functional units and
-    folds the histogram of [r] — a run of [p]'s code — with the
-    schedule (a [sim.price] trace span): exactly the cycles
-    [Spd_sim.Interp.run ~timing] charges.  With [plan], {!plan} of [p],
-    the schedule comes from it ({!Spd_machine.Timing_builder.timing});
-    without, from {!Spd_machine.Timing_builder.program}, the one-shot
-    path for a single width.  The cycles are the same. *)
+(** [price plan r ~width] takes the schedule on [width] functional units
+    from [plan] — {!plan} of a prepared program [p] — and folds the
+    histogram of [r], a run of [p]'s code, with it (a [sim.price] trace
+    span): exactly the cycles [Spd_sim.Interp.run ~timing] charges. *)
 val price :
-  ?plan:Spd_machine.Timing_builder.plan ->
-  prepared -> run -> width:Spd_machine.Descr.width -> int
+  Spd_machine.Timing_builder.plan -> run -> width:Spd_machine.Descr.width -> int
 
 (** Cycle count of a prepared program on [width] functional units:
-    {!price} over {!run}. *)
+    {!price} of its {!plan} over {!run}.  The tests' direct reference
+    for a cell's cycles. *)
 val cycles : prepared -> width:Spd_machine.Descr.width -> int
 
 (** Static code size in operations (Figure 6-4's metric). *)

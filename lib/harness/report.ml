@@ -38,8 +38,8 @@ let nrc_benches () =
   List.map (fun (w : W.Workload.t) -> w.name) W.Registry.nrc
 
 (* one grid cell through the engine's single request path *)
-let submit s ~bench ~latency artefact =
-  Engine.Session.submit s (Query.v ~bench ~latency artefact)
+let submit ?graft ?spd_params s ~bench ~latency artefact =
+  Engine.Session.submit s (Query.v ?graft ?spd_params ~bench ~latency artefact)
 
 (* Fan the given grid cells out over the session's domain pool before
    rendering; the table builders below then only read memoized results,
@@ -519,6 +519,139 @@ let spd_validate_tables s =
       ~label_header:"cell"
       ~columns:[ "applications"; "proved"; "refuted"; "unknown" ]
       rows;
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* The extension experiments: the paper's discussion items, on the 5-FU
+   machine with 6-cycle memory *)
+
+let ext_latency = 6
+let ext_width = Spd_machine.Descr.Fus 5
+
+(** Extension A (section 2.3): SPEC against hardware windows; they
+    charge by concrete addresses, so they take the interpreter. *)
+let ext_dynamic_tables s =
+  let cycles bench kind =
+    submit s ~bench ~latency:ext_latency
+      (Query.Cycles { kind; width = ext_width })
+  in
+  let rows =
+    Engine.Session.parallel_map s
+      (fun bench ->
+        match (cycles bench Pipeline.Static, cycles bench Pipeline.Spec) with
+        | Engine.Ok base, Engine.Ok spec ->
+            let static =
+              Engine.Session.prepared s ~bench ~latency:ext_latency
+                Pipeline.Static
+            in
+            let frac this = Table.Pct (Pipeline.speedup ~base ~this) in
+            let hw window =
+              frac
+                (Spd_machine.Dynamic.cycles ~window ~width:ext_width
+                   ~mem_latency:ext_latency static.prog)
+            in
+            Table.row bench [ hw 2; hw 4; hw 8; hw 32; frac spec ]
+        | _ -> Table.row bench (List.init 5 (fun _ -> Table.Na)))
+      (benches ())
+  in
+  [
+    Table.v ~id:"ext_dynamic"
+      ~title:
+        "Extension A: SpD vs hardware dynamic disambiguation (section 2.3)"
+      ~notes:
+        [
+          "5 FU machine, 6-cycle memory; HW reorders within a W-reference \
+           window on";
+          "the STATIC-disambiguated code; speedups over STATIC.";
+        ]
+      ~label_header:"Program"
+      ~columns:[ "HW W=2"; "HW W=4"; "HW W=8"; "HW W=32"; "SPEC" ]
+      rows;
+  ]
+
+(** Extension B (section 7): SPEC with and without tree grafting. *)
+let ext_grafting_tables s =
+  let half bench graft =
+    let q a = submit s ~graft ~bench ~latency:ext_latency a in
+    [
+      (match q Query.Spd_counts with
+      | Engine.Ok (r, w, o) -> Table.Int (r + w + o)
+      | Engine.Failed _ -> Table.Na);
+      pct_cell (q (Query.Spec_over_static { width = ext_width }));
+    ]
+  in
+  [
+    Table.v ~id:"ext_grafting"
+      ~title:"Extension B: tree grafting (section 7 future work)"
+      ~notes:
+        [
+          "5 FU machine, 6-cycle memory; SPEC with and without one round \
+           of loop-tree";
+          "replication; speedups over STATIC of the same code shape.";
+        ]
+      ~label_header:"Program"
+      ~groups:[ ("ungrafted", 2); ("grafted", 2) ]
+      ~columns:[ "apps"; "SPEC"; "apps"; "SPEC+graft" ]
+      (Engine.Session.parallel_map s
+         (fun bench -> Table.row bench (half bench false @ half bench true))
+         (benches ()));
+  ]
+
+(** Extension C (section 5.3): the guidance heuristic's parameters. *)
+let ext_params_tables s =
+  let d = Spd_core.Heuristic.default_params in
+  (* per workload, SPEC's cycles and code size relative to STATIC's;
+     only the SPEC cells depend on the parameters *)
+  let measure spd_params bench =
+    let q a = submit s ~spd_params ~bench ~latency:ext_latency a in
+    ( (match q (Query.Spec_over_static { width = ext_width }) with
+      | Engine.Ok v -> Some (1.0 +. v)
+      | Engine.Failed _ -> None),
+      match
+        (q (Query.Code_size Pipeline.Spec), q (Query.Code_size Pipeline.Static))
+      with
+      | Engine.Ok spec, Engine.Ok static ->
+          Some (float_of_int spec /. float_of_int static)
+      | _ -> None )
+  in
+  (* the NRC geometric mean, less one; n/a when any cell failed *)
+  let mean xs =
+    match List.filter_map Fun.id xs with
+    | ys when List.compare_lengths xs ys > 0 -> Table.Na
+    | ys ->
+        let sum = List.fold_left (fun a y -> a +. log y) 0.0 ys in
+        Table.Pct (exp (sum /. float_of_int (List.length ys)) -. 1.0)
+  in
+  let table ~id ~knob ~fixed params values =
+    Table.v ~id
+      ~title:
+        (Printf.sprintf
+           "Extension C: guidance heuristic ablation — %s sweep (%s)" knob
+           fixed)
+      ~notes:
+        [
+          "NRC geometric means at 5 FU, 6-cycle memory: SPEC speedup over \
+           STATIC and";
+          "code growth.";
+        ]
+      ~label_header:knob ~columns:[ "speedup"; "code growth" ]
+      (Engine.Session.parallel_map s
+         (fun v ->
+           let speedups, growths =
+             List.split (List.map (measure (params v)) (nrc_benches ()))
+           in
+           Table.row (Printf.sprintf "%.2f" v) [ mean speedups; mean growths ])
+         values)
+  in
+  [
+    table ~id:"ext_params.max_expansion" ~knob:"MaxExpansion"
+      ~fixed:(Printf.sprintf "MinGain = %.2f" d.min_gain)
+      (fun me -> { d with max_expansion = me })
+      [ 1.0; 1.25; 1.5; 2.0; 4.0; 8.0 ];
+    table ~id:"ext_params.min_gain" ~knob:"MinGain"
+      ~fixed:(Printf.sprintf "MaxExpansion = %.2f" d.max_expansion)
+      (fun mg -> { d with min_gain = mg })
+      [ 0.25; 0.5; 0.75; 1.5; 3.0; 6.0 ];
   ]
 
 (** Engine report: per-stage wall clock of the process and the

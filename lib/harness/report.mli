@@ -59,6 +59,16 @@ val spd_decisions_tables : Engine.Session.t -> Table.t list
     no wall-clock columns. *)
 val spd_validate_tables : Engine.Session.t -> Table.t list
 
+(** The extension experiments (paper sections 2.3, 7 and 5.3) at
+    6-cycle memory on 5 FUs, read through {!Engine.Session.submit} like
+    the paper's artefacts: grafting and the heuristic's parameters are
+    the query coordinates [graft] and [spd_params].  [ext_dynamic]'s
+    hardware windows run STATIC's program in the interpreter once its
+    cells succeeded; otherwise the row is n/a. *)
+val ext_dynamic_tables : Engine.Session.t -> Table.t list
+val ext_grafting_tables : Engine.Session.t -> Table.t list
+val ext_params_tables : Engine.Session.t -> Table.t list
+
 (** Engine per-stage wall clock and session counters.  Seconds are
     run-dependent; the counter table is deterministic. *)
 val timings_tables : Engine.Session.t -> Table.t list

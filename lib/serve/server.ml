@@ -535,7 +535,8 @@ let dispatch t meth params : Json.t =
         [
           ("pipeline", Json.String (Pipeline.name kind));
           ("machine", Json.String (Fmt.str "%a" Spd_machine.Descr.pp descr));
-          ("cycles", Json.Int (Pipeline.price prepared r ~width));
+          ( "cycles",
+            Json.Int (Pipeline.price (Pipeline.plan prepared) r ~width) );
           ("traversals", Json.Int r.traversals);
           ("return", Json.String (Fmt.str "%a" Spd_ir.Value.pp r.ret));
           ( "output",

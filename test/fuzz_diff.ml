@@ -137,7 +137,7 @@ let check_pricing (lowered : Spd_ir.Prog.t) =
               in
               let timed = Interp.run ~timing ~fuel:!case_fuel p.prog in
               let priced = Spd_sim.Histogram.price run.histogram timing in
-              let planned = Pipeline.price ~plan p run ~width in
+              let planned = Pipeline.price plan run ~width in
               let trees = Spd_sim.Histogram.breakdown run.histogram timing in
               let sum f = List.fold_left (fun n c -> n + f c) 0 trees in
               let fail what ours theirs =

@@ -382,6 +382,7 @@ let test_shared_run_identity () =
               Pipeline.Spec (compile w.source)
           in
           let fresh = Pipeline.run p in
+          let plan = Pipeline.plan p in
           check_bool (what ^ ": return value and output") true
             (compare (shared.ret, shared.output) (fresh.ret, fresh.output) = 0);
           check_int (what ^ ": traversals") fresh.traversals shared.traversals;
@@ -392,8 +393,8 @@ let test_shared_run_identity () =
               check_int
                 (Fmt.str "%s: cycles at %a" what Spd_machine.Descr.pp_width
                    width)
-                (Pipeline.price p fresh ~width)
-                (Pipeline.price p shared ~width))
+                (Pipeline.price plan fresh ~width)
+                (Pipeline.price plan shared ~width))
             widths)
         [ 2; 6 ])
     Spd_workloads.Registry.all
@@ -453,6 +454,209 @@ let test_paper_grid_runs () =
   check_int "warm: interpreter runs" 0 warm_runs;
   check_int "warm: disk hits" 289 warm.Engine.Stats.disk_hits;
   check_int "warm: still one pack" 1 (files ".pack")
+
+(* ------------------------------------------------------------------ *)
+(* The extension experiments through the engine *)
+
+module Json = Spd_telemetry.Json
+
+let member name doc =
+  match Json.member name doc with
+  | Some v -> v
+  | None -> Alcotest.failf "JSON object lacks %S" name
+
+let items doc = Option.value ~default:[] (Json.to_list doc)
+let text doc = Option.value ~default:"" (Json.to_string_opt doc)
+
+(* [(artefact, [(row label, cells)])] of a report document, every
+   table's rows in order *)
+let artefact_rows doc =
+  List.map
+    (fun a ->
+      ( text (member "name" a),
+        List.concat_map
+          (fun t ->
+            List.map
+              (fun r -> (text (member "label" r), items (member "cells" r)))
+              (items (member "rows" t)))
+          (items (member "tables" a)) ))
+    (items (member "artefacts" doc))
+
+let failure_keys doc =
+  List.map (fun f -> text (member "key" f)) (items (member "failures" doc))
+
+let extensions_json s =
+  H.Artefact.to_json ~session:s (H.Artefact.of_names H.Artefact.extension_set)
+
+(* A cell that fails renders as null and is named in the document's
+   failures; the rest of the document still renders.  Under a fuel
+   budget every ungrafted STATIC cell fails.  Under a fault on adi's
+   STATIC cells, ext_dynamic and ext_grafting lose adi's row only, and
+   every ext_params row, since adi is in every NRC mean. *)
+let test_extension_containment () =
+  let starts_with prefix key = String.starts_with ~prefix key in
+  let starved =
+    with_session (Engine.Session.create ~jobs:2 ~fuel:1000 ()) extensions_json
+  in
+  let failures = failure_keys starved in
+  List.iter
+    (fun (name, rows) ->
+      List.iter
+        (fun (label, cells) ->
+          if List.mem Json.Null cells then
+            check_bool
+              (Printf.sprintf "%s: %s's failure named" name label)
+              true
+              (List.exists (starts_with (label ^ "/6/")) failures
+              || name = "ext_params");
+          if name <> "ext_grafting" then
+            check_bool
+              (Printf.sprintf "%s: %s null under the fuel budget" name label)
+              true
+              (List.for_all (( = ) Json.Null) cells))
+        rows)
+    (artefact_rows starved);
+  check_bool "fuel: adi's STATIC cell named" true
+    (List.mem "adi/6/STATIC/cycles/fus5" failures);
+  let committed =
+    match
+      Json.of_string
+        (In_channel.with_open_bin "../BENCH_REPORT.json" In_channel.input_all)
+    with
+    | Ok doc -> artefact_rows doc
+    | Error e -> Alcotest.failf "BENCH_REPORT.json: %s" e
+  in
+  let faults =
+    match H.Faults.parse "cell-raise:adi/6/STATIC" with
+    | Ok f -> f
+    | Error e -> Alcotest.fail e
+  in
+  let faulted =
+    with_session (Engine.Session.create ~jobs:2 ~faults ()) extensions_json
+  in
+  List.iter
+    (fun (name, rows) ->
+      let want = List.assoc name committed in
+      check_int (name ^ ": rows") (List.length want) (List.length rows);
+      List.iter2
+        (fun (label, cells) (_, committed_cells) ->
+          let what = Printf.sprintf "%s: %s" name label in
+          if name = "ext_params" then
+            check_bool (what ^ " null") true
+              (List.for_all (( = ) Json.Null) cells)
+          else
+            check_bool (what ^ " as committed unless adi")
+              (label <> "adi")
+              (Json.to_string (Json.List cells)
+              = Json.to_string (Json.List committed_cells)))
+        rows want)
+    (artefact_rows faulted);
+  List.iter
+    (fun key ->
+      check_bool ("fault: " ^ key ^ " named") true
+        (List.mem key (failure_keys faulted)))
+    [
+      "adi/6/STATIC/cycles/fus5"; "adi/6/STATIC+graft/cycles/fus5";
+      "adi/6/STATIC/summary";
+    ]
+
+(* The extensions share front ends, reference runs, SPEC runs and
+   STATIC cells with the paper grid: the whole report is 170
+   preparations and 32 simulations, whatever the pool size. *)
+let test_extension_sharing () =
+  List.iter
+    (fun jobs ->
+      let st =
+        with_session (Engine.Session.create ~jobs ()) (fun s ->
+            ignore
+              (H.Artefact.to_json ~session:s
+                 (H.Artefact.of_names
+                    (H.Artefact.paper_set @ H.Artefact.extension_set)));
+            Engine.Session.stats s)
+      in
+      let what = Printf.sprintf "jobs %d: " jobs in
+      check_int (what ^ "preparations") 170 st.Engine.Stats.preparations;
+      check_int (what ^ "simulations") 32 st.Engine.Stats.simulations;
+      check_int (what ^ "failures") 0 st.Engine.Stats.cell_failures)
+    [ 1; 4 ]
+
+(* A variant is spelled where it departs from the paper's program, in
+   the request key before its budget and in the failure key after the
+   kind; the paper's program, spelled however, keeps its plain key. *)
+let test_variant_keys () =
+  let module Heur = Spd_core.Heuristic in
+  let q ?graft ?spd_params ?fuel kind =
+    Query.v ?graft ?spd_params ?fuel ~bench:"adi" ~latency:6
+      (Query.Cycles { kind; width = Spd_machine.Descr.Fus 5 })
+  in
+  let params = { Heur.default_params with max_expansion = 1.25 } in
+  check_string "plain" "adi/6/cycles/SPEC/fus5" (Query.key (q Pipeline.Spec));
+  check_string "grafted" "adi/6/cycles/SPEC/fus5+graft"
+    (Query.key (q ~graft:true Pipeline.Spec));
+  check_string "parameters" "adi/6/cycles/SPEC/fus5+max_expansion=1.25"
+    (Query.key (q ~spd_params:params Pipeline.Spec));
+  check_string "both, then the budget"
+    "adi/6/cycles/SPEC/fus5+graft+max_expansion=1.25+fuel=9"
+    (Query.key (q ~graft:true ~spd_params:params ~fuel:9 Pipeline.Spec));
+  check_string "default parameters are the paper's" "adi/6/cycles/SPEC/fus5"
+    (Query.key
+       (q ~graft:false ~spd_params:Heur.default_params Pipeline.Spec));
+  check_bool "default parameters: no variant" true
+    ((q ~spd_params:Heur.default_params Pipeline.Spec).Query.variant = None);
+  (* the failure keys, from cells a one-traversal budget starves *)
+  with_session (Engine.Session.create ~jobs:1 ~fuel:1 ()) @@ fun s ->
+  List.iter
+    (fun q -> ignore (Engine.Session.submit s q))
+    [
+      q ~graft:true Pipeline.Spec; q ~spd_params:params Pipeline.Spec;
+      q ~spd_params:params Pipeline.Static;
+    ];
+  check_bool "failure keys spell the variant after the kind" true
+    (List.map (fun (f : Engine.failure) -> f.Engine.key)
+       (Engine.Session.failures s)
+    = [
+        "adi/6/SPEC+graft/cycles/fus5";
+        "adi/6/SPEC+max_expansion=1.25/cycles/fus5";
+        "adi/6/STATIC/cycles/fus5";
+      ])
+
+(* A variant cell answers what the pipeline computes for the same
+   configuration on its own: grafted cells of every pipeline, and a SPEC
+   cell under other heuristic parameters. *)
+let test_variant_direct_reference () =
+  let module Heur = Spd_core.Heuristic in
+  let width = Spd_machine.Descr.Fus 5 in
+  with_session (Engine.Session.create ~jobs:2 ()) @@ fun s ->
+  let direct ~config bench kind =
+    Pipeline.cycles
+      (Pipeline.prepare ~config kind
+         (compile (Spd_workloads.Registry.by_name bench).source))
+      ~width
+  in
+  List.iter
+    (fun bench ->
+      List.iter
+        (fun kind ->
+          check_int
+            (Printf.sprintf "%s grafted %s" bench (Pipeline.name kind))
+            (direct
+               ~config:(Pipeline.Config.v ~graft:true ~mem_latency:6 ())
+               bench kind)
+            (Engine.get
+               (Engine.Session.submit s
+                  (Query.v ~graft:true ~bench ~latency:6
+                     (Query.Cycles { kind; width })))))
+        Pipeline.all)
+    [ "adi"; "fft"; "moment" ];
+  let spd_params = { Heur.default_params with min_gain = 0.25 } in
+  check_int "adi SPEC, MinGain 0.25"
+    (direct
+       ~config:(Pipeline.Config.v ~spd_params ~mem_latency:6 ())
+       "adi" Pipeline.Spec)
+    (Engine.get
+       (Engine.Session.submit s
+          (Query.v ~spd_params ~bench:"adi" ~latency:6
+             (Query.Cycles { kind = Pipeline.Spec; width }))))
 
 (* One exploration per distinct validation obligation: certifying the
    paper grid from a fresh session without a disk cache proves its 62
@@ -691,6 +895,10 @@ let tests =
     case "paper grid: one run per distinct program" test_paper_grid_runs;
     case "paper grid: one exploration per distinct obligation"
       test_certify_explores_once;
+    case "extensions: failures contained per cell" test_extension_containment;
+    case "extensions share the paper grid's work" test_extension_sharing;
+    case "variant keys spell graft and parameters" test_variant_keys;
+    case "variant cells = direct pipeline" test_variant_direct_reference;
     case "why JSON deterministic (jobs, cache)" test_why_json_deterministic;
     case "why ledger = spd-counts row" test_why_agrees_with_counts;
   ]
