@@ -3,14 +3,13 @@
 # ledger, every why/validate/explain document and every report artefact
 # but the wall-clock timings), a 200-seed differential fuzz smoke, a
 # table6_3 smoke run twice — the second pass must be served entirely
-# from the warm _spd_cache/ (its --timings must read preparations 0 and
-# simulations 0, or the check fails) — a zero --mem-latency or --width
-# refused with exit 124 and the shared positive-integer wording,
-# `report --validate` with --format json or an ARTEFACT refused with
-# exit 1 and a pointer to `report spd-validate --format json`, the
-# extension experiments contained per cell (ext_dynamic under an
-# injected adi/6/STATIC fault and ext_params under a 1000-traversal
-# budget exit 2 with the failure appendix), a telemetry smoke that lints the trace and JSON report output with the
+# from the _spd_cache/ the first filled for this build (its --timings
+# must read preparations 0 and simulations 0, or the check fails) — a
+# zero --mem-latency or --width refused with exit 124 and the shared
+# positive-integer wording, the extension experiments contained per
+# cell (ext_dynamic under an injected adi/6/STATIC fault and ext_params
+# under a 1000-traversal budget exit 2 with the failure appendix), a
+# telemetry smoke that lints the trace and JSON report output with the
 # in-repo JSON reader, the daemon smokes, a translation-validation smoke
 # that certifies every SpD application on the paper grid with the
 # symbolic equivalence checker, and last the hot-path throughput gate
@@ -110,13 +109,12 @@ obs-smoke:
 	  $(SMOKE_DIR)/spd_obs_why.json $(SMOKE_DIR)/spd_obs_validate.json
 
 # Translation-validation smoke: certify the full paper grid with the
-# symbolic equivalence checker (`spd report --validate` exits 2 on any
+# symbolic equivalence checker (`spd report spd-validate` exits 2 on any
 # refuted verdict or failed cell), then emit one per-workload
 # spd-validate/1 document and lint it against the schema.  Both run
-# without the disk cache, so the smoke runs the validator itself rather
-# than reading verdicts an earlier build cached.
+# without the disk cache, so the smoke runs the validator itself.
 validate-smoke:
-	$(DUNE) exec bin/spd.exe -- report --validate --jobs 2 --no-cache
+	$(DUNE) exec bin/spd.exe -- report spd-validate --jobs 2 --no-cache
 	$(DUNE) exec bin/spd.exe -- validate matmul300 --format json --no-cache \
 	  > $(SMOKE_DIR)/spd_validate.json
 	$(DUNE) exec test/json_lint.exe -- $(SMOKE_DIR)/spd_validate.json
@@ -148,18 +146,6 @@ check: all
 	  then echo "check: spd $$cmd exited $$status without the" \
 	    "positive-integer refusal"; cat $(SMOKE_DIR)/spd_bad_flag.txt; \
 	    exit 1; fi; \
-	done
-	@for cmd in "report --validate --format json" \
-	    "report --validate table6_3"; do \
-	  $(DUNE) exec bin/spd.exe -- $$cmd > /dev/null \
-	    2> $(SMOKE_DIR)/spd_bad_flag.txt; \
-	  status=$$?; \
-	  if [ $$status -ne 1 ] \
-	    || ! grep -q 'spd report spd-validate --format json' \
-	      $(SMOKE_DIR)/spd_bad_flag.txt; \
-	  then echo "check: spd $$cmd exited $$status without naming" \
-	    "spd report spd-validate --format json"; \
-	    cat $(SMOKE_DIR)/spd_bad_flag.txt; exit 1; fi; \
 	done
 	@for cmd in \
 	    "report ext_dynamic --no-cache --inject-fault cell-raise:adi/6/STATIC" \

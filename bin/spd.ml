@@ -162,12 +162,11 @@ let faults_arg =
           "Deterministic fault injection: comma-separated \
            $(b,cache-corrupt:N) (corrupt the Nth cache read), \
            $(b,cell-raise:KEY[@TIMES]) (raise in cells whose key \
-           starts with KEY, e.g. adi/2/SPEC), $(b,fuel:N) (tight \
-           simulator budget), $(b,worker-raise:N) (crash the daemon \
-           worker on the first N connections — for exercising \
-           supervision) and $(b,checker-raise:N) (raise from the first N \
-           SpD transform-checker calls — for exercising per-cell \
-           containment).")
+           starts with KEY, e.g. adi/2/SPEC), $(b,worker-raise:N) \
+           (crash the daemon worker on the first N connections — for \
+           exercising supervision) and $(b,checker-raise:N) (raise from \
+           the first N SpD transform-checker calls — for exercising \
+           per-cell containment).")
 
 let jobs_arg =
   Arg.(
@@ -438,41 +437,10 @@ let bench_cmd =
 let report_cmd =
   let module Artefact = Spd_harness.Artefact in
   let module Trace = Spd_telemetry.Trace in
-  let run list_only validate name jobs no_cache timings retries fuel
-      deadline widths faults trace format =
+  let run list_only name jobs no_cache timings retries fuel deadline faults
+      trace format =
     if list_only then Artefact.pp_list Fmt.stdout ()
-    else if validate && (format <> Artefact.Pretty || name <> None) then begin
-      Fmt.epr
-        "spd report --validate prints the pretty tally of the whole grid and \
-         takes no ARTEFACT or --format; the machine-readable tally is spd \
-         report spd-validate --format json@.";
-      exit 1
-    end
-    else if validate then begin
-      (* grid certification: translation-validate every SpD application
-         of the paper grid instead of rendering artefacts *)
-      let module Validation = Spd_harness.Validation in
-      let failed =
-        Trace.capture trace (fun () ->
-            Spd_harness.Engine.Session.with_session
-              (Spd_harness.Engine.Session.create ?jobs
-                 ~disk_cache:(not no_cache) ?retries ?fuel ?deadline
-                 ?faults:(Option.map Fun.id faults) ())
-              (fun session ->
-                let c = Validation.certify session in
-                Fmt.pr "%a@." Validation.pp_certification c;
-                if timings then
-                  List.iter
-                    (Spd_harness.Table.pp Fmt.stdout)
-                    (Spd_harness.Report.timings_tables session);
-                not (Validation.acceptable c)))
-      in
-      if failed then exit 2
-    end
-    else begin
-      (match widths with
-      | None -> ()
-      | Some ws -> Spd_harness.Report.set_widths ws);
+    else
       let failed =
         (* [capture] writes the trace file even when a cell raises *)
         Trace.capture trace (fun () ->
@@ -506,7 +474,6 @@ let report_cmd =
                 Spd_harness.Engine.Session.failures session <> []))
       in
       if failed then exit 2
-    end
   in
   let list_arg =
     Arg.(
@@ -531,42 +498,13 @@ let report_cmd =
             "Append the $(b,timings) artefact (the engine's per-stage \
              wall clock and the session's counters), in every format.")
   in
-  let validate_arg =
-    Arg.(
-      value & flag
-      & info [ "validate" ]
-          ~doc:
-            "Certify the paper grid instead of rendering artefacts: \
-             translation-validate every SpD application (each built-in \
-             workload at 2- and 6-cycle memory) and print the verdict \
-             tally.  Exits 2 on any $(b,refuted) verdict or failed \
-             cell; $(b,unknown) verdicts are tolerated and counted.  \
-             Takes no ARTEFACT and no $(b,--format) other than \
-             $(b,pretty) (exit 1): $(b,spd report spd-validate --format \
-             json) is the machine-readable tally.")
-  in
-  let widths_conv =
-    Arg.conv
-      ( (fun s ->
-          Result.map_error
-            (fun e -> `Msg e)
-            (Spd_harness.Cliflags.widths s)),
-        Fmt.(list ~sep:comma int) )
-  in
-  let widths_arg =
-    Arg.(
-      value
-      & opt (some widths_conv) None
-      & info [ "widths" ] ~docv:"A,B,.."
-          ~doc:"Machine widths swept by Figure 6-3 (default 1..8).")
-  in
   Cmd.v
     (Cmd.info "report"
        ~doc:"Regenerate the paper's evaluation tables and figures.")
     Term.(
-      const run $ list_arg $ validate_arg $ name_arg $ jobs_arg
-      $ no_cache_arg $ timings_arg $ retries_arg $ fuel_arg
-      $ deadline_arg $ widths_arg $ faults_arg $ trace_arg
+      const run $ list_arg $ name_arg $ jobs_arg $ no_cache_arg
+      $ timings_arg $ retries_arg $ fuel_arg $ deadline_arg $ faults_arg
+      $ trace_arg
       $ format_arg
           ~doc:
             "Output format: $(b,pretty) (default), $(b,json) (one \
@@ -694,41 +632,25 @@ let validate_cmd =
 
 let cache_cmd =
   let module Json = Spd_telemetry.Json in
-  let module Metrics = Spd_telemetry.Metrics in
   let stats_run dir json =
-    (* register the engine counters so the snapshot carries the
-       spd.engine.cache.* names even before any cell fires them *)
-    Spd_harness.Engine.register_metrics ();
     let entries, bytes = Spd_harness.Engine.cache_usage dir in
-    let counter name =
-      match List.assoc_opt name (Metrics.snapshot ()) with
-      | Some (Metrics.Counter n) -> n
-      | _ -> 0
-    in
+    let version = Spd_harness.Build.digest in
     if json then
       print_endline
         (Json.to_string
            (Json.Obj
               [
-                ("schema", Json.String "spd-cache/1");
+                ("schema", Json.String "spd-cache/2");
                 ("dir", Json.String dir);
                 ("entries", Json.Int entries);
                 ("bytes", Json.Int bytes);
-                ( "version",
-                  Json.String Spd_harness.Engine.cache_version );
-                ("hits", Json.Int (counter "spd.engine.cache.hits"));
-                ("misses", Json.Int (counter "spd.engine.cache.misses"));
-                ( "evictions",
-                  Json.Int (counter "spd.engine.cache.evictions") );
+                ("version", Json.String version);
               ]))
     else begin
       Fmt.pr "dir        %s@." dir;
       Fmt.pr "entries    %d@." entries;
       Fmt.pr "bytes      %d@." bytes;
-      Fmt.pr "version    %s@." Spd_harness.Engine.cache_version;
-      Fmt.pr "hits       %d@." (counter "spd.engine.cache.hits");
-      Fmt.pr "misses     %d@." (counter "spd.engine.cache.misses");
-      Fmt.pr "evictions  %d@." (counter "spd.engine.cache.evictions")
+      Fmt.pr "version    %s@." version
     end
   in
   let dir_arg =
@@ -741,7 +663,7 @@ let cache_cmd =
   let json_arg =
     Arg.(
       value & flag
-      & info [ "json" ] ~doc:"Emit one spd-cache/1 JSON object.")
+      & info [ "json" ] ~doc:"Emit one spd-cache/2 JSON object.")
   in
   Cmd.group
     (Cmd.info "cache"
@@ -752,10 +674,10 @@ let cache_cmd =
       Cmd.v
         (Cmd.info "stats"
            ~doc:
-             "Records across the cache's packs, the packs' total bytes, \
-              the cache format version and the process's live \
-              $(b,spd.engine.cache.hits)/$(b,misses)/$(b,evictions) \
-              counters (also part of the Prometheus exposition).")
+             "Records across the packs this build wrote, those packs' \
+              total bytes and the build digest that names them (packs \
+              of another build are never read; the next report that \
+              writes removes them).")
         Term.(const stats_run $ dir_arg $ json_arg);
     ]
 

@@ -25,30 +25,6 @@ let pos_float ~flag s =
         (Printf.sprintf "%s expects a positive number of seconds, got %S"
            flag s)
 
-let widths ?(flag = "--widths") s =
-  let parts =
-    String.split_on_char ',' s |> List.map String.trim
-    |> List.filter (fun p -> p <> "")
-  in
-  if parts = [] then
-    Error
-      (Printf.sprintf "%s expects a comma-separated list of widths, got %S"
-         flag s)
-  else
-    let rec go acc = function
-      | [] -> Ok (List.rev acc)
-      | p :: rest -> (
-          match pos_int ~flag p with
-          | Ok n -> go (n :: acc) rest
-          | Error _ ->
-              Error
-                (Printf.sprintf
-                   "%s expects a comma-separated list of positive widths, \
-                    got %S"
-                   flag s))
-    in
-    go [] parts
-
 let workload_names () =
   Spd_workloads.Registry.names
   @ List.map

@@ -14,11 +14,6 @@ val pos_int : flag:string -> string -> (int, string) result
 (** [pos_float ~flag s] parses a positive, finite number of seconds. *)
 val pos_float : flag:string -> string -> (float, string) result
 
-(** [widths s] parses a non-empty comma-separated list of positive
-    machine widths, e.g. ["1,2,4,8"].  [flag] defaults to
-    ["--widths"]. *)
-val widths : ?flag:string -> string -> (int list, string) result
-
 (** Every workload name the CLI and the daemon accept: the paper's
     benchmarks, then the extras such as [matmul300]. *)
 val workload_names : unit -> string list

@@ -12,11 +12,11 @@
       (including the calling domain, which drains the task queue while
       it waits, so [jobs = 1] degenerates to plain sequential
       evaluation and nested fan-out cannot starve the pool);
-    - {b a content-addressed on-disk result cache}: the digest of the
-      workload source, the pipeline fingerprint and the machine
-      description addresses the resulting cycle count / SpD summary
-      in the packs under [_spd_cache/], so warm re-runs skip lowering,
-      profiling, SpD and scheduling entirely;
+    - {b a content-addressed on-disk result cache}: the workload, the
+      pipeline fingerprint and the machine width address the resulting
+      cycle count / SpD summary in the packs under [_spd_cache/] that
+      this build wrote ({!Build.digest}), so warm re-runs skip
+      lowering, profiling, SpD and scheduling entirely;
     - {b per-stage wall-clock instrumentation}, surfaced through
       {!Session.stats} and rendered by [Report.timings_tables].
 
@@ -24,27 +24,6 @@
     schedule changes only who computes a value, never the value. *)
 
 module W = Spd_workloads
-
-(* Bumped whenever the compiler, scheduler, simulator or the on-disk
-   entry format change in a way that affects emitted numbers or decoding;
-   invalidates every on-disk entry.  "2": checksummed entry format.
-   "3": [Dynamics] entries; SpD applications carry their predicate
-   register.  "4": [Decisions] entries; memory arcs carry their
-   ambiguity provenance.  "5": [D_verdicts] entries — the
-   translation-validation ledger.  "6": records live in packs of many
-   records each, instead of one file per entry. *)
-let cache_version = "6"
-
-(* The hex MD5 of every registry workload's source, taken once: each
-   cell payload names its workload's.  An unknown name raises
-   [Registry.by_name]'s error. *)
-let source_digests =
-  List.map
-    (fun (w : W.Workload.t) -> (w.name, Digest.to_hex (Digest.string w.source)))
-    (W.Registry.all @ W.Registry.extras)
-
-let source_digest bench =
-  List.assoc (W.Registry.by_name bench).name source_digests
 
 (* Engine-level metrics, mirrored alongside the per-session [Stats]
    counters so a metrics snapshot covers multi-session processes too. *)
@@ -66,8 +45,7 @@ let m_queries = M.counter_handle "spd.engine.queries"
 
 let mark c = M.incr (M.get c)
 
-(** Force registration of the engine-level counters (including the
-    [spd.engine.cache.*] ones `spd cache stats` reads), so a metrics
+(** Force registration of the engine-level counters, so a metrics
     snapshot carries them before any cell fires them. *)
 let register_metrics () =
   List.iter
@@ -456,22 +434,32 @@ module Stats = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* On-disk packs.  The cache directory holds packs; a pack is a run of
-   records, each a cell's address (the hex MD5 of its payload) followed
-   by its checksummed entry:
+(* On-disk packs.  The cache directory holds packs.  A pack's first
+   line names the build that wrote it, and a run of records follows,
+   each a cell's address (the hex MD5 of its payload) and its
+   checksummed entry:
 
-     <address> spd-cache <version> <md5-of-body> <body-length>\n<body>
+     spd-cache <build>\n
+     <address> <md5-of-body> <body-length>\n<body>
+     ...
 
-   The header's length frames the record; the version, the checksum and
-   the unmarshal are checked when the record is read.  Packs are written
-   whole, through a unique temporary file and an atomic rename, so no
-   reader ever observes a torn pack. *)
+   <build> is {!Build.digest}, the MD5 of the library sources.  A pack
+   of another build is never decoded: Marshal checks no types, and
+   another build may compute other numbers.  The header's length frames
+   a record; the checksum and the unmarshal are checked when the record
+   is read.  Packs are written whole, through a unique temporary file
+   and an atomic rename, so no reader ever observes a torn pack. *)
 
 module Pack = struct
-  (* [iter s f] calls [f address version entry] on every record of pack
-     [s].  A header that is cut short or malformed ends the pack — the
-     records past it are lost — while a body cut short is handed over
-     short, so reading it fails the length check. *)
+  let header = "spd-cache " ^ Build.digest ^ "\n"
+
+  (* written by this build *)
+  let current s = String.starts_with ~prefix:header s
+
+  (* [iter s f] calls [f address entry] on every record of [s], a pack
+     of this build.  A record header that is cut short or malformed ends
+     the pack — the records past it are lost — while a body cut short is
+     handed over short, so reading it fails the length check. *)
   let iter s f =
     let n = String.length s in
     let rec go i =
@@ -479,17 +467,17 @@ module Pack = struct
       | None -> ()
       | Some j -> (
           match String.split_on_char ' ' (String.sub s i (j - i)) with
-          | [ address; "spd-cache"; version; _; len ] -> (
+          | [ address; _; len ] -> (
               match int_of_string_opt len with
               | Some len when len >= 0 ->
                   let start = i + String.length address + 1 in
                   let stop = min n (j + 1 + len) in
-                  f address version (String.sub s start (stop - start));
+                  f address (String.sub s start (stop - start));
                   if stop < n then go stop
               | _ -> ())
           | _ -> ())
     in
-    if n > 0 then go 0
+    go (String.length header)
 
   (* every pack of [dir] with its bytes, by name; a pack removed between
      listing and reading (a concurrent flush) is skipped *)
@@ -511,10 +499,11 @@ module Pack = struct
 
   let write_seq = Atomic.make 0
 
-  (* Write [records] as one pack, sorted by address and named by the
-     digest of its bytes, and return its name. *)
+  (* Write [records] as one pack of this build, sorted by address and
+     named by the digest of its bytes, and return its name. *)
   let write dir records =
     let buf = Buffer.create 4096 in
+    Buffer.add_string buf header;
     List.iter
       (fun (address, entry) ->
         Buffer.add_string buf address;
@@ -541,9 +530,12 @@ end
 let cache_usage dir =
   List.fold_left
     (fun (records, bytes) (_, s) ->
-      let n = ref 0 in
-      Pack.iter s (fun _ _ _ -> incr n);
-      (records + !n, bytes + String.length s))
+      if not (Pack.current s) then (records, bytes)
+      else begin
+        let n = ref 0 in
+        Pack.iter s (fun _ _ -> incr n);
+        (records + !n, bytes + String.length s)
+      end)
     (0, 0) (Pack.read_all dir)
 
 (* ------------------------------------------------------------------ *)
@@ -562,9 +554,8 @@ module Session = struct
     q_deadline : float option;
   }
 
-  (* every on-disk entry is one of these, Marshal'd; constructor names
-     are irrelevant to Marshal (tags are positional) but their order is
-     part of the on-disk format *)
+  (* every on-disk entry is one of these, Marshal'd; only the build
+     that wrote a pack reads it *)
   type disk_value =
     | D_cycles of int
     | D_summary of { code_size : int; counts : int * int * int }
@@ -641,8 +632,6 @@ module Session = struct
       | Some j -> max 1 j
       | None -> Domain.recommended_domain_count ()
     in
-    (* an armed fuel fault is the tightest budget *)
-    let fuel = match Faults.fuel faults with Some _ as f -> f | None -> fuel in
     {
       jobs;
       retries = max 1 retries;
@@ -858,17 +847,16 @@ module Session = struct
      write back.
 
      The atomic rename cannot protect a pack *after* it landed —
-     truncation, bit rot, a format change.  Every record therefore
-     carries a one-line header [spd-cache <version> <md5-of-body>
-     <body-length>] ahead of its Marshal'd body; a read that finds a
-     version mismatch, a short body, a checksum mismatch or an
-     undecodable payload logs the reason, evicts the record and lets the
-     caller recompute — [close] drops it, so the cache heals itself
-     instead of crashing. *)
+     truncation, bit rot.  Every entry therefore carries a one-line
+     header [<md5-of-body> <body-length>] ahead of its Marshal'd body; a
+     read that finds a short body, a checksum mismatch or an undecodable
+     payload logs the reason, evicts the record and lets the caller
+     recompute — [close] drops it, so the cache heals itself instead of
+     crashing. *)
 
   let encode_entry (v : disk_value) =
     let body = Marshal.to_string v [] in
-    Printf.sprintf "spd-cache %s %s %d\n%s" cache_version
+    Printf.sprintf "%s %d\n%s"
       (Digest.to_hex (Digest.string body))
       (String.length body) body
 
@@ -879,10 +867,8 @@ module Session = struct
         let header = String.sub s 0 i in
         let body = String.sub s (i + 1) (String.length s - i - 1) in
         match String.split_on_char ' ' header with
-        | [ "spd-cache"; version; digest; length ] ->
-            if version <> cache_version then
-              Error (Printf.sprintf "version %s, want %s" version cache_version)
-            else if int_of_string_opt length <> Some (String.length body)
+        | [ digest; length ] ->
+            if int_of_string_opt length <> Some (String.length body)
             then Error "body length mismatch (truncated entry)"
             else if Digest.to_hex (Digest.string body) <> digest then
               Error "checksum mismatch (corrupt entry)"
@@ -904,8 +890,8 @@ module Session = struct
     end
 
   (* [f] under the disk's lock, after loading every pack on first use.
-     Records of another cache version are left out of the view, so the
-     session's [close] drops them. *)
+     A pack of another build is left out of the view unread but listed
+     in [packs], so the session's next compaction removes it. *)
   let with_disk d f =
     Mutex.protect d.mu @@ fun () ->
     if not d.loaded then begin
@@ -913,8 +899,8 @@ module Session = struct
       Trace.with_span ~name:"cache.load" (fun () ->
           List.iter
             (fun (name, s) ->
-              Pack.iter s (fun address version entry ->
-                  if version = cache_version then
+              if Pack.current s then
+                Pack.iter s (fun address entry ->
                     Hashtbl.replace d.records address entry);
               d.packs <- name :: d.packs)
             (Pack.read_all d.dir))
@@ -1004,8 +990,8 @@ module Session = struct
       deadline = eff_deadline t k;
     }
 
-  (* The full content address of a grid cell: cache format version,
-     digest of the workload source, pipeline kind and configuration
+  (* The content address of a grid cell within one build (the pack
+     header names the build): workload, pipeline kind and configuration
      fingerprint (memory latency, graft and heuristic parameters).
      Budgets are deliberately excluded, like they are from the
      fingerprint: a budget can only turn a result into a failure, never
@@ -1014,9 +1000,7 @@ module Session = struct
   let cell_payload t (k : key) =
     String.concat "|"
       [
-        "spd"; cache_version;
-        source_digest k.bench;
-        Pipeline.name k.kind;
+        k.bench; Pipeline.name k.kind;
         Pipeline.Config.fingerprint (config_for t k);
       ]
 

@@ -10,11 +10,14 @@
     on-disk result cache under [_spd_cache/], and per-stage wall-clock
     instrumentation.
 
-    The disk cache is a directory of packs.  A session loads every pack
-    on its first cache access — its view is fixed from then on, so it
-    does not see records other processes write later — serves reads and
-    takes writes in memory, and {!Session.close} writes its view back
-    as one pack.
+    The disk cache is a directory of packs, each named by the build that
+    wrote it ({!Build.digest}, the MD5 of the library sources).  A
+    session loads every pack of its own build on its first cache access
+    — its view is fixed from then on, so it does not see records other
+    processes write later — serves reads and takes writes in memory,
+    and {!Session.close} writes its view back as one pack.  A pack of
+    another build is never decoded, and the next session that writes
+    removes it: any edit under [lib/] makes the next report cold.
 
     Work is requested through one typed entry point:
     {!Session.submit} takes an ['a {!Query.t}] — artefact kind, cell
@@ -35,20 +38,14 @@
     Results are deterministic in the number of jobs: the schedule
     changes only who computes a value, never the value. *)
 
-(** Bumped whenever the compiler, scheduler, simulator or the on-disk
-    entry format change in a way that affects emitted numbers or
-    decoding; invalidates the on-disk cache. *)
-val cache_version : string
-
-(** [cache_usage dir] is the number of records in the packs of cache
-    directory [dir] and the packs' total size in bytes; [(0, 0)] when
-    [dir] does not exist. *)
+(** [cache_usage dir] is the number of records in the packs this build
+    wrote to cache directory [dir] and those packs' total size in bytes;
+    [(0, 0)] when [dir] does not exist. *)
 val cache_usage : string -> int * int
 
-(** Force registration of the engine-level counters — among them
-    [spd.engine.cache.{hits,misses,evictions}], which [spd cache stats]
-    reads — so a metrics snapshot carries them before any cell fires
-    them ([spd serve] calls this at startup). *)
+(** Force registration of the engine-level counters, so a metrics
+    snapshot carries them before any cell fires them ([spd serve] calls
+    this at startup). *)
 val register_metrics : unit -> unit
 
 (** {1 Per-cell outcomes} *)
@@ -220,8 +217,7 @@ module Session : sig
       session (profiling, checking, timing).  Both act as caps on
       per-request {!Query.t} budgets.
 
-      [faults] arms deterministic fault injection (see {!Faults}); an
-      armed [fuel:<n>] fault overrides [fuel].
+      [faults] arms deterministic fault injection (see {!Faults}).
 
       Every cell is prepared under {!Pipeline.Config.default} with its
       own memory latency, graft and heuristic parameters and the

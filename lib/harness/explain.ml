@@ -12,11 +12,11 @@
       partitioned into ambiguous-memory / dataflow / resource / branch
       intervals ({!Spd_machine.Critpath});
     - one program-wide {b region table}: per (function, tree), the
-      traversals and cycles priced from SPEC's run on the machine's
-      timing table ({!Spd_sim.Histogram.breakdown}) — summing {e
-      exactly} to the cycles every report prices — alongside the
-      STATIC vs SPEC schedule spans (the paper's per-region
-      critical-path delta).
+      traversals and cycles priced from SPEC's run on the timing of the
+      very schedules the grids render ({!Spd_sim.Histogram.breakdown})
+      — summing {e exactly} to the cycles every report prices —
+      alongside the STATIC vs SPEC schedule spans (the paper's
+      per-region critical-path delta).
 
     The [spd explain] CLI and the daemon's [explain] method read the
     same memoized preparations, so a daemon explains a workload at
@@ -80,9 +80,24 @@ let analyze ?(width = 5) ?(mem_latency = 2) session workload : t =
   let static = prepared Pipeline.Static and spec = prepared Pipeline.Spec in
   let run = Pipeline.run spec in
   let descr = Descr.fus width ~mem_latency in
+  let schedules =
+    List.map
+      (fun (func, tree) -> (func, tree, Schedule.of_tree ~descr tree))
+      (trees_of spec.Pipeline.prog)
+  in
+  (* the run priced on the schedules rendered below *)
   let costs =
-    Histogram.breakdown run.Pipeline.histogram
-      (Spd_machine.Timing_builder.program descr spec.Pipeline.prog)
+    let timing = Spd_sim.Timing.create () in
+    List.iter
+      (fun (func, (tree : Spd_ir.Tree.t), (s : Schedule.t)) ->
+        let insn_completion, exit_completion =
+          Spd_analysis.Ddg.completion s.Schedule.ddg
+            (Array.map (fun (op : Schedule.op) -> op.issue) s.Schedule.ops)
+        in
+        Spd_sim.Timing.add timing ~func ~tree_id:tree.id
+          { Spd_sim.Timing.insn_completion; exit_completion })
+      schedules;
+    Histogram.breakdown run.Pipeline.histogram timing
   in
   let static_spans = Hashtbl.create 32 in
   List.iter
@@ -95,8 +110,7 @@ let analyze ?(width = 5) ?(mem_latency = 2) session workload : t =
     (trees_of static.Pipeline.prog);
   let trees =
     List.map
-      (fun (func, (tree : Spd_ir.Tree.t)) ->
-        let schedule = Schedule.of_tree ~descr tree in
+      (fun (func, (tree : Spd_ir.Tree.t), schedule) ->
         let critpath = Critpath.analyze schedule in
         let traversals, cycles =
           match
@@ -119,7 +133,7 @@ let analyze ?(width = 5) ?(mem_latency = 2) session workload : t =
           traversals;
           cycles;
         })
-      (trees_of spec.Pipeline.prog)
+      schedules
   in
   {
     workload;

@@ -6,8 +6,8 @@
     machine, and renders cycle-by-FU occupancy grids, critical-path
     attributions ({!Spd_machine.Critpath}) and a program-wide
     per-region table whose cycles are SPEC's run priced per tree on the
-    machine's timing table ({!Spd_sim.Histogram.breakdown}): they sum
-    exactly to the cycles every report prices. *)
+    timing of the rendered schedules ({!Spd_sim.Histogram.breakdown}):
+    they sum exactly to the cycles every report prices. *)
 
 module Schedule = Spd_machine.Schedule
 module Critpath = Spd_machine.Critpath

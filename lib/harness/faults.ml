@@ -2,9 +2,10 @@
 
     A {!t} is a set of armed faults with private hit counters; the
     engine consults it at well-defined points (cell computation start,
-    on-disk cache reads, simulator fuel).  Faults are deterministic —
-    the [n]-th cache read is corrupted, a cell key either matches or it
-    does not — so tests and the CLI can reproduce a failure exactly.
+    on-disk cache reads, the per-application checker).  Faults are
+    deterministic — the [n]-th cache read is corrupted, a cell key
+    either matches or it does not — so tests and the CLI can reproduce a
+    failure exactly.
 
     The spec grammar accepted by {!parse} is a comma-separated list of
 
@@ -12,7 +13,6 @@
     cache-corrupt:<n>         corrupt the n-th on-disk cache read (1-based)
     cell-raise:<key>[@<n>]    raise from matching cells ([n] first hits
                               only; default every hit)
-    fuel:<n>                  cap every simulation at n tree traversals
     worker-raise:<n>          daemon: raise from the first n accepted
                               connections, exercising worker supervision
     checker-raise:<n>         raise from the first n per-application
@@ -37,7 +37,6 @@ let () =
 type t = {
   cache_corrupt : int option;  (** which cache read to corrupt, 1-based *)
   cell : (string * int) option;  (** key prefix, number of hits armed *)
-  fuel : int option;  (** simulator fuel override *)
   worker : int option;  (** connections whose worker should raise *)
   checker : int option;  (** checker invocations that should raise *)
   reads : int Atomic.t;  (** on-disk cache reads observed so far *)
@@ -47,16 +46,14 @@ type t = {
 }
 
 let none =
-  { cache_corrupt = None; cell = None; fuel = None; worker = None;
-    checker = None; reads = Atomic.make 0;
+  { cache_corrupt = None; cell = None; worker = None; checker = None;
+    reads = Atomic.make 0;
     raises = Atomic.make 0; worker_hits = Atomic.make 0;
     checker_hits = Atomic.make 0 }
 
 let is_none t =
-  t.cache_corrupt = None && t.cell = None && t.fuel = None
-  && t.worker = None && t.checker = None
-
-let fuel t = t.fuel
+  t.cache_corrupt = None && t.cell = None && t.worker = None
+  && t.checker = None
 
 let corrupt_cache_read t =
   match t.cache_corrupt with
@@ -99,8 +96,7 @@ let parse_one acc spec =
       Error
         (Printf.sprintf
            "malformed fault %S (expected cache-corrupt:<n>, \
-            cell-raise:<key>[@<n>], fuel:<n>, worker-raise:<n> or \
-            checker-raise:<n>)"
+            cell-raise:<key>[@<n>], worker-raise:<n> or checker-raise:<n>)"
            spec)
   | Some i -> (
       let name = String.sub spec 0 i in
@@ -123,8 +119,6 @@ let parse_one acc spec =
                 Result.map
                   (fun n -> { acc with cell = Some (key, n) })
                   (parse_int "cell-raise count" times))
-      | "fuel" ->
-          Result.map (fun n -> { acc with fuel = Some n }) (parse_int "fuel" arg)
       | "worker-raise" ->
           Result.map
             (fun n -> { acc with worker = Some n })
@@ -155,7 +149,6 @@ let pp ppf t =
             if n = max_int then Printf.sprintf "cell-raise:%s" k
             else Printf.sprintf "cell-raise:%s@%d" k n)
           t.cell;
-        Option.map (Printf.sprintf "fuel:%d") t.fuel;
         Option.map (Printf.sprintf "worker-raise:%d") t.worker;
         Option.map (Printf.sprintf "checker-raise:%d") t.checker;
       ]

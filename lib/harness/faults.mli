@@ -2,7 +2,7 @@
 
     A {!t} is a set of armed faults with private hit counters; the
     engine consults it at well-defined points (cell computation start,
-    on-disk cache reads, simulator fuel).  Faults fire
+    on-disk cache reads, the per-application checker).  Faults fire
     deterministically, so tests and the CLI reproduce failures exactly.
 
     The spec grammar accepted by {!parse} is a comma-separated list of
@@ -11,7 +11,6 @@
     cache-corrupt:<n>         corrupt the n-th on-disk cache read (1-based)
     cell-raise:<key>[@<n>]    raise from matching cells ([n] first hits
                               only; default every hit)
-    fuel:<n>                  cap every simulation at n tree traversals
     worker-raise:<n>          daemon: raise from the first n accepted
                               connections, exercising worker supervision
     checker-raise:<n>         raise from the first n per-application
@@ -52,9 +51,6 @@ val corrupt_cache_read : t -> bool
 (** [cell_raise t ~key] raises {!Injected} iff an armed [cell-raise]
     fault matches [key] (by prefix) and still has hits left. *)
 val cell_raise : t -> key:string -> unit
-
-(** Simulator fuel override, if armed. *)
-val fuel : t -> int option
 
 (** {1 Daemon hooks} *)
 

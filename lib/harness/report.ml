@@ -14,23 +14,7 @@ module Query = Engine.Query
 
 let latencies = [ 2; 6 ]
 
-(* Figure 6-3's machine widths; settable from the CLI (--widths).  This
-   is the one process-wide rendering knob left: the CLI sets it once at
-   startup, before any session work, and the daemon never touches it. *)
-let default_widths = [ 1; 2; 3; 4; 5; 6; 7; 8 ]
-let current_widths = ref default_widths
-
-let set_widths = function
-  | [] -> invalid_arg "Report.set_widths: empty width list"
-  | ws ->
-      List.iter
-        (fun w ->
-          if w < 1 then
-            invalid_arg (Printf.sprintf "Report.set_widths: width %d < 1" w))
-        ws;
-      current_widths := ws
-
-let widths () = !current_widths
+let widths () = [ 1; 2; 3; 4; 5; 6; 7; 8 ]
 
 let benches () = List.map (fun (w : W.Workload.t) -> w.name) W.Registry.all
 
@@ -487,10 +471,13 @@ let spd_decisions_tables s =
     timings, is [spd validate]'s document). *)
 let spd_validate_tables s =
   let module V = Spd_validate.Validate in
-  let grid = product (benches ()) latencies in
+  (* latency by latency: a workload's cells at two latencies mostly
+     share their obligations, so side by side one domain would wait on
+     the session's memo for the other's explorations *)
   warm s
-    (fun (bench, latency) -> ignore (submit s ~bench ~latency Query.Spd_verdicts))
-    grid;
+    (fun (latency, bench) -> ignore (submit s ~bench ~latency Query.Spd_verdicts))
+    (product latencies (benches ()));
+  let grid = product (benches ()) latencies in
   let rows =
     List.map
       (fun (bench, latency) ->

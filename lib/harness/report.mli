@@ -13,15 +13,9 @@
 module W = Spd_workloads
 val latencies : int list
 
-(** Figure 6-3's machine widths (default [1..8]); [set_widths]
-    overrides them process-wide (the CLI's [--widths] flag) and rejects
-    an empty or non-positive list with [Invalid_argument].  This is the
-    one process-wide rendering knob: the CLI sets it once at startup,
-    and the daemon never touches it. *)
-val default_widths : int list
-
+(** Figure 6-3's machine widths, 1 to 8 functional units. *)
 val widths : unit -> int list
-val set_widths : int list -> unit
+
 val benches : unit -> string list
 val nrc_benches : unit -> string list
 

@@ -187,83 +187,3 @@ let summary_table (t : t) (rs : V.report list) : Table.t =
 let tables ?fn ?tree (t : t) : Table.t list =
   let rs = selected ?fn ?tree t in
   [ verdicts_table t rs; summary_table t rs ]
-
-(* ------------------------------------------------------------------ *)
-(* Grid certification ([spd report --validate]) *)
-
-type certification = {
-  cells : int;  (** grid cells certified (workloads × latencies) *)
-  applications : int;
-  proved : int;
-  refuted : int;
-  unknown : int;
-  failed : (string * string) list;
-      (** cells whose validated preparation failed: (cell key, error) —
-          a [Refuted] verdict surfaces here, as [Validation_failed] *)
-}
-
-(** Certify every SpD application of the paper grid: for each built-in
-    workload at each memory latency, fetch the validation ledger and
-    tally the verdicts.  A refuted application fails its cell
-    ({!Pipeline.Validation_failed}), so it appears in [failed] as well
-    as making the certification unacceptable.  The grid runs latency by
-    latency: a workload's cells at two latencies mostly share their
-    obligations, so certifying them side by side would leave one domain
-    waiting on the session's memo for the other's explorations. *)
-let certify ?(latencies = [ 2; 6 ]) session : certification =
-  let grid =
-    List.concat_map
-      (fun lat -> List.map (fun bench -> (bench, lat)) W.Registry.names)
-      latencies
-  in
-  let outcomes =
-    Engine.Session.parallel_map session
-      (fun (bench, latency) ->
-        ( Printf.sprintf "%s/%d/SPEC/verdicts" bench latency,
-          Engine.Session.submit session
-            (Engine.Query.v ~bench ~latency Engine.Query.Spd_verdicts) ))
-      grid
-  in
-  List.fold_left
-    (fun acc (key, outcome) ->
-      match outcome with
-      | Engine.Ok rs ->
-          let p, r, u = V.tally rs in
-          {
-            acc with
-            cells = acc.cells + 1;
-            applications = acc.applications + List.length rs;
-            proved = acc.proved + p;
-            refuted = acc.refuted + r;
-            unknown = acc.unknown + u;
-          }
-      | Engine.Failed f ->
-          {
-            acc with
-            cells = acc.cells + 1;
-            failed =
-              acc.failed @ [ (key, Printexc.to_string f.Engine.exn) ];
-          })
-    {
-      cells = 0;
-      applications = 0;
-      proved = 0;
-      refuted = 0;
-      unknown = 0;
-      failed = [];
-    }
-    outcomes
-
-(** [true] iff the certification is acceptable: no refutation, no
-    failed cell.  [Unknown] verdicts are tolerated (counted and
-    reported). *)
-let acceptable (c : certification) = c.refuted = 0 && c.failed = []
-
-let pp_certification ppf (c : certification) =
-  Fmt.pf ppf
-    "translation validation: %d cells, %d applications — %d proved, %d \
-     refuted, %d unknown"
-    c.cells c.applications c.proved c.refuted c.unknown;
-  List.iter
-    (fun (key, err) -> Fmt.pf ppf "@.  FAILED %s: %s" key err)
-    c.failed

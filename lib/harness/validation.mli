@@ -47,28 +47,3 @@ val to_json : ?fn:string -> ?tree:int -> t -> Spd_telemetry.Json.t
 
 (** The verdict table and the summary table, optionally filtered. *)
 val tables : ?fn:string -> ?tree:int -> t -> Table.t list
-
-(** {1 Grid certification ([spd report --validate])} *)
-
-type certification = {
-  cells : int;  (** grid cells certified (workloads × latencies) *)
-  applications : int;
-  proved : int;
-  refuted : int;
-  unknown : int;
-  failed : (string * string) list;
-      (** cells whose validated preparation failed: (cell key, error) —
-          a [Refuted] verdict surfaces here, as [Validation_failed] *)
-}
-
-(** Certify every SpD application of the paper grid (default latencies
-    [[2; 6]]): fetch each cell's validation ledger, one latency after
-    the other, and tally the verdicts.  Failures are contained per cell
-    and reported in [failed], in that order. *)
-val certify : ?latencies:int list -> Engine.Session.t -> certification
-
-(** [true] iff no refutation and no failed cell; [Unknown] verdicts
-    are tolerated (counted and reported). *)
-val acceptable : certification -> bool
-
-val pp_certification : Format.formatter -> certification -> unit

@@ -21,7 +21,6 @@
     decision tree. *)
 
 open Spd_ir
-module Ddg = Spd_analysis.Ddg
 
 type tree_info = {
   tree : Tree.t;
@@ -97,13 +96,10 @@ let timing_for (t : t) (info : tree_info) (mask : int) :
       let arc_active (a : Memdep.t) =
         Memdep.is_active a && Hashtbl.mem enforced (a.src, a.dst, a.kind)
       in
-      let g = Ddg.build ~arc_active ~mem_latency:t.mem_latency info.tree in
       let tt =
-        match t.width with
-        | Descr.Infinite ->
-            let insn_completion, exit_completion = Ddg.asap_completion g in
-            { Spd_sim.Timing.insn_completion; exit_completion }
-        | Descr.Fus n -> Scheduler.timing g (Scheduler.run ~fus:n g)
+        Timing_builder.tree_timing ~arc_active
+          { Descr.width = t.width; mem_latency = t.mem_latency }
+          info.tree
       in
       Hashtbl.replace info.memo mask tt;
       tt

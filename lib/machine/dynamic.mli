@@ -20,7 +20,6 @@
     against: its scope is the window, while SpD's scope is the whole
     decision tree. *)
 
-module Ddg = Spd_analysis.Ddg
 type tree_info = {
   tree : Spd_ir.Tree.t;
   arcs : (Spd_ir.Memdep.t * bool) array;

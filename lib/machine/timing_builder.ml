@@ -3,9 +3,11 @@
 open Spd_ir
 module Ddg = Spd_analysis.Ddg
 
-(** Timing of one tree on [descr]. *)
-let tree_timing (descr : Descr.t) (tree : Tree.t) : Spd_sim.Timing.tree_timing =
-  let g = Ddg.build ~mem_latency:descr.mem_latency tree in
+(** Timing of one tree on [descr], constrained by the arcs for which
+    [arc_active] holds (by default the active ones). *)
+let tree_timing ?arc_active (descr : Descr.t) (tree : Tree.t) :
+    Spd_sim.Timing.tree_timing =
+  let g = Ddg.build ?arc_active ~mem_latency:descr.mem_latency tree in
   match descr.width with
   | Descr.Infinite ->
       let insn_completion, exit_completion = Ddg.asap_completion g in

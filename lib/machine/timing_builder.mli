@@ -2,8 +2,10 @@
 
 module Ddg = Spd_analysis.Ddg
 
-(** Timing of one tree on [descr]. *)
+(** Timing of one tree on [descr].  Only arcs for which [arc_active]
+    holds constrain it; by default that is {!Spd_ir.Memdep.is_active}. *)
 val tree_timing :
+  ?arc_active:(Spd_ir.Memdep.t -> bool) ->
   Descr.t -> Spd_ir.Tree.t -> Spd_sim.Timing.tree_timing
 
 (** Timing of every tree of the program: one dependence graph and, on a

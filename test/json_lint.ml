@@ -2,7 +2,7 @@
     JSON document, using the repository's own parser — the same one the
     test suite uses on trace and report output.  Documents carrying a
     known [schema] key ([spd-report/2], [spd-explain/1], [spd-micro/1],
-    [spd-decisions/1], [spd-validate/1], [spd-cache/1], [spd-serve/1],
+    [spd-decisions/1], [spd-validate/1], [spd-cache/2], [spd-serve/1],
     [spd-log/1]) and JSON-RPC envelopes are additionally checked
     structurally.  Exits nonzero on the first malformed file (see
     [make check]). *)
@@ -273,15 +273,26 @@ let check_validate doc =
   if counted <> (proved, refuted, unknown) then
     bad "verdict list tallies do not match the document's counters"
 
-(* spd-cache/1: the [spd cache stats --json] snapshot. *)
+(* spd-cache/2: the [spd cache stats --json] snapshot — what the
+   directory holds for this build, and nothing else: in particular no
+   session counters, which a process that runs no session cannot know *)
 let check_cache doc =
+  (match doc with
+  | Json.Obj kvs ->
+      let keys = List.map fst kvs in
+      if
+        List.sort compare keys
+        <> [ "bytes"; "dir"; "entries"; "schema"; "version" ]
+      then
+        bad "members are %s, not schema, dir, entries, bytes, version"
+          (String.concat ", " keys)
+  | _ -> bad "not an object");
   let (_ : string) = require_string "dir" doc in
-  let (_ : string) = require_string "version" doc in
+  let version = require_string "version" doc in
+  if String.length version <> 32 then
+    bad "version %S is not a build digest" version;
   if require_int "entries" doc < 0 then bad "negative entry count";
-  if require_int "bytes" doc < 0 then bad "negative byte count";
-  List.iter
-    (fun key -> if require_int key doc < 0 then bad "negative %S" key)
-    [ "hits"; "misses"; "evictions" ]
+  if require_int "bytes" doc < 0 then bad "negative byte count"
 
 (* spd-serve/1: the daemon's own response documents, discriminated by
    their "kind" member *)
@@ -405,7 +416,7 @@ let check_schema doc =
   | Some "spd-micro/1" -> check_micro doc; Some "spd-micro/1"
   | Some "spd-decisions/1" -> check_decisions doc; Some "spd-decisions/1"
   | Some "spd-validate/1" -> check_validate doc; Some "spd-validate/1"
-  | Some "spd-cache/1" -> check_cache doc; Some "spd-cache/1"
+  | Some "spd-cache/2" -> check_cache doc; Some "spd-cache/2"
   | Some "spd-serve/1" -> check_serve doc; Some "spd-serve/1"
   | Some "spd-log/1" -> check_log_record doc; Some "spd-log/1"
   | _ ->

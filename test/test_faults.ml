@@ -20,21 +20,23 @@ let test_faults_parse () =
   check_bool "empty spec is none" true (Faults.is_none (parse_ok ""));
   check_bool "cache-corrupt armed" false
     (Faults.is_none (parse_ok "cache-corrupt:3"));
-  check_int "fuel carried" 1234
-    (Option.get (Faults.fuel (parse_ok "fuel:1234,cell-raise:adi/2/SPEC")));
   List.iter
     (fun bad ->
       match Faults.parse bad with
       | Ok _ -> Alcotest.failf "Faults.parse %S unexpectedly succeeded" bad
       | Error _ -> ())
-    [ "bogus"; "cache-corrupt:x"; "cache-corrupt:0"; "fuel:"; "cell-raise:";
+    [ "bogus"; "cache-corrupt:x"; "cache-corrupt:0"; "cell-raise:";
       "cell-raise:k@x"; "worker-raise:0" ];
-  (* no fault perturbs reported cycle counts *)
-  (match Faults.parse "cycles-inflate:10" with
-  | Ok _ -> Alcotest.fail "a removed fault kind parsed"
-  | Error msg ->
-      check_bool "the removed fault is an unknown fault" true
-        (Test_harness.contains msg "unknown fault"));
+  (* no fault perturbs reported cycle counts, and a traversal budget is
+     [--fuel]'s alone *)
+  List.iter
+    (fun removed ->
+      match Faults.parse removed with
+      | Ok _ -> Alcotest.failf "the removed fault %S parsed" removed
+      | Error msg ->
+          check_bool (removed ^ " is an unknown fault") true
+            (Test_harness.contains msg "unknown fault"))
+    [ "cycles-inflate:10"; "fuel:1234" ];
   match Faults.parse "bogus" with
   | Ok _ -> Alcotest.fail "a spec without a colon parsed"
   | Error msg ->
@@ -42,8 +44,7 @@ let test_faults_parse () =
         (fun kind ->
           check_bool ("malformed-spec message names " ^ kind) true
             (Test_harness.contains msg kind))
-        [ "cache-corrupt"; "cell-raise"; "fuel"; "worker-raise";
-          "checker-raise" ]
+        [ "cache-corrupt"; "cell-raise"; "worker-raise"; "checker-raise" ]
 
 (* the chaos harness's client budgets are its own constants, not
    faults: the product refuses their old spellings *)
@@ -252,21 +253,27 @@ let read_file path = In_channel.with_open_bin path In_channel.input_all
 let write_file path s =
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
 
-(* the records of a pack, read independently of the engine: for each,
-   where its body starts and how long it is, from the header
-   [<address> spd-cache <version> <md5> <length>] *)
+(* a pack's first line, naming the build that wrote it *)
+let pack_header build = "spd-cache " ^ build ^ "\n"
+
+(* the records of a pack of this build, read independently of the
+   engine: for each, where its body starts and how long it is, from the
+   record header [<address> <md5> <length>] *)
 let pack_records s =
   let rec go i acc =
     match String.index_from_opt s i '\n' with
     | None -> List.rev acc
     | Some j -> (
         match String.split_on_char ' ' (String.sub s i (j - i)) with
-        | [ _; "spd-cache"; _; _; len ] ->
+        | [ _; _; len ] ->
             let len = int_of_string len in
             go (j + 1 + len) ((j + 1, len) :: acc)
-        | _ -> Alcotest.failf "malformed pack header at byte %d" i)
+        | _ -> Alcotest.failf "malformed record header at byte %d" i)
   in
-  go 0 []
+  let header = pack_header H.Build.digest in
+  if not (String.starts_with ~prefix:header s) then
+    Alcotest.fail "the pack does not name this build";
+  go (String.length header) []
 
 let count suffix dir = List.length (Test_harness.files_with suffix dir)
 
@@ -316,58 +323,58 @@ let test_cache_self_healing () =
     (List.length (pack_records (read_file (the_pack dir))));
   check_bool "healed cache output identical" true (String.equal cold again)
 
-(* A record of another cache version is never served: a reading session
-   skips it without evicting anything, and the next writing session's
-   pack drops it. *)
+(* A pack of another build is never read, however readable its records:
+   a reading session serves none of them and evicts nothing, and the
+   next writing session's [close] removes the pack, leaving only packs
+   of this build. *)
 let test_cache_foreign_version () =
-  let dir = cache_dir "version_test" in
-  Fun.protect ~finally:(fun () -> Test_harness.rm_rf dir) @@ fun () ->
-  let session () =
+  let dir = cache_dir "build_test" and other = cache_dir "other_build_test" in
+  Fun.protect ~finally:(fun () ->
+      Test_harness.rm_rf dir;
+      Test_harness.rm_rf other)
+  @@ fun () ->
+  let session dir () =
     Engine.Session.create ~jobs:2 ~disk_cache:true ~cache_dir:dir ()
   in
   let render s = Test_harness.pretty (H.Report.table6_3_tables s) in
-  let cold = Test_harness.with_session (session ()) render in
-  let pack = the_pack dir in
-  let bytes = read_file pack in
-  let body, len = List.hd (pack_records bytes) in
-  (* the first record again, under the same address and another version *)
-  let foreign =
-    match String.split_on_char ' ' (String.sub bytes 0 (body - 1)) with
-    | [ address; magic; _; md5; length ] ->
-        String.concat " " [ address; magic; "0"; md5; length ]
-        ^ "\n" ^ String.sub bytes body len
-    | _ -> Alcotest.fail "malformed first record"
+  let naive4 s =
+    ask s ~bench:"moment" ~latency:2
+      (Engine.Query.Cycles
+         { kind = H.Pipeline.Naive; width = Spd_machine.Descr.Fus 4 })
   in
-  write_file pack (bytes ^ foreign);
-  let versions () =
-    let s = read_file (the_pack dir) in
-    List.map
-      (fun (body, _) ->
-        let start =
-          match String.rindex_from_opt s (body - 2) '\n' with
-          | Some i -> i + 1
-          | None -> 0
-        in
-        List.nth (String.split_on_char ' ' (String.sub s start (body - start))) 2)
-      (pack_records s)
-  in
-  check_int "the foreign record is in the pack" 1
-    (List.length (List.filter (( = ) "0") (versions ())));
-  let s = session () in
+  let cold = Test_harness.with_session (session dir ()) render in
+  (* a pack holding one cell table6_3 does not read, served as written *)
+  let cycles = Test_harness.with_session (session other ()) naive4 in
+  let s = session other () in
+  check_int "the pack is readable" cycles (Test_harness.with_session s naive4);
+  check_int "readable: its cell served" 1
+    (Engine.Session.stats s).Engine.Stats.disk_hits;
+  (* the same records under another build's name *)
+  let readable = read_file (the_pack other) in
+  let header = pack_header H.Build.digest in
+  write_file
+    (Filename.concat dir "foreign.pack")
+    (pack_header (String.make 32 '0')
+    ^ String.sub readable (String.length header)
+        (String.length readable - String.length header));
+  let s = session dir () in
   let warm = Test_harness.with_session s render in
   let st = Engine.Session.stats s in
   check_int "reading: nothing evicted" 0 st.Engine.Stats.disk_evictions;
   check_int "reading: every cell served" 22 st.Engine.Stats.disk_hits;
   check_bool "reading: output identical" true (String.equal cold warm);
-  Test_harness.with_session (session ()) (fun s ->
-      ignore
-        (ask s ~bench:"moment" ~latency:2
-           (Engine.Query.Cycles
-              { kind = H.Pipeline.Naive; width = Spd_machine.Descr.Fus 4 })));
-  check_bool "writing: the foreign record is gone" true
-    (List.for_all (( = ) Engine.cache_version) (versions ()));
+  check_int "reading: both packs stay" 2 (count ".pack" dir);
+  let s = session dir () in
+  check_int "writing: the foreign cell recomputed" cycles
+    (Test_harness.with_session s naive4);
+  let st = Engine.Session.stats s in
+  check_int "writing: no record of the foreign pack served" 0
+    st.Engine.Stats.disk_hits;
+  check_int "writing: nothing evicted" 0 st.Engine.Stats.disk_evictions;
+  check_int "writing: the cell prepared" 1 st.Engine.Stats.preparations;
+  check_int "writing: the foreign pack is gone" 1 (count ".pack" dir);
   check_int "writing: every current record kept" 23
-    (List.length (versions ()))
+    (List.length (pack_records (read_file (the_pack dir))))
 
 (* Two sessions load the same pack, write different cells and flush into
    one directory: each flush removes only the pack it loaded, so a third

@@ -266,19 +266,34 @@ let test_validate_json_deterministic () =
     (String.equal cold warm);
   check_bool "validate = uncached baseline" true (String.equal j1 cold)
 
-(* The certification rollup agrees with the per-cell ledgers and is
-   acceptable on the real corpus. *)
+(* The spd-validate artefact agrees with the per-cell ledgers and is
+   acceptable on the real corpus: one row per workload and latency, no
+   failed cell, no refutation, every application proved. *)
 let test_certify_acceptable () =
   with_session (Engine.Session.create ~jobs:2 ()) @@ fun s ->
-  let c = H.Validation.certify s in
-  check_bool "no refutation on the paper grid" true (c.H.Validation.refuted = 0);
-  check_bool "no failed cell" true (c.H.Validation.failed = []);
-  check_bool "certification acceptable" true (H.Validation.acceptable c);
-  check_int "every application proved" c.H.Validation.applications
-    c.H.Validation.proved;
+  let rows =
+    match H.Report.spd_validate_tables s with
+    | [ t ] -> t.H.Table.rows
+    | ts -> Alcotest.failf "expected one table, got %d" (List.length ts)
+  in
+  check_bool "no failed cell" true (Engine.Session.failures s = []);
   check_int "cells = workloads x latencies"
     (List.length (H.Report.benches ()) * List.length H.Report.latencies)
-    c.H.Validation.cells
+    (List.length rows);
+  List.iter
+    (fun (row : H.Table.row) ->
+      let bench, latency =
+        Scanf.sscanf row.label "%[^/]/%d" (fun b l -> (b, l))
+      in
+      let reports = ask s ~bench ~latency Engine.Query.Spd_verdicts in
+      let proved, refuted, unknown = V.tally reports in
+      let applications = List.length reports in
+      check_bool (row.label ^ ": row = ledger tally") true
+        (row.cells
+        = H.Table.[ Int applications; Int proved; Int refuted; Int unknown ]);
+      check_int (row.label ^ ": no refutation") 0 refuted;
+      check_int (row.label ^ ": every application proved") applications proved)
+    rows
 
 (* ------------------------------------------------------------------ *)
 (* An engine session explores each distinct obligation once.  Its
