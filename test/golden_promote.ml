@@ -1,7 +1,8 @@
 (** Regenerate the golden corpus ([make golden-promote]).
 
     Renders every (workload, width) schedule document, the validation
-    ledger and the why/validate/explain document digests with the same
+    ledger, the why/validate/explain document digests and the
+    dependence graph digests with the same
     {!Golden_render} the test suite diffs against, and writes the files
     into the directory named on the command line (default
     [test/golden]).  Run it after an
@@ -37,4 +38,5 @@ let () =
         Golden_render.widths)
     Spd_workloads.Registry.names;
   write Golden_render.validate_file (Golden_render.render_validate ());
-  write Golden_render.documents_file (Golden_render.render_documents ())
+  write Golden_render.documents_file (Golden_render.render_documents ());
+  write Golden_render.graphs_file (Golden_render.render_graphs ())

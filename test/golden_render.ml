@@ -8,10 +8,12 @@
     is a one-command re-bless while an accidental one fails [dune
     runtest] with a readable grid diff.  Two further documents pin what
     the grids do not: [validate.txt], the translation validator's
-    ledger ([test_validate] diffs it the same way), and
+    ledger ([test_validate] diffs it the same way),
     [documents.txt], a rollup and digest of every [spd why],
     [spd validate] and [spd explain] document and of the report
-    artefacts no other test pins ([test_golden]).
+    artefacts no other test pins ([test_golden]), and [graphs.txt], a
+    digest of every dependence graph [spd graph] renders
+    ([test_golden]).
 
     The rendering must stay byte-deterministic: trees in program order,
     fixed-width columns sized from the grid's own labels, no timestamps
@@ -302,4 +304,56 @@ let render_documents () : string =
           Printf.bprintf buf "artefact %s md5=%s\n" a.name
             (md5 (Json.List (List.map Table.to_json (a.tables session)))))
         (Artefact.of_names unpinned));
+  Buffer.contents buf
+
+(* ------------------------------------------------------------------ *)
+(* The dependence graphs [spd graph] renders *)
+
+let graphs_file = "graphs.txt"
+
+(** One line per corpus workload, memory latency and pipeline (NAIVE,
+    whose arcs are all active, and SPEC): the number of trees and the
+    MD5 of {!Spd_analysis.Ddg.pp_dot} over every tree of the program,
+    in program order, each rendered as [spd graph] prints it.  Pins
+    each graph's nodes, edges, weights and edge order. *)
+let render_graphs () : string =
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf
+    "# golden dependence graphs: MD5 of spd graph's DOT over every tree, \
+     in program order\n\
+     # workload latency pipeline trees dot\n";
+  List.iter
+    (fun workload ->
+      let lowered =
+        Spd_lang.Lower.compile
+          (Spd_workloads.Registry.by_name workload).Spd_workloads.Workload.source
+      in
+      let config = Pipeline.Config.v ~check:false () in
+      let front = Pipeline.front ~config lowered in
+      let reference = lazy (Pipeline.reference ~config front) in
+      List.iter
+        (fun mem_latency ->
+          List.iter
+            (fun kind ->
+              let p =
+                Pipeline.prepare
+                  ~config:(Pipeline.Config.v ~check:false ~mem_latency ())
+                  ~front
+                  ~reference:(fun () -> Lazy.force reference)
+                  kind lowered
+              in
+              let dot = Buffer.create 65536 and trees = ref 0 in
+              Spd_ir.Prog.iter_trees
+                (fun _ tree ->
+                  incr trees;
+                  Buffer.add_string dot
+                    (Fmt.str "%a@." Spd_analysis.Ddg.pp_dot
+                       (Spd_analysis.Ddg.build ~mem_latency tree)))
+                p.Pipeline.prog;
+              Printf.bprintf buf "%s %d %s trees=%d dot=%s\n" workload
+                mem_latency (Pipeline.name kind) !trees
+                (Digest.to_hex (Digest.string (Buffer.contents dot))))
+            [ Pipeline.Naive; Pipeline.Spec ])
+        latencies)
+    corpus_workloads;
   Buffer.contents buf

@@ -17,6 +17,10 @@
     A failure names the workload and latency, or the artefact, and the
     first field that moved.
 
+    [graphs.txt] pins the dependence graph of every tree of the NAIVE
+    and SPEC programs of the same workloads and latencies, by the MD5 of
+    what [spd graph] prints for it ({!Golden_render.render_graphs}).
+
     The committed [BENCH_REPORT.json] is the last corpus: [spd report
     all], rendered in process from a fresh session without a disk
     cache, must equal it byte for byte; a failure names the first
@@ -40,6 +44,12 @@ let check_documents () =
     (Golden_render.drift ~what:"documents"
        (Filename.concat "golden" Golden_render.documents_file)
        (Golden_render.render_documents ()))
+
+let check_graphs () =
+  Option.iter Alcotest.fail
+    (Golden_render.drift ~what:"graphs"
+       (Filename.concat "golden" Golden_render.graphs_file)
+       (Golden_render.render_graphs ()))
 
 let member name doc =
   match Json.member name doc with
@@ -98,5 +108,6 @@ let tests =
   @ [
       case "why, validate, explain and artefact digests match documents.txt"
         check_documents;
+      case "dependence graph digests match graphs.txt" check_graphs;
       case "every BENCH_REPORT.json artefact renders equal" check_bench_report;
     ]
