@@ -120,9 +120,10 @@ validate-smoke:
 	$(DUNE) exec test/json_lint.exe -- $(SMOKE_DIR)/spd_validate.json
 
 # Regenerate the golden corpus under test/golden/ (schedule grids,
-# validate.txt and documents.txt, the digests of every why, validate and
-# explain document) after an intentional change to the numbers; review
-# the diff and commit.
+# validate.txt, documents.txt, the digests of every why, validate and
+# explain document, and graphs.txt, the digests of every dependence
+# graph) after an intentional change to the numbers; review the diff
+# and commit.
 golden-promote:
 	$(DUNE) exec test/golden_promote.exe
 

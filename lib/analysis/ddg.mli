@@ -14,25 +14,49 @@
 
     With unlimited functional units the earliest issue time of every node
     is the longest-path distance from the tree's entry; this is the
-    paper's "cycle-level infinite machine simulator" timing. *)
+    paper's "cycle-level infinite machine simulator" timing.
 
-type t = {
+    {b Representation.}  The edges live in flat arrays (CSR): each node
+    has a predecessor slice and a successor slice, each slot a node and
+    a weight.  A slice holds its edges newest first, in the reverse of
+    the order {!build} adds them; readers that break ties by edge order
+    ({!Spd_machine.Critpath}, {!pp_dot}) read that order.  A graph is
+    immutable once built, so graphs are shared freely across domains;
+    the readers below allocate no per-edge data. *)
+
+type t = private {
   tree : Spd_ir.Tree.t;
   mem_latency : int;
   n_insns : int;
   n_exits : int;
-  preds : (int * int) list array;
-  succs : (int * int) list array;
-  mem_edges : (int * int, Spd_ir.Memdep.t) Hashtbl.t;
   node_lat : int array;
       (** per-node latency, computed once at build time *)
+  pred_off : int array;
+      (** [n_nodes + 1] offsets: node [v]'s predecessor slice is
+          [pred_off.(v)] to [pred_off.(v + 1) - 1] of [pred_node] and
+          [pred_weight] *)
+  pred_node : int array;
+  pred_weight : int array;
+  succ_off : int array;  (** the successor slices, laid out likewise *)
+  succ_node : int array;
+  succ_weight : int array;
+  arc_off : int array;
+      (** [n_insns + 1] offsets into [arcs]: an instruction's active
+          memory arcs head its successor slice, and its [k]-th arc is the
+          arc of its [k]-th successor slot *)
+  arcs : Spd_ir.Memdep.t array;
 }
 val n_nodes : t -> int
 val insn_node : 'a -> 'a
 val exit_node : t -> int -> int
 
 (** Build the dependence graph.  Only arcs for which [arc_active] holds
-    constrain the graph; by default that is {!Spd_ir.Memdep.is_active}. *)
+    constrain the graph; by default that is {!Spd_ir.Memdep.is_active}.
+    Edges are added in a fixed order: register flow into each
+    instruction, then into each exit (sources in {!Spd_ir.Insn.uses} and
+    {!Spd_ir.Tree.exit_uses} order); the active arcs in [tree.arcs]
+    order; the exit chain.  Raises [Invalid_argument] when an active
+    arc names an instruction that is not in the tree. *)
 val build :
   ?arc_active:(Spd_ir.Memdep.t -> bool) ->
   mem_latency:int -> Spd_ir.Tree.t -> t
@@ -40,6 +64,20 @@ val build :
 (** Latency of a node: its opcode latency, or the branch latency for
     exits. *)
 val node_latency : t -> int -> int
+
+(** Number of edges into a node. *)
+val n_preds : t -> int -> int
+
+(** [fold_preds g node f init] folds [f pred weight] over [node]'s
+    predecessor slice, newest edge first. *)
+val fold_preds : t -> int -> (int -> int -> 'a -> 'a) -> 'a -> 'a
+
+(** {!fold_preds} over [node]'s successor slice. *)
+val fold_succs : t -> int -> (int -> int -> 'a -> 'a) -> 'a -> 'a
+
+(** [iter_succs g node f] calls [f succ weight] on [node]'s successor
+    slice, newest edge first. *)
+val iter_succs : t -> int -> (int -> int -> unit) -> unit
 
 (** Earliest issue time of every node on an unbounded machine.  Node order
     is topological by construction (definitions precede uses, arcs point
@@ -65,11 +103,15 @@ val retime_without :
   'a option
 
 (** Longest path from each node to the end of the tree (used as the list
-    scheduler's priority: schedule critical nodes first). *)
-val height : t -> int array
+    scheduler's priority: schedule critical nodes first).  With [into]
+    (at least {!n_nodes} slots) the heights are written there and it is
+    returned. *)
+val height : ?into:int array -> t -> int array
 
-(** Lookup the memory dependence arc constraining edge (src, dst), if
-    that edge is a memory arc rather than register flow or exit chain. *)
+(** The memory dependence arc of the node pair [(src, dst)], if an arc
+    joins them: the last active arc {!build} added between the two,
+    also when a register-flow edge joins the same pair.  Tells a memory
+    edge apart from register flow or the exit chain. *)
 val mem_arc : t -> src:int -> dst:int -> Spd_ir.Memdep.t option
 
 (** Length of the unbounded-machine critical path: the largest completion

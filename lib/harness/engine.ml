@@ -1052,14 +1052,26 @@ module Session = struct
      memory latency, the pipeline nor the heuristic parameters, so one
      serves the bench (one per graft).  It is also the run of a SPEC
      program that applies nothing and keeps NAIVE's code, so it seeds
-     [run_memo] under NAIVE's identity. *)
-  let reference_cell t (k : key) =
+     [run_memo] under NAIVE's identity.  A grafted run must behave like
+     the ungrafted one of the same budget: grafting is checked against
+     the program it rewrites, not against itself. *)
+  let rec reference_cell t (k : key) =
     let variant = graft_only k.variant in
     let k = { k with latency = 0; kind = Pipeline.Naive; variant } in
     Memo.get t.reference_memo k (fun () ->
         let config = config_for t k in
         let naive = front t k.bench ~graft:config.graft in
         let r = Pipeline.reference ~config naive in
+        if config.graft then begin
+          let plain : Pipeline.reference =
+            reference_cell t { k with variant = None }
+          in
+          if (plain.run.ret, plain.run.output) <> (r.run.ret, r.run.output)
+          then
+            raise
+              (Pipeline.Behaviour_mismatch
+                 (Fmt.str "grafting changed the behaviour of %s" k.bench))
+        end;
         let identity = Pipeline.run_identity naive [] in
         ignore
           (Memo.get t.run_memo (run_key identity config) (fun () ->

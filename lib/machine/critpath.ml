@@ -96,8 +96,8 @@ let analyze (s : Schedule.t) : t =
     emit cur (issue cur) (min hi (issue cur + latency cur))
       (self_category cur);
     let ready, constraining =
-      List.fold_left
-        (fun (ready, best) (p, w) ->
+      Ddg.fold_preds g cur
+        (fun p w (ready, best) ->
           let at = issue p + w in
           if at > ready then (at, Some (p, w))
           else if at = ready then
@@ -110,7 +110,7 @@ let analyze (s : Schedule.t) : t =
                 (ready, Some (b, bw))
             | _ -> (ready, Some (p, w))
           else (ready, best))
-        (0, None) g.Ddg.preds.(cur)
+        (0, None)
     in
     emit cur ready (issue cur) Resource;
     match constraining with

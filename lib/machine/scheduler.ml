@@ -11,9 +11,17 @@
     is exactly the (height-descending, node-ascending stable sort) the
     historical ready-list scan used, so schedules are bit-identical to
     that scan (kept as the tests' reference scheduler) — and, being a
-    pure function of the graph, identical across [--jobs] domain counts.  Nodes whose operands complete in a
-    future cycle wait in a release queue (a min-heap on ready cycle)
-    instead of being re-scanned every cycle.
+    pure function of the graph, identical across [--jobs] domain
+    counts.  Nodes whose operands complete in a future cycle wait in a
+    release queue (a min-heap on ready cycle) instead of being
+    re-scanned every cycle.
+
+    A list schedule allocates only its result.  Its working arrays
+    (both heaps, the predecessor counts, ready cycles, heights and the
+    deferred generation) are scratch owned by the calling domain (a
+    [Domain.DLS] key), grown on demand and reused by the domain's next
+    run; they do not live in the graph, which both domains of a session
+    read while they price different widths.
 
     [spd.scheduler.schedules] and [spd.scheduler.fu_occupancy] count
     list schedules only: a schedule plan's widths at or above a tree's
@@ -50,176 +58,228 @@ let register_metrics () =
     broken by the {e lower} node index.  Exposed so the property tests
     can check the pop order directly. *)
 module Heap = struct
-  type t = {
-    mutable prio : int array;
-    mutable node : int array;
-    mutable size : int;
-  }
+  (* One int per entry: the priority in the high bits and the node,
+     complemented, in the low [node_bits], so that integer order is the
+     heap's order: a larger key pops first. *)
+  type t = { mutable keys : int array; mutable size : int }
 
-  let create cap =
-    let cap = max cap 1 in
-    { prio = Array.make cap 0; node = Array.make cap 0; size = 0 }
+  let node_bits = 21
+  let node_mask = (1 lsl node_bits) - 1
 
+  let create cap = { keys = Array.make (max cap 1) 0; size = 0 }
   let is_empty h = h.size = 0
   let size h = h.size
-
-  (* strict "pops before": the heap invariant's order *)
-  let before h i j =
-    h.prio.(i) > h.prio.(j)
-    || (h.prio.(i) = h.prio.(j) && h.node.(i) < h.node.(j))
-
-  let swap h i j =
-    let p = h.prio.(i) and n = h.node.(i) in
-    h.prio.(i) <- h.prio.(j);
-    h.node.(i) <- h.node.(j);
-    h.prio.(j) <- p;
-    h.node.(j) <- n
+  let clear h = h.size <- 0
 
   let push h ~prio node =
-    if h.size = Array.length h.prio then begin
-      let cap = 2 * h.size in
-      let prio' = Array.make cap 0 and node' = Array.make cap 0 in
-      Array.blit h.prio 0 prio' 0 h.size;
-      Array.blit h.node 0 node' 0 h.size;
-      h.prio <- prio';
-      h.node <- node'
+    if node < 0 || node > node_mask then
+      invalid_arg "Scheduler.Heap.push: node out of range";
+    if h.size = Array.length h.keys then begin
+      let keys = Array.make (2 * h.size) 0 in
+      Array.blit h.keys 0 keys 0 h.size;
+      h.keys <- keys
     end;
-    h.prio.(h.size) <- prio;
-    h.node.(h.size) <- node;
+    let key = (prio lsl node_bits) lor (node_mask - node) in
+    let keys = h.keys in
+    let i = ref h.size in
     h.size <- h.size + 1;
-    let i = ref (h.size - 1) in
-    while !i > 0 && before h !i ((!i - 1) / 2) do
-      swap h !i ((!i - 1) / 2);
+    while !i > 0 && keys.((!i - 1) / 2) < key do
+      keys.(!i) <- keys.((!i - 1) / 2);
       i := (!i - 1) / 2
-    done
+    done;
+    keys.(!i) <- key
 
-  let peek h = if h.size = 0 then None else Some (h.prio.(0), h.node.(0))
+  let top_prio h =
+    if h.size = 0 then invalid_arg "Scheduler.Heap.top_prio: empty heap";
+    h.keys.(0) asr node_bits
 
   let pop h =
-    if h.size = 0 then None
-    else begin
-      let top = h.node.(0) in
-      h.size <- h.size - 1;
-      if h.size > 0 then begin
-        h.prio.(0) <- h.prio.(h.size);
-        h.node.(0) <- h.node.(h.size);
-        let i = ref 0 in
-        let sifting = ref true in
-        while !sifting do
-          let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-          let best = ref !i in
-          if l < h.size && before h l !best then best := l;
-          if r < h.size && before h r !best then best := r;
-          if !best <> !i then begin
-            swap h !i !best;
-            i := !best
+    if h.size = 0 then invalid_arg "Scheduler.Heap.pop: empty heap";
+    let keys = h.keys in
+    let top = keys.(0) in
+    let n = h.size - 1 in
+    h.size <- n;
+    if n > 0 then begin
+      (* sift the last key down from the root *)
+      let key = keys.(n) in
+      let i = ref 0 and sifting = ref true in
+      while !sifting do
+        let l = (2 * !i) + 1 in
+        if l >= n then sifting := false
+        else begin
+          let c = if l + 1 < n && keys.(l + 1) > keys.(l) then l + 1 else l in
+          if keys.(c) > key then begin
+            keys.(!i) <- keys.(c);
+            i := c
           end
           else sifting := false
-        done
-      end;
-      Some top
-    end
+        end
+      done;
+      keys.(!i) <- key
+    end;
+    node_mask - (top land node_mask)
 end
+
+(* ------------------------------------------------------------------ *)
+(* Per-domain scratch *)
+
+(* The working set of one list schedule, reused by the domain's next
+   run.  The int arrays hold at least as many slots as the largest graph
+   the domain has scheduled. *)
+type scratch = {
+  mutable height : int array;
+  mutable preds_left : int array;
+  mutable ready_at : int array;  (** earliest data-ready cycle *)
+  mutable deferred : int array;
+      (** the generation enabled mid-cycle, [n_deferred] long *)
+  mutable n_deferred : int;
+  mutable cycle : int;  (** the cycle being filled *)
+  ready : Heap.t;
+  release : Heap.t;
+  enable : int -> int -> unit;  (** {!enable} of this scratch *)
+}
+
+(* [s] lost a predecessor, over an edge of weight [w], to a node issued
+   this cycle *)
+let enable sc s w =
+  let preds_left = sc.preds_left and ready_at = sc.ready_at in
+  preds_left.(s) <- preds_left.(s) - 1;
+  ready_at.(s) <- Int.max ready_at.(s) (sc.cycle + w);
+  if preds_left.(s) = 0 then
+    if ready_at.(s) <= sc.cycle then begin
+      sc.deferred.(sc.n_deferred) <- s;
+      sc.n_deferred <- sc.n_deferred + 1
+    end
+    else Heap.push sc.release ~prio:(-ready_at.(s)) s
+
+(* the deferred generation joins the ready heap *)
+let admit_deferred sc =
+  for i = sc.n_deferred - 1 downto 0 do
+    let s = sc.deferred.(i) in
+    Heap.push sc.ready ~prio:sc.height.(s) s
+  done;
+  sc.n_deferred <- 0
+
+let scratch_key =
+  Domain.DLS.new_key (fun () ->
+      let rec sc =
+        {
+          height = [||];
+          preds_left = [||];
+          ready_at = [||];
+          deferred = [||];
+          n_deferred = 0;
+          cycle = 0;
+          ready = Heap.create 64;
+          release = Heap.create 64;
+          enable = (fun s w -> enable sc s w);
+        }
+      in
+      sc)
+
+(* the calling domain's scratch, with room for [n] nodes *)
+let scratch n =
+  let sc = Domain.DLS.get scratch_key in
+  if Array.length sc.height < n then begin
+    let cap = Int.max n (2 * Array.length sc.height) in
+    sc.height <- Array.make cap 0;
+    sc.preds_left <- Array.make cap 0;
+    sc.ready_at <- Array.make cap 0;
+    sc.deferred <- Array.make cap 0
+  end;
+  Heap.clear sc.ready;
+  Heap.clear sc.release;
+  sc.n_deferred <- 0;
+  sc.cycle <- 0;
+  sc
 
 (* ------------------------------------------------------------------ *)
 (* Scheduling *)
 
-(** Schedule [g] on a machine with [fus] universal units.  [fus = None]
-    means unlimited (the result then equals ASAP).
+(* Unlimited units: [issue] is the ASAP timing; each node's slot is its
+   rank among its cycle's issuers, in node order. *)
+let rank_slots issue fu =
+  let issued = Array.make (Array.fold_left Int.max (-1) issue + 1) 0 in
+  for node = 0 to Array.length issue - 1 do
+    let c = issue.(node) in
+    fu.(node) <- issued.(c);
+    issued.(c) <- issued.(c) + 1
+  done
 
-    Resource-constrained case: the ready heap holds data-ready nodes;
-    the release queue (min-heap on ready cycle, priorities negated)
-    holds nodes whose predecessors have all issued but whose operands
-    complete in a future cycle.  Within a cycle the heap drains in
-    priority order as a {e generation}: nodes enabled mid-cycle by a
-    zero-weight edge (the prioritized exit chain) collect in [deferred]
-    and only enter the heap once the current generation has drained
-    with slots to spare — reproducing the historical scan's
-    snapshot-then-rescan semantics exactly. *)
+(* The resource-constrained case: the ready heap holds data-ready nodes;
+   the release queue (min-heap on ready cycle, priorities negated) holds
+   nodes whose predecessors have all issued but whose operands complete
+   in a future cycle.  Within a cycle the heap drains in priority order
+   as a {e generation}: nodes enabled mid-cycle by a zero-weight edge
+   (the prioritized exit chain) collect in [deferred] and only enter the
+   heap once the current generation has drained with slots to spare —
+   reproducing the historical scan's snapshot-then-rescan semantics
+   exactly. *)
+let list_schedule (g : Ddg.t) ~fus issue fu =
+  let n = Ddg.n_nodes g in
+  let sc = scratch n in
+  let height = Ddg.height ~into:sc.height g in
+  let ready = sc.ready and release = sc.release in
+  for node = 0 to n - 1 do
+    sc.preds_left.(node) <- Ddg.n_preds g node;
+    sc.ready_at.(node) <- 0;
+    if sc.preds_left.(node) = 0 then Heap.push release ~prio:0 node
+  done;
+  let remaining = ref n in
+  while !remaining > 0 do
+    (* admit every node whose operands are ready this cycle *)
+    while (not (Heap.is_empty release)) && -Heap.top_prio release <= sc.cycle
+    do
+      let node = Heap.pop release in
+      Heap.push ready ~prio:height.(node) node
+    done;
+    let slots = ref fus in
+    let exhausted = ref false in
+    while (not !exhausted) && !slots > 0 do
+      if not (Heap.is_empty ready) then begin
+        let node = Heap.pop ready in
+        fu.(node) <- fus - !slots;
+        decr slots;
+        issue.(node) <- sc.cycle;
+        decr remaining;
+        Ddg.iter_succs g node sc.enable
+      end
+      else if sc.n_deferred = 0 then exhausted := true
+      else
+        (* generation drained with slots left: the nodes it enabled
+           this cycle form the next generation *)
+        admit_deferred sc
+    done;
+    (* slots gone: anything enabled this cycle waits for the next *)
+    admit_deferred sc;
+    if !remaining > 0 then
+      sc.cycle <-
+        (if not (Heap.is_empty ready) then sc.cycle + 1
+         else if Heap.is_empty release then
+           sc.cycle + 1 (* unreachable: the graph is a DAG *)
+         else
+           (* idle until the next operand completes *)
+           Int.max (sc.cycle + 1) (-Heap.top_prio release))
+  done
+
+(** Schedule [g] on a machine with [fus] universal units.  [fus = None]
+    means unlimited (the result then equals ASAP). *)
 let run ?fus (g : Ddg.t) : t =
   let n = Ddg.n_nodes g in
-  let issue = Array.make n (-1) in
   let fu = Array.make n 0 in
-  (match fus with
-  | None ->
-      let asap = Ddg.asap g in
-      Array.blit asap 0 issue 0 n;
-      (* unlimited units: slot = rank among same-cycle issuers, in node
-         order *)
-      let per_cycle = Hashtbl.create 16 in
-      for node = 0 to n - 1 do
-        let k =
-          try Hashtbl.find per_cycle issue.(node) with Not_found -> 0
-        in
-        fu.(node) <- k;
-        Hashtbl.replace per_cycle issue.(node) (k + 1)
-      done
-  | Some fus ->
-      if fus <= 0 then invalid_arg "Scheduler.run: fus must be positive";
-      let height = Ddg.height g in
-      let n_preds_left = Array.make n 0 in
-      (* earliest data-ready cycle, updated as predecessors schedule *)
-      let ready_at = Array.make n 0 in
-      let ready = Heap.create n in
-      let release = Heap.create n in
-      for node = 0 to n - 1 do
-        n_preds_left.(node) <- List.length g.preds.(node);
-        if n_preds_left.(node) = 0 then Heap.push release ~prio:0 node
-      done;
-      let remaining = ref n in
-      let cycle = ref 0 in
-      while !remaining > 0 do
-        (* admit every node whose operands are ready this cycle *)
-        let admitting = ref true in
-        while !admitting do
-          match Heap.peek release with
-          | Some (p, _) when -p <= !cycle -> (
-              match Heap.pop release with
-              | Some node -> Heap.push ready ~prio:height.(node) node
-              | None -> assert false)
-          | _ -> admitting := false
-        done;
-        let slots = ref fus in
-        let deferred = ref [] in
-        let exhausted = ref false in
-        while (not !exhausted) && !slots > 0 do
-          match Heap.pop ready with
-          | Some node ->
-              fu.(node) <- fus - !slots;
-              decr slots;
-              issue.(node) <- !cycle;
-              decr remaining;
-              List.iter
-                (fun (s, w) ->
-                  n_preds_left.(s) <- n_preds_left.(s) - 1;
-                  ready_at.(s) <- max ready_at.(s) (!cycle + w);
-                  if n_preds_left.(s) = 0 then
-                    if ready_at.(s) <= !cycle then deferred := s :: !deferred
-                    else Heap.push release ~prio:(-ready_at.(s)) s)
-                g.succs.(node)
-          | None -> (
-              (* generation drained with slots left: the nodes it
-                 enabled this cycle form the next generation *)
-              match !deferred with
-              | [] -> exhausted := true
-              | ds ->
-                  List.iter
-                    (fun s -> Heap.push ready ~prio:height.(s) s)
-                    ds;
-                  deferred := [])
-        done;
-        (* slots gone: anything enabled this cycle waits for the next *)
-        List.iter (fun s -> Heap.push ready ~prio:height.(s) s) !deferred;
-        if !remaining > 0 then
-          cycle :=
-            if Heap.is_empty ready then
-              (* idle until the next operand completes *)
-              match Heap.peek release with
-              | Some (p, _) -> max (!cycle + 1) (-p)
-              | None -> !cycle + 1 (* unreachable: the graph is a DAG *)
-            else !cycle + 1
-      done);
-  let length = Array.fold_left max (-1) issue + 1 in
+  let issue =
+    match fus with
+    | None ->
+        let issue = Ddg.asap g in
+        rank_slots issue fu;
+        issue
+    | Some fus ->
+        if fus <= 0 then invalid_arg "Scheduler.run: fus must be positive";
+        let issue = Array.make n (-1) in
+        list_schedule g ~fus issue fu;
+        issue
+  in
+  let length = Array.fold_left Int.max (-1) issue + 1 in
   Spd_telemetry.Metrics.incr (Spd_telemetry.Metrics.get m_schedules);
   (match fus with
   | Some fus when length > 0 ->
@@ -239,13 +299,11 @@ let timing (g : Ddg.t) (s : t) : Spd_sim.Timing.tree_timing =
     resource bound; used by the property tests. *)
 let valid ?fus (g : Ddg.t) (s : t) : bool =
   let deps_ok = ref true in
-  Array.iteri
-    (fun node preds ->
-      List.iter
-        (fun (p, w) ->
-          if s.issue.(node) < s.issue.(p) + w then deps_ok := false)
-        preds)
-    g.preds;
+  for node = 0 to Ddg.n_nodes g - 1 do
+    Ddg.fold_preds g node
+      (fun p w () -> if s.issue.(node) < s.issue.(p) + w then deps_ok := false)
+      ()
+  done;
   let resources_ok =
     match fus with
     | None -> true

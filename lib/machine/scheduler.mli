@@ -15,7 +15,10 @@
     they count list schedules, not timed trees.  A schedule plan
     ({!Timing_builder.timing}) takes a tree's ASAP timing without
     calling {!run} at every width where the width cannot bind, so a cold
-    paper report counts 1,788 schedules for its 8,444 tree timings. *)
+    paper report counts 1,788 schedules for its 8,444 tree timings.
+
+    A list schedule allocates only its result: its working arrays are
+    scratch that the calling domain owns and reuses. *)
 
 module Ddg = Spd_analysis.Ddg
 
@@ -40,14 +43,18 @@ module Heap : sig
 
   val is_empty : t -> bool
   val size : t -> int
+
+  (** [push h ~prio node] adds [node], which must lie in [\[0, 2^21)]
+      (else [Invalid_argument]). *)
   val push : t -> prio:int -> int -> unit
 
-  (** Highest-priority (priority, node) pair, without removing it. *)
-  val peek : t -> (int * int) option
+  (** Priority of the highest-priority node, without removing it.
+      Raises [Invalid_argument] on an empty heap. *)
+  val top_prio : t -> int
 
   (** Remove and return the highest-priority node; ties yield the lowest
-      node index. *)
-  val pop : t -> int option
+      node index.  Raises [Invalid_argument] on an empty heap. *)
+  val pop : t -> int
 end
 
 (** Register [spd.scheduler.schedules] and [spd.scheduler.fu_occupancy]

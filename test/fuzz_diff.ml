@@ -7,10 +7,18 @@
     and printed output) must be identical; the machine adds timing, not
     semantics.
 
+    Each case is also grafted (loop trees unrolled, paper section 7):
+    the grafted SPEC program must behave like the plain program, not
+    merely like the grafted NAIVE one.  The closing line counts the
+    cases where grafting rewrote a loop tree holding a conditional
+    store.
+
     Each case additionally cross-checks the rewritten hot paths against
-    their preserved originals: the indexed DDG build must produce the
-    reference build's edges, and the heap list scheduler must emit
-    bit-identical schedules to {!Scheduler_reference}.
+    their preserved originals: on every tree of the SPEC, NAIVE (every
+    arc active) and grafted SPEC programs, at 2- and 6-cycle memory, the
+    flat DDG build must produce the reference build's edges and arcs,
+    and the heap list scheduler must emit bit-identical schedules to
+    {!Scheduler_reference} at 1-8 FUs.
 
     The pricing oracle re-derives every cycle count the harness
     reports: for all four pipelines at both memory latencies, cycles
@@ -71,37 +79,71 @@ let pp_observed ppf (ret, output) =
     Fmt.(list ~sep:semi Spd_ir.Value.pp)
     output
 
-(* Hot-path oracle 1: the indexed DDG build and the heap scheduler must
-   reproduce the preserved reference implementations bit for bit. *)
-let check_scheduler_equivalence (prog : Spd_ir.Prog.t) =
+(* Hot-path oracle 1: the flat DDG build and the heap scheduler must
+   reproduce the preserved list-based references bit for bit, on every
+   tree of [progs] at 2- and 6-cycle memory and 1-8 FUs. *)
+let check_scheduler_equivalence (progs : (string * Spd_ir.Prog.t) list) =
+  List.iter
+    (fun (what, prog) ->
+      Spd_ir.Prog.iter_trees
+        (fun _func tree ->
+          List.iter
+            (fun mem_latency ->
+              let g = Ddg.build ~mem_latency tree in
+              let r = Scheduler_reference.build_ddg ~mem_latency tree in
+              let where =
+                Printf.sprintf "%s tree %s, %d-cycle memory" what
+                  tree.Spd_ir.Tree.name mem_latency
+              in
+              Option.iter
+                (fun d ->
+                  failwith
+                    (Printf.sprintf "%s: DDG differs from the reference \
+                                     build: %s" where d))
+                (Scheduler_reference.diff g r);
+              for fus = 1 to 8 do
+                let s = Scheduler.run ~fus g in
+                let s' = Scheduler_reference.run ~fus r in
+                if
+                  s.Scheduler.issue <> s'.Scheduler.issue
+                  || s.Scheduler.fu <> s'.Scheduler.fu
+                  || s.Scheduler.length <> s'.Scheduler.length
+                then
+                  failwith
+                    (Printf.sprintf
+                       "%s: %d-wide heap schedule differs from the reference \
+                        scan"
+                       where fus)
+              done)
+            [ 2; 6 ])
+        prog)
+    progs
+
+(* Whether grafting rewrites a loop tree of [lowered] that holds a
+   store guarded by a register the tree computes: the shape whose second
+   copy must guard its stores with its own copy of that register. *)
+let grafts_conditional_store (lowered : Spd_ir.Prog.t) =
+  let cleaned = Spd_analysis.Forwarding.run lowered in
+  let grafted = Spd_analysis.Unroll.run cleaned in
+  let found = ref false in
   Spd_ir.Prog.iter_trees
-    (fun _func tree ->
-      let g = Ddg.build ~mem_latency:2 tree in
-      let r = Scheduler_reference.build_ddg ~mem_latency:2 tree in
+    (fun func (tree : Spd_ir.Tree.t) ->
+      let after =
+        Spd_ir.Prog.find_tree (Spd_ir.Prog.find_func grafted func) tree.id
+      in
+      let defined r =
+        Array.exists (fun (i : Spd_ir.Insn.t) -> i.dst = Some r) tree.insns
+      in
+      let conditional_store (i : Spd_ir.Insn.t) =
+        Spd_ir.Insn.is_store i
+        && match i.guard with Some g -> defined g.greg | None -> false
+      in
       if
-        not
-          (g.Ddg.preds = r.Ddg.preds
-          && g.Ddg.succs = r.Ddg.succs
-          && g.Ddg.node_lat = r.Ddg.node_lat)
-      then
-        failwith
-          (Printf.sprintf "%s: indexed DDG differs from the reference build"
-             tree.Spd_ir.Tree.name);
-      List.iter
-        (fun fus ->
-          let s = Scheduler.run ~fus g in
-          let s' = Scheduler_reference.run ~fus r in
-          if
-            s.Scheduler.issue <> s'.Scheduler.issue
-            || s.Scheduler.fu <> s'.Scheduler.fu
-            || s.Scheduler.length <> s'.Scheduler.length
-          then
-            failwith
-              (Printf.sprintf
-                 "%s: %d-wide heap schedule differs from the reference scan"
-                 tree.Spd_ir.Tree.name fus))
-        [ 1; 4 ])
-    prog
+        Array.length after.insns > Array.length tree.insns
+        && Array.exists conditional_store tree.insns
+      then found := true)
+    cleaned;
+  !found
 
 (* Pricing oracle: [Histogram.price] over one instrumented run, and its
    per-tree breakdown, against [Interp.run ~timing], the reference, on
@@ -197,11 +239,13 @@ let check_gain (lowered : Spd_ir.Prog.t) (spd : Spd_ir.Prog.t) =
         prog)
     [ static; spd ]
 
-(* The oracle: [Ok ()] when the SpD pipeline preserves the plain
-   interpreter's observable behaviour, [Error m] otherwise.  Any
-   exception out of compilation, transformation or simulation is a
-   failure of that stage. *)
-let check (spec : Gen_prog.spec) : (unit, mismatch) result =
+(* The oracle: [Ok grafted] when the SpD pipeline, grafted or not,
+   preserves the plain interpreter's observable behaviour, where
+   [grafted] tells whether grafting rewrote a loop tree holding a
+   conditional store; [Error m] otherwise.  Any exception out of
+   compilation, transformation or simulation is a failure of that
+   stage. *)
+let check (spec : Gen_prog.spec) : (bool, mismatch) result =
   let src = Gen_prog.render spec in
   let stage name f =
     match f () with
@@ -225,9 +269,27 @@ let check (spec : Gen_prog.spec) : (unit, mismatch) result =
     stage "interpret (SpD)" (fun () ->
         Interp.observe ~fuel:!case_fuel prepared.prog)
   in
+  (* grafting checked against the program it rewrites: grafted SPEC
+     must behave like the plain program *)
+  let* grafted =
+    stage "transform (grafted SpD)" (fun () ->
+        Pipeline.prepare
+          ~config:
+            (Pipeline.Config.v ~check:false ~graft:true ~fuel:!case_fuel ())
+          Pipeline.Spec lowered)
+  in
+  let* got_grafted =
+    stage "interpret (grafted SpD)" (fun () ->
+        Interp.observe ~fuel:!case_fuel grafted.prog)
+  in
   let* () =
     stage "scheduler-equivalence (heap vs reference)" (fun () ->
-        check_scheduler_equivalence prepared.prog)
+        check_scheduler_equivalence
+          [
+            ("SPEC", prepared.prog);
+            ("NAIVE", Pipeline.naive lowered);
+            ("grafted SPEC", grafted.prog);
+          ])
   in
   let* () =
     stage "pricing (histogram vs timed run)" (fun () -> check_pricing lowered)
@@ -263,6 +325,14 @@ let check (spec : Gen_prog.spec) : (unit, mismatch) result =
             Fmt.str "plain:     %a@.scheduled: %a" pp_observed expected
               pp_observed timed;
         }
+    else if got_grafted <> expected then
+      Error
+        {
+          stage = "diff (grafted SpD vs plain)";
+          detail =
+            Fmt.str "plain:   %a@.grafted: %a" pp_observed expected
+              pp_observed got_grafted;
+        }
     else Ok ()
   in
   (* Cross-oracle: every concrete stage above just certified this
@@ -293,18 +363,21 @@ let check (spec : Gen_prog.spec) : (unit, mismatch) result =
   in
   (* Explorer oracle: the forked explorer against the replay driver,
      under a path budget that keeps the reference's replays cheap *)
-  stage "explore (forked vs replay reference)" (fun () ->
-      List.iter
-        (fun (before, after) ->
-          match
-            Explore_reference.check ~max_paths:reference_max_paths ~before
-              ~after ()
-          with
-          | Ok _ -> ()
-          | Error d ->
-              failwith
-                (Printf.sprintf "tree %d: %s" before.Spd_ir.Tree.id d))
-        (List.rev !obligations))
+  let* () =
+    stage "explore (forked vs replay reference)" (fun () ->
+        List.iter
+          (fun (before, after) ->
+            match
+              Explore_reference.check ~max_paths:reference_max_paths ~before
+                ~after ()
+            with
+            | Ok _ -> ()
+            | Error d ->
+                failwith
+                  (Printf.sprintf "tree %d: %s" before.Spd_ir.Tree.id d))
+          (List.rev !obligations))
+  in
+  Ok (grafts_conditional_store lowered)
 
 let spec_of ~seed ~case =
   let rand = Random.State.make [| seed; case |] in
@@ -316,7 +389,7 @@ let report_failure ~seed ~case spec m =
   let still_fails s = Result.is_error (check s) in
   let small = Gen_prog.shrink ~still_fails spec in
   let m' =
-    match check small with Error m' -> m' | Ok () -> m (* unreachable *)
+    match check small with Error m' -> m' | Ok _ -> m (* unreachable *)
   in
   Fmt.epr "@.Minimized reproducer (%s):@.%s@." m'.stage
     (Gen_prog.render small);
@@ -360,12 +433,13 @@ let () =
   let cases =
     match !replay with Some c -> [ c ] | None -> List.init !count Fun.id
   in
-  let failed = ref 0 in
+  let failed = ref 0 and grafted = ref 0 in
   List.iter
     (fun case ->
       let spec = spec_of ~seed ~case in
       match check spec with
-      | Ok () ->
+      | Ok g ->
+          if g then incr grafted;
           if !verbose then Fmt.epr "case %d: ok@." case
       | Error m ->
           incr failed;
@@ -377,5 +451,7 @@ let () =
     exit 1
   end
   else
-    Fmt.pr "fuzz_diff: %d differential cases passed (seed %d)@."
-      (List.length cases) seed
+    Fmt.pr
+      "fuzz_diff: %d differential cases passed (seed %d); %d grafted a loop \
+       tree with a conditional store@."
+      (List.length cases) seed !grafted

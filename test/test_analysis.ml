@@ -394,14 +394,22 @@ int main() {
       | _ -> Alcotest.fail "first exit should be the back edge")
 
 let test_unroll_preserves_workloads () =
-  (* grafting must never change behaviour; prepare ~check:true raises on
-     any mismatch *)
+  (* grafting must never change behaviour: the grafted NAIVE and SPEC
+     programs must behave like the ungrafted program (prepare ~check:true
+     also raises when grafted SPEC departs from grafted NAIVE) *)
+  let module P = Spd_harness.Pipeline in
   List.iter
     (fun (w : Spd_workloads.Workload.t) ->
       let lowered = compile w.source in
-      ignore
-        (Spd_harness.Pipeline.prepare ~config:(Spd_harness.Pipeline.Config.v ~graft:true ~mem_latency:2 ())
-           Spd_harness.Pipeline.Spec lowered))
+      let expected = Spd_sim.Interp.observe lowered in
+      let config = P.Config.v ~graft:true ~mem_latency:2 () in
+      let spec = P.prepare ~config P.Spec lowered in
+      List.iter
+        (fun (what, prog) ->
+          if Spd_sim.Interp.observe prog <> expected then
+            Alcotest.failf "%s: grafted %s behaves unlike the ungrafted program"
+              w.name what)
+        [ ("NAIVE", P.naive ~config lowered); ("SPEC", spec.prog) ])
     Spd_workloads.Registry.all
 
 let test_unroll_respects_size_cap () =

@@ -1,7 +1,8 @@
 (** Machine model tests: description, list scheduler correctness
     (dependences and resources, checked on real and random programs),
     the ready heap's deterministic total order, bit-identity of the
-    indexed DDG + heap scheduler with their preserved references,
+    flat DDG + heap scheduler with their preserved list-based references
+    (on every graph the compile benchmark schedules),
     critical-path tiling across widths, timing construction, and
     schedule plans: equal to the one-shot timing builder at every width,
     and the list schedule equal to ASAP exactly from the peak up. *)
@@ -136,9 +137,8 @@ let prop_schedule_valid_random =
 (* pop a heap dry, returning the node sequence *)
 let drain h =
   let rec go acc =
-    match M.Scheduler.Heap.pop h with
-    | None -> List.rev acc
-    | Some node -> go (node :: acc)
+    if M.Scheduler.Heap.is_empty h then List.rev acc
+    else go (M.Scheduler.Heap.pop h :: acc)
   in
   go []
 
@@ -179,13 +179,11 @@ let prop_heap_interleaved =
               model := List.merge order [ (prio, node) ] (List.sort order !model);
               true
           | None -> (
-              match (M.Scheduler.Heap.pop h, !model) with
-              | None, [] -> true
-              | Some node, (p, n) :: tl ->
+              match !model with
+              | [] -> M.Scheduler.Heap.is_empty h
+              | (p, n) :: tl ->
                   model := tl;
-                  ignore p;
-                  node = n
-              | _ -> false))
+                  M.Scheduler.Heap.top_prio h = p && M.Scheduler.Heap.pop h = n))
         ops
       && M.Scheduler.Heap.size h = List.length !model)
 
@@ -197,22 +195,24 @@ let test_heap_deterministic_ties () =
     (fun node -> M.Scheduler.Heap.push h ~prio:7 node)
     [ 9; 3; 11; 1; 5 ];
   M.Scheduler.Heap.push h ~prio:9 4;
-  (match M.Scheduler.Heap.peek h with
-  | Some (9, 4) -> ()
-  | _ -> Alcotest.fail "peek must see the highest-priority node");
+  check_int "top_prio sees the highest priority" 9
+    (M.Scheduler.Heap.top_prio h);
   let popped = drain h in
   Alcotest.(check (list int)) "ties pop in node order" [ 4; 1; 3; 5; 9; 11 ]
-    popped
+    popped;
+  Alcotest.check_raises "pop on an empty heap"
+    (Invalid_argument "Scheduler.Heap.pop: empty heap") (fun () ->
+      ignore (M.Scheduler.Heap.pop h))
 
 (* ------------------------------------------------------------------ *)
 (* Rewritten hot paths vs their preserved references *)
 
-let ddg_equal (a : Ddg.t) (b : Ddg.t) =
-  a.Ddg.preds = b.Ddg.preds
-  && a.Ddg.succs = b.Ddg.succs
-  && a.Ddg.node_lat = b.Ddg.node_lat
-  && a.Ddg.n_insns = b.Ddg.n_insns
-  && a.Ddg.n_exits = b.Ddg.n_exits
+(* [None] when [tree]'s graph equals the reference build's, else what
+   differs first *)
+let graph_diff ~mem_latency tree =
+  Scheduler_reference.diff
+    (Ddg.build ~mem_latency tree)
+    (Scheduler_reference.build_ddg ~mem_latency tree)
 
 let schedule_equal (a : M.Scheduler.t) (b : M.Scheduler.t) =
   a.M.Scheduler.issue = b.M.Scheduler.issue
@@ -230,10 +230,7 @@ let prop_indexed_ddg_matches_reference =
       List.for_all
         (fun tree ->
           List.for_all
-            (fun mem_latency ->
-              ddg_equal
-                (Ddg.build ~mem_latency tree)
-                (Scheduler_reference.build_ddg ~mem_latency tree))
+            (fun mem_latency -> graph_diff ~mem_latency tree = None)
             [ 2; 6 ])
         (all_trees spec.prog))
 
@@ -248,45 +245,67 @@ let prop_heap_schedule_matches_reference =
       List.for_all
         (fun tree ->
           let g = Ddg.build ~mem_latency:2 tree in
+          let r = Scheduler_reference.build_ddg ~mem_latency:2 tree in
           List.for_all
             (fun fus ->
               schedule_equal (M.Scheduler.run ~fus g)
-                (Scheduler_reference.run ~fus g))
+                (Scheduler_reference.run ~fus r))
             [ 1; 2; 5 ])
         (all_trees spec.prog))
 
+(* Every graph the compile benchmark schedules: the paper workloads and
+   matmul300, 2- and 6-cycle memory, plain and grafted, NAIVE (every arc
+   active) and SPEC; the graphs and their schedules at 1-8 FUs against
+   the reference build and scan. *)
 let test_heap_schedule_matches_reference_on_workloads () =
+  let module P = Spd_harness.Pipeline in
   List.iter
-    (fun bench ->
-      let w = Spd_workloads.Registry.by_name bench in
-      let spec =
-        Spd_harness.Pipeline.prepare
-          ~config:(Spd_harness.Pipeline.Config.v ~mem_latency:2 ())
-          Spd_harness.Pipeline.Spec (compile w.source)
-      in
+    (fun (w : Spd_workloads.Workload.t) ->
+      let lowered = compile w.source in
       List.iter
-        (fun tree ->
-          if
-            not
-              (ddg_equal
-                 (Ddg.build ~mem_latency:2 tree)
-                 (Scheduler_reference.build_ddg ~mem_latency:2 tree))
-          then
-            Alcotest.failf "%s %s: indexed DDG differs from reference" bench
-              tree.Tree.name;
-          let g = Ddg.build ~mem_latency:2 tree in
+        (fun graft ->
+          let config = P.Config.v ~check:false ~graft () in
+          let front = P.front ~config lowered in
+          let reference = lazy (P.reference ~config front) in
           List.iter
-            (fun fus ->
-              if
-                not
-                  (schedule_equal (M.Scheduler.run ~fus g)
-                     (Scheduler_reference.run ~fus g))
-              then
-                Alcotest.failf "%s %s: %d-wide schedule differs from reference"
-                  bench tree.Tree.name fus)
-            [ 1; 2; 5; 8 ])
-        (all_trees spec.prog))
-    [ "adi"; "espresso"; "tree" ]
+            (fun mem_latency ->
+              List.iter
+                (fun kind ->
+                  let p =
+                    P.prepare
+                      ~config:(P.Config.v ~check:false ~graft ~mem_latency ())
+                      ~front
+                      ~reference:(fun () -> Lazy.force reference)
+                      kind lowered
+                  in
+                  let where (tree : Tree.t) =
+                    Fmt.str "%s %d-cycle%s %s %s" w.name mem_latency
+                      (if graft then " grafted" else "")
+                      (P.name kind) tree.name
+                  in
+                  List.iter
+                    (fun tree ->
+                      let g = Ddg.build ~mem_latency tree in
+                      let r = Scheduler_reference.build_ddg ~mem_latency tree in
+                      Option.iter
+                        (Alcotest.failf "%s: graph differs from reference: %s"
+                           (where tree))
+                        (Scheduler_reference.diff g r);
+                      for fus = 1 to 8 do
+                        if
+                          not
+                            (schedule_equal (M.Scheduler.run ~fus g)
+                               (Scheduler_reference.run ~fus r))
+                        then
+                          Alcotest.failf
+                            "%s: %d-wide schedule differs from reference"
+                            (where tree) fus
+                      done)
+                    (all_trees p.prog))
+                [ P.Naive; P.Spec ])
+            [ 2; 6 ])
+        [ false; true ])
+    (Spd_workloads.Registry.all @ Spd_workloads.Registry.extras)
 
 (* ------------------------------------------------------------------ *)
 (* Critical-path attribution across widths *)
