@@ -779,7 +779,7 @@ let serve_cmd =
           Spd_serve.Server.start ~workers ~conn_timeout ~drain_deadline
             ~max_pending
             ?faults:(Option.map Fun.id faults)
-            ?run_fuel:fuel ?run_deadline:deadline ?slow_ms ~session addr
+            ?slow_ms ~session addr
         with Failure msg ->
           Spd_harness.Engine.Session.close session;
           Fmt.epr "%s@." msg;

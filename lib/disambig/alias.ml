@@ -64,8 +64,6 @@ let query_forms_why (tree : Tree.t) (f1 : Affine.t) (f2 : Affine.t) :
         (No, None)
     | _ -> (Unknown None, Some Memdep.Opaque_base)
 
-let query_forms tree f1 f2 : answer = fst (query_forms_why tree f1 f2)
-
 (** Compare the addresses of two memory instructions of [tree] under the
     affine environment [env] (from {!Spd_analysis.Affine.analyze}). *)
 let query_why tree env (a : Insn.t) (b : Insn.t) :

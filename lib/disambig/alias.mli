@@ -14,12 +14,9 @@ type answer = No | Must | Unknown of float option
 val equal_answer : answer -> answer -> bool
 val pp_answer : Format.formatter -> answer -> unit
 
-(** Compare two affine address forms within a tree. *)
-val query_forms : Spd_ir.Tree.t -> Affine.t -> Affine.t -> answer
-
-(** Like {!query_forms}, but when the answer is [Unknown] also report
-    which test left the pair ambiguous (the decision ledger's
-    provenance): [Opaque_base] on the distinct-base fallthrough,
+(** Compare two affine address forms within a tree; when the answer is
+    [Unknown], also report which test left the pair ambiguous (the
+    decision ledger's provenance): [Opaque_base] on the distinct-base fallthrough,
     [Banerjee_inconclusive] when neither GCD nor the Banerjee bounds
     could decide, [Solution_counted] when an alias probability was
     estimated by counting subscript solutions. *)

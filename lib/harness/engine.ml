@@ -602,6 +602,7 @@ module Session = struct
     dynamics_memo : (key, Pipeline.dynamics outcome) Memo.t;
     decisions_memo : (key, Spd_core.Heuristic.decision list outcome) Memo.t;
     verdicts_memo : (key, Spd_validate.Validate.report list outcome) Memo.t;
+    prepared_memo : (key, Pipeline.prepared outcome) Memo.t;
     obligation_memo :
       ( Digest.t,
         Spd_validate.Validate.obligation * Spd_validate.Validate.report )
@@ -662,6 +663,7 @@ module Session = struct
       dynamics_memo = Memo.create 64;
       decisions_memo = Memo.create 64;
       verdicts_memo = Memo.create 64;
+      prepared_memo = Memo.create 16;
       obligation_memo = Memo.create 64;
       stats_mu = Mutex.create ();
       lowerings = 0;
@@ -747,6 +749,8 @@ module Session = struct
     Fun.protect ~finally:(fun () -> close t) (fun () -> f t)
 
   let jobs t = t.jobs
+
+  let budgets t = (t.config.Pipeline.Config.fuel, t.config.deadline)
 
   let bump t f =
     Mutex.lock t.stats_mu;
@@ -1079,11 +1083,10 @@ module Session = struct
         r)
 
   (* SPEC's checking run, made once per run identity and budget: SPEC
-     programs whose SpD choices do not depend on the memory latency, a
-     validated preparation beside its plain one, and a SPEC program that
-     applies nothing beside NAIVE execute the same code under the same
-     watches.  A digest keys the memo; a hit confirms the identities are
-     structurally equal. *)
+     programs whose SpD choices do not depend on the memory latency, and
+     a SPEC program that applies nothing beside NAIVE, execute the same
+     code under the same watches.  A digest keys the memo; a hit
+     confirms the identities are structurally equal. *)
   let shared_run t (p : Pipeline.prepared) =
     let identity = Pipeline.run_identity p.prog p.applications in
     let ((digest, _, _) as key) = run_key identity p.config in
@@ -1122,20 +1125,16 @@ module Session = struct
         ^ Digest.to_hex key);
     { report with func; tree_id = app.tree_id; kind = app.kind; arc = app.arc }
 
-  let prepare t (k : key) ~config =
-    let lowered = lowered t k.bench in
-    bump t (fun t -> t.preparations <- t.preparations + 1);
-    mark m_preparations;
-    Pipeline.prepare ~config ~front:(front t k.bench ~graft:config.graft)
-      ~reference:(fun () -> reference_cell t k)
-      ~run:(shared_run t) ~validator:(validator t) k.kind lowered
-
+  (* the one preparation of a cell, whatever is asked of it *)
   let prepared_cell t (k : key) =
-    Memo.get t.prep_memo k (fun () -> prepare t k ~config:(config_for t k))
-
-  let prepared t ~bench ~latency kind =
-    prepared_cell t
-      { bench; latency; kind; variant = None; q_fuel = None; q_deadline = None }
+    Memo.get t.prep_memo k (fun () ->
+        let config = config_for t k in
+        let lowered = lowered t k.bench in
+        bump t (fun t -> t.preparations <- t.preparations + 1);
+        mark m_preparations;
+        Pipeline.prepare ~config ~front:(front t k.bench ~graft:config.graft)
+          ~reference:(fun () -> reference_cell t k)
+          ~run:(shared_run t) k.kind lowered)
 
   (* A cell's schedule plan, built by the first width it prices: every
      width of the cell is timed from its graphs and ASAP timings. *)
@@ -1213,21 +1212,27 @@ module Session = struct
       ~load:(function D_decisions ds -> Some ds | _ -> None)
       (fun () -> (prepared_cell t k).Pipeline.decisions)
 
-  (* the translation-validation ledger of a cell's SPEC applications;
-     prepared under its own [validate = true] configuration.  Validation
-     is excluded from the config fingerprint (it never changes the
-     prepared program), so the ledger is addressed by the shared cell
-     payload plus its own suffix; the preparation itself is charged
-     separately from [prepared_cell]'s, because a raising verdict must
-     fail only this cell. *)
+  (* the translation-validation ledger of a cell's SPEC applications:
+     the steps its preparation recorded, explored through the session's
+     memo; a refuted verdict fails this cell only *)
   let verdicts_cell t (k : key) =
     persisted t t.verdicts_memo k k ~entry:"verdicts"
       ~store:(fun vs -> D_verdicts vs)
       ~load:(function D_verdicts vs -> Some vs | _ -> None)
       (fun () ->
-        (prepare t k
-           ~config:{ (config_for t k) with Pipeline.Config.validate = true })
-          .Pipeline.verdicts)
+        Pipeline.verdicts ~explore:(validator t) (prepared_cell t k))
+
+  (* a paper cell's preparation, contained like a cell: a failure is
+     recorded once under [bench/latency/KIND/prepared] and its outcome
+     answers every later request *)
+  let prepared t ~bench ~latency kind =
+    let k =
+      { bench; latency; kind; variant = None; q_fuel = None; q_deadline = None }
+    in
+    Memo.get t.prepared_memo k (fun () ->
+        protected t ~deadline:(eff_deadline t k)
+          ~key:(cell_key k ^ "/prepared")
+          (fun () -> prepared_cell t k))
 
   let pair_outcome a b =
     match (a, b) with

@@ -252,6 +252,12 @@ module Session : sig
   val with_session : t -> (t -> 'a) -> 'a
 
   val jobs : t -> int
+
+  (** The session's traversal and wall-clock budgets, [(fuel,
+      deadline)], as {!create} was given them: the caps on every
+      per-request quota. *)
+  val budgets : t -> int option * float option
+
   val stats : t -> Stats.t
 
   (** Every failure recorded so far, sorted by cell key. *)
@@ -274,21 +280,24 @@ module Session : sig
     The one accessor that returns an in-memory program rather than a
     query answer, read by {!Explain} ([spd explain] and the daemon's
     [explain] method) and by [ext_dynamic] after the same program's
-    cells succeeded.  Not failure-contained: an unknown benchmark, a
-    compile error or a failed preparation raises, and the session
-    re-raises it on every later request for the same program. *)
+    cells succeeded. *)
 
-  (** Prepared pipeline for a benchmark at a memory latency: the same
-      memoized preparation the cells read, made under the session's
-      budgets.  A SPEC preparation carries its checking run, shared
-      through the session ({!Pipeline.run} returns it). *)
+  (** Prepared pipeline for a paper benchmark at a memory latency: the
+      same memoized preparation the cells read, made under the
+      session's budgets.  A SPEC preparation carries its checking run,
+      shared through the session ({!Pipeline.run} returns it).  It is
+      contained like a cell: a failed preparation (an unknown
+      benchmark, a compile error, an exhausted budget) is recorded
+      once, under [bench/latency/KIND/prepared], and its [Failed]
+      outcome answers every later request for the same program. *)
   val prepared :
-    t -> bench:string -> latency:int -> Pipeline.kind -> Pipeline.prepared
+    t ->
+    bench:string -> latency:int -> Pipeline.kind -> Pipeline.prepared outcome
 
   (** The session's per-application translation validation, which its
-      [Spd_verdicts] cells prepare with ([Pipeline.prepare
-      ~validator]): one {!Pipeline.explore} per distinct
-      {!Spd_validate.Validate.obligation}, counted in
+      [Spd_verdicts] cells explore the steps of their SPEC preparation
+      with ([Pipeline.verdicts ~explore]): one {!Pipeline.explore} per
+      distinct {!Spd_validate.Validate.obligation}, counted in
       {!Stats.t.explorations}.  A repeat reuses the first exploration's
       verdict, stats, digests and [time_ms], and keeps its own
       function, tree, kind and arc.  Raises [Failure] if two distinct

@@ -71,11 +71,14 @@ let trees_of prog =
 
 (** Analyze [workload] on a [width]-unit machine, reading the STATIC and
     SPEC preparations and SPEC's run from [session].  Raises
-    [Invalid_argument] for an unknown workload name and whatever a
-    failed preparation raises. *)
+    [Invalid_argument] for an unknown workload name and
+    {!Engine.Cell_failed} for a failed preparation. *)
 let analyze ?(width = 5) ?(mem_latency = 2) session workload : t =
-  let prepared =
-    Engine.Session.prepared session ~bench:workload ~latency:mem_latency
+  ignore (Spd_workloads.Registry.by_name workload);
+  let prepared kind =
+    Engine.get
+      (Engine.Session.prepared session ~bench:workload ~latency:mem_latency
+         kind)
   in
   let static = prepared Pipeline.Static and spec = prepared Pipeline.Spec in
   let run = Pipeline.run spec in

@@ -43,8 +43,9 @@ type t = {
 (** [analyze session workload] analyzes [workload] on a [width]-unit
     machine (default 5 FUs, 2-cycle memory).  The preparations and the
     run are the session's memoized ones, made under its budgets.
-    Raises [Invalid_argument] for an unknown workload name and whatever
-    a failed preparation raises ({!Engine.Session.prepared}). *)
+    Raises [Invalid_argument] for an unknown workload name and
+    {!Engine.Cell_failed} for a failed preparation
+    ({!Engine.Session.prepared}). *)
 val analyze :
   ?width:int -> ?mem_latency:int -> Engine.Session.t -> string -> t
 

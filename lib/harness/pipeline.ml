@@ -72,15 +72,13 @@ let stage_seconds () =
   List.map (fun (st, h) -> (st, (M.hist_value (M.get h)).sum)) m_stage_seconds
 
 (* Every instrumented stage is also a trace span, so a --trace run shows
-   the stage breakdown nested under its grid cell's span.  [nested] is
-   the time [f] spent in work another stage accounts for, which the
-   observation leaves out so the stage rows stay disjoint. *)
-let time ?(nested = ref 0.) stage f =
+   the stage breakdown nested under its grid cell's span. *)
+let time stage f =
   Spd_telemetry.Trace.with_span ~name:("stage:" ^ stage_name stage)
     (fun () ->
       let t0 = Clock.now () in
       let r = f () in
-      observe_stage stage (Clock.now () -. t0 -. !nested);
+      observe_stage stage (Clock.now () -. t0);
       r)
 
 (* Lowering is observed without a [stage:lower] span: the benchmark
@@ -97,10 +95,6 @@ let lower source =
 module Config = struct
   type t = {
     check : bool;  (** verify observable equivalence with NAIVE *)
-    validate : bool;
-        (** translation-validate every SpD application symbolically: a
-            [Refuted] verdict is a hard error, and the prepared record
-            carries the full verdict ledger *)
     spd_params : Heuristic.params option;
         (** guidance-heuristic knobs (default: {!Heuristic.default_params}) *)
     graft : bool;  (** unroll loop trees before disambiguation (section 7) *)
@@ -116,22 +110,17 @@ module Config = struct
   }
 
   let default =
-    { check = true; validate = false; spd_params = None; graft = false;
-      mem_latency = 2; fuel = None; deadline = None; checker_fault = None }
+    { check = true; spd_params = None; graft = false; mem_latency = 2;
+      fuel = None; deadline = None; checker_fault = None }
 
-  let v ?(check = true) ?(validate = false) ?spd_params ?(graft = false)
-      ?fuel ?deadline ?checker_fault ?(mem_latency = 2) () =
-    { check; validate; spd_params; graft; mem_latency; fuel; deadline;
-      checker_fault }
+  let v ?(check = true) ?spd_params ?(graft = false) ?fuel ?deadline
+      ?checker_fault ?(mem_latency = 2) () =
+    { check; spd_params; graft; mem_latency; fuel; deadline; checker_fault }
 
   (* The canonical encoding of the semantic fields (everything except
      [checker_fault], [fuel] and [deadline] — the budgets can
      only turn a result into a failure, never change a successfully
-     computed value, so they do not participate in cache addressing).
-     [validate] is likewise excluded: validation never changes the
-     prepared program, it can only fail the preparation, so validated
-     and unvalidated cells share their cached numbers; the verdict
-     ledger itself is cached under its own payload suffix. *)
+     computed value, so they do not participate in cache addressing). *)
   let fingerprint t =
     let params =
       match t.spd_params with
@@ -240,6 +229,8 @@ let reference ?(config = Config.default) (naive : Prog.t) : reference =
   let profile = Spd_sim.Profile.create () in
   { run = instrumented config Profile ~profile ~applications:[] naive; profile }
 
+type step = string * Tree.t * Heuristic.application * Tree.t
+
 type prepared = {
   kind : kind;
   config : Config.t;
@@ -249,9 +240,9 @@ type prepared = {
       (** SpD applications performed (SPEC only) *)
   decisions : Heuristic.decision list;
       (** the heuristic's full decision ledger (SPEC only) *)
-  verdicts : Spd_validate.Validate.report list;
-      (** per-application translation-validation ledger, in application
-          order (SPEC with [config.validate] only) *)
+  steps : step list;
+      (** per application, in application order, its function and the
+          tree before and after it (SPEC only) *)
   run : run option;
 }
 
@@ -332,9 +323,9 @@ let profile_of ?fuel ?deadline (prog : Prog.t) : Spd_sim.Profile.t =
 
 exception Behaviour_mismatch of string
 
-(** Raised by a [config.validate] preparation when the symbolic
-    equivalence checker refutes an SpD application; the payload names
-    the application and renders the concrete counterexample. *)
+(** Raised by {!verdicts} when the symbolic equivalence checker
+    refutes an SpD application; the payload names the application and
+    renders the concrete counterexample. *)
 exception Validation_failed of string
 
 let () =
@@ -411,16 +402,43 @@ let explore ~func ~before app after =
   time Validate (fun () ->
       Spd_validate.Validate.check_application ~func ~before app after)
 
+(** The translation-validation ledger of [p]: [explore] of every step,
+    in application order.  Each verdict is counted, an [Unknown] is
+    logged and the first [Refuted] raises {!Validation_failed}. *)
+let verdicts ?(explore = explore) (p : prepared) =
+  let module V = Spd_validate.Verdict in
+  List.map
+    (fun (func, before, (app : Heuristic.application), after) ->
+      let r = explore ~func ~before app after in
+      observe_verdict r.Spd_validate.Validate.verdict;
+      (match r.Spd_validate.Validate.verdict with
+      | V.Refuted cx ->
+          raise
+            (Validation_failed
+               (Fmt.str
+                  "SpD application on tree %d arc #%d->#%d refuted: %s (seed \
+                   %d)"
+                  app.tree_id (fst app.arc) (snd app.arc) cx.V.detail
+                  cx.V.seed))
+      | V.Unknown reason ->
+          Spd_telemetry.Log.warn "pipeline.validate.unknown"
+            [
+              ("func", Spd_telemetry.Json.String func);
+              ("tree", Spd_telemetry.Json.Int app.tree_id);
+              ("reason", Spd_telemetry.Json.String (V.reason_text reason));
+            ]
+      | V.Proved -> ());
+      r)
+    p.steps
+
 (** Build pipeline [kind] from a lowered program (no arcs yet) under
     [config] (default {!Config.default}).  [front] is the program's
-    validated NAIVE front end, [reference] its NAIVE reference run,
-    [run] SPEC's checking run and [validator] the per-application
-    translation validation; without them the preparation makes its own
-    when it needs one. *)
+    validated NAIVE front end, [reference] its NAIVE reference run and
+    [run] SPEC's checking run; without them the preparation makes its
+    own when it needs one. *)
 let prepare ?(config = Config.default) ?front:shared_front ?reference:shared
-    ?(run = fresh_run) ?(validator = explore) (kind : kind) (lowered : Prog.t)
-    : prepared =
-  let { Config.check = checked; validate; spd_params; graft = _; mem_latency;
+    ?(run = fresh_run) (kind : kind) (lowered : Prog.t) : prepared =
+  let { Config.check = checked; spd_params; graft = _; mem_latency;
         fuel = _; deadline = _; checker_fault } =
     config
   in
@@ -442,7 +460,7 @@ let prepare ?(config = Config.default) ?front:shared_front ?reference:shared
         made := Some r;
         r
   in
-  let prog, applications, decisions, verdicts =
+  let prog, applications, decisions, steps =
     match kind with
     | Naive -> (naive, [], [], [])
     | Static -> (time Spd (fun () -> Static.run naive), [], [], [])
@@ -451,68 +469,32 @@ let prepare ?(config = Config.default) ?front:shared_front ?reference:shared
         (* STATIC only relabels NAIVE's arcs, so NAIVE's profile is
            STATIC's *)
         let profile = (reference ()).profile in
-        (* The composed per-application checker: the armed checker fault
-           (if any), the structural checks, then the symbolic
-           equivalence proof.  [Heuristic.run] calls it sequentially
-           within this preparation, so a plain accumulator is safe. *)
-        let acc = ref [] in
-        (* the validator's wall clock, which the Spd stage leaves out *)
-        let validation = ref 0. in
-        let fire_fault () =
-          match checker_fault with Some f -> f () | None -> ()
-        in
-        let composed ~func ~before app after =
-          fire_fault ();
+        (* The per-application checker: the armed checker fault (if
+           any) and the structural checks stop at a bad tree before the
+           next application runs on it; each accepted application is
+           then recorded as a step.  [Heuristic.run] calls it
+           sequentially within this preparation, so a plain accumulator
+           is safe. *)
+        let steps = ref [] in
+        let checker ~func ~before app after =
+          Option.iter (fun f -> f ()) checker_fault;
           if checked then transform_checker ~func ~before app after;
-          if validate then begin
-            let t0 = Clock.now () in
-            let r = validator ~func ~before app after in
-            validation := !validation +. (Clock.now () -. t0);
-            observe_verdict r.Spd_validate.Validate.verdict;
-            (match r.Spd_validate.Validate.verdict with
-            | Spd_validate.Verdict.Refuted cx ->
-                raise
-                  (Validation_failed
-                     (Fmt.str
-                        "SpD application on tree %d arc #%d->#%d refuted: \
-                         %s (seed %d)"
-                        app.Heuristic.tree_id
-                        (fst app.Heuristic.arc)
-                        (snd app.Heuristic.arc)
-                        cx.Spd_validate.Verdict.detail
-                        cx.Spd_validate.Verdict.seed))
-            | Spd_validate.Verdict.Unknown reason ->
-                Spd_telemetry.Log.warn "pipeline.validate.unknown"
-                  [
-                    ("func", Spd_telemetry.Json.String func);
-                    ( "tree",
-                      Spd_telemetry.Json.Int app.Heuristic.tree_id );
-                    ( "reason",
-                      Spd_telemetry.Json.String
-                        (Spd_validate.Verdict.reason_text reason) );
-                  ]
-            | Spd_validate.Verdict.Proved -> ());
-            acc := r :: !acc
-          end
-        in
-        let checker =
-          if checked || validate || checker_fault <> None then Some composed
-          else None
+          steps := (func, before, app, after) :: !steps
         in
         let prog, apps, ds =
-          time ~nested:validation Spd (fun () ->
-              Heuristic.run ~profile ?checker ?params:spd_params ~mem_latency
+          time Spd (fun () ->
+              Heuristic.run ~profile ~checker ?params:spd_params ~mem_latency
                 static)
         in
         observe_decisions ds;
-        (prog, apps, ds, List.rev !acc)
+        (prog, apps, ds, List.rev !steps)
     | Perfect ->
         let profile = (reference ()).profile in
         (time Spd (fun () -> Static.perfect ~profile naive), [], [], [])
   in
   if not (validated && prog == naive) then Prog.validate prog;
   let p =
-    { kind; config; mem_latency; prog; applications; decisions; verdicts;
+    { kind; config; mem_latency; prog; applications; decisions; steps;
       run = None }
   in
   let run = if checked then check_with ~run ~naive ~reference p else None in

@@ -34,10 +34,9 @@ val pp : Format.formatter -> kind -> unit
     scheduling and timed simulation.  Every run of a stage, in an
     engine session or not, is observed once in the process-wide
     histogram [spd.engine.stage_seconds.<name>]; every stage but
-    lowering is also a [stage:<name>] trace span.  Validation runs
-    inside the SpD heuristic: its span nests in [stage:spd], and the
-    [Spd] observation leaves the validator's time out, so the stage
-    rows are disjoint. *)
+    lowering is also a [stage:<name>] trace span.  Validation reads
+    the steps a SPEC preparation recorded ({!verdicts}), after the
+    heuristic ran, so the stage rows are disjoint. *)
 
 type stage = Lower | Profile | Spd | Validate | Schedule | Simulate
 val stage_name : stage -> string
@@ -59,12 +58,6 @@ val lower : string -> Spd_ir.Prog.t
 module Config : sig
   type t = {
     check : bool;  (** verify observable equivalence with NAIVE *)
-    validate : bool;
-        (** translation-validate every SpD application symbolically
-            ({!prepare}'s [validator]): a [Refuted]
-            verdict raises {!Validation_failed}, an [Unknown] verdict is
-            counted and logged, and the prepared record carries the full
-            verdict ledger *)
     spd_params : Heuristic.params option;
         (** guidance-heuristic knobs (default: {!Heuristic.default_params}) *)
     graft : bool;  (** unroll loop trees before disambiguation (section 7) *)
@@ -79,15 +72,14 @@ module Config : sig
             engine wires the session's [checker-raise] fault here *)
   }
 
-  (** [check = true], no validation, no parameter overrides, no
-      grafting, 2-cycle memory, no budgets, no checker fault. *)
+  (** [check = true], no parameter overrides, no grafting, 2-cycle
+      memory, no budgets, no checker fault. *)
   val default : t
 
   (** Build a configuration naming only the fields that differ from
       {!default}. *)
   val v :
     ?check:bool ->
-    ?validate:bool ->
     ?spd_params:Heuristic.params ->
     ?graft:bool ->
     ?fuel:int ->
@@ -99,10 +91,8 @@ module Config : sig
   (** Canonical encoding of the semantic fields (everything except
       [checker_fault], [fuel] and [deadline] — budgets can only
       turn a result into a failure, never change a successfully computed
-      value); [validate] is likewise excluded, since validation never
-      changes the prepared program.  Two configurations with equal
-      fingerprints prepare identical programs.  Used by {!Engine}'s
-      on-disk cache keys. *)
+      value).  Two configurations with equal fingerprints prepare
+      identical programs.  Used by {!Engine}'s on-disk cache keys. *)
   val fingerprint : t -> string
 end
 
@@ -153,6 +143,12 @@ val front : ?config:Config.t -> Spd_ir.Prog.t -> Spd_ir.Prog.t
     stage). *)
 val reference : ?config:Config.t -> Spd_ir.Prog.t -> reference
 
+(** One SpD application as the heuristic made it:
+    [(func, before, application, after)], the tree before it and the
+    tree it left — what translation validation proves equivalent. *)
+type step =
+  string * Spd_ir.Tree.t * Heuristic.application * Spd_ir.Tree.t
+
 type prepared = {
   kind : kind;
   config : Config.t;
@@ -161,9 +157,8 @@ type prepared = {
   applications : Heuristic.application list;
   decisions : Heuristic.decision list;
       (** the heuristic's full decision ledger (SPEC only) *)
-  verdicts : Spd_validate.Validate.report list;
-      (** per-application translation-validation ledger, in application
-          order (SPEC with [config.validate] only) *)
+  steps : step list;
+      (** one per application, in application order (SPEC only) *)
   run : run option;
       (** the run the preparation made of this code, if any: SPEC's
           checking run, or for NAIVE, STATIC and PERFECT the NAIVE
@@ -183,11 +178,10 @@ val profile_of :
 
 exception Behaviour_mismatch of string
 
-(** Raised by a [config.validate] preparation when the symbolic
-    equivalence checker refutes an SpD application; the payload names
-    the application and renders the concrete counterexample.  Like any
-    checker exception, it propagates out of {!prepare} and the engine's
-    protected cell runner contains it to the affected grid cell. *)
+(** Raised by {!verdicts} when the symbolic equivalence checker refutes
+    an SpD application; the payload names the application and renders
+    the concrete counterexample.  The engine's protected cell runner
+    contains it to the affected verdicts cell. *)
 exception Validation_failed of string
 
 (** What an instrumented run of a program is a function of, budgets
@@ -224,27 +218,36 @@ val explore :
 (** Build pipeline [kind] from a lowered program (no arcs yet) under
     [config] (default {!Config.default}).  [config.check] runs {!check}
     — the paper validated SpD output the same way — and every accepted
-    SpD application through the per-application transform checker.
+    SpD application through the per-application transform checker,
+    which stops at a bad tree before the next application runs on it.
+    A SPEC preparation records each application as a {!step}.
     Callers that prepare one program many times share the work:
     [front] is {!front} of the same program and configuration
     (default: {!naive}, made here), [reference] its NAIVE reference run
-    (default: made when first needed, by SPEC and PERFECT), [run]
+    (default: made when first needed, by SPEC and PERFECT), and [run]
     makes the run SPEC's check reads (default: a fresh one, the
-    [Simulate] stage), and [validator] gives the ledger row of each SpD
-    application under [config.validate] (default: {!explore}, one
-    exploration per application). *)
+    [Simulate] stage). *)
 val prepare :
   ?config:Config.t ->
   ?front:Spd_ir.Prog.t ->
   ?reference:(unit -> reference) ->
   ?run:(prepared -> run) ->
-  ?validator:
+  kind -> Spd_ir.Prog.t -> prepared
+
+(** The translation-validation ledger of a prepared program: [explore]
+    (default {!explore}) of each of its {!step}s, in application order.
+    Every verdict bumps its [spd.validate.*] counter, an [Unknown] is
+    logged as [pipeline.validate.unknown], and the first [Refuted]
+    raises {!Validation_failed}, naming the tree, arc and
+    counterexample seed.  Empty for NAIVE, STATIC and PERFECT. *)
+val verdicts :
+  ?explore:
     (func:string ->
     before:Spd_ir.Tree.t ->
     Heuristic.application ->
     Spd_ir.Tree.t ->
     Spd_validate.Validate.report) ->
-  kind -> Spd_ir.Prog.t -> prepared
+  prepared -> Spd_validate.Validate.report list
 
 (** The instrumented run that prices a prepared program: the one its
     preparation made, or a fresh one (the [Simulate] stage). *)

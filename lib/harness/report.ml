@@ -525,20 +525,23 @@ let ext_dynamic_tables s =
   let rows =
     Engine.Session.parallel_map s
       (fun bench ->
+        let na = Table.row bench (List.init 5 (fun _ -> Table.Na)) in
         match (cycles bench Pipeline.Static, cycles bench Pipeline.Spec) with
-        | Engine.Ok base, Engine.Ok spec ->
-            let static =
+        | Engine.Ok base, Engine.Ok spec -> (
+            match
               Engine.Session.prepared s ~bench ~latency:ext_latency
                 Pipeline.Static
-            in
-            let frac this = Table.Pct (Pipeline.speedup ~base ~this) in
-            let hw window =
-              frac
-                (Spd_machine.Dynamic.cycles ~window ~width:ext_width
-                   ~mem_latency:ext_latency static.prog)
-            in
-            Table.row bench [ hw 2; hw 4; hw 8; hw 32; frac spec ]
-        | _ -> Table.row bench (List.init 5 (fun _ -> Table.Na)))
+            with
+            | Engine.Ok static ->
+                let frac this = Table.Pct (Pipeline.speedup ~base ~this) in
+                let hw window =
+                  frac
+                    (Spd_machine.Dynamic.cycles ~window ~width:ext_width
+                       ~mem_latency:ext_latency static.prog)
+                in
+                Table.row bench [ hw 2; hw 4; hw 8; hw 32; frac spec ]
+            | Engine.Failed _ -> na)
+        | _ -> na)
       (benches ())
   in
   [

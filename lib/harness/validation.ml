@@ -35,7 +35,7 @@ type t = {
 (** Fetch the SPEC pipeline's validation ledger for [workload].  Raises
     [Invalid_argument] for an unknown workload name and
     {!Engine.Cell_failed} when the cell failed (in particular when a
-    [Refuted] verdict failed the validated preparation). *)
+    [Refuted] verdict failed the ledger). *)
 let analyze ?(mem_latency = 2) session workload : t =
   ignore (W.Registry.by_name workload);
   let reports =

@@ -30,8 +30,8 @@ type t = {
 (** Fetch the SPEC pipeline's validation ledger for a workload.  Raises
     [Invalid_argument] for an unknown workload name and
     {!Engine.Cell_failed} when the cell failed — in particular when a
-    [Refuted] verdict raised {!Pipeline.Validation_failed} inside the
-    validated preparation. *)
+    [Refuted] verdict raised {!Pipeline.Validation_failed} while
+    {!Pipeline.verdicts} explored the preparation's steps. *)
 val analyze : ?mem_latency:int -> Engine.Session.t -> string -> t
 
 (** Ledger entries surviving the optional function / tree filters. *)

@@ -109,8 +109,6 @@ type t = {
   addr : Protocol.addr;
   listen_fd : Unix.file_descr;
   session : Engine.Session.t;
-  run_fuel : int option;  (* cap on inline-run fuel requests *)
-  run_deadline : float option;
   conn_timeout : float;  (* per-frame read + per-write deadline *)
   drain_deadline : float;  (* grace for in-flight requests on stop *)
   slow_ms : float option;  (* slow-request log threshold, milliseconds *)
@@ -520,11 +518,14 @@ let dispatch t meth params : Json.t =
       let width =
         Option.value ~default:(Spd_machine.Descr.Fus 5) (opt_width p)
       in
-      (* inline source bypasses the session's grid cells, so the
-         daemon's own caps bound these budgets instead *)
-      let fuel = opt_min_int t.run_fuel (opt_pos_int "fuel" p) in
+      (* inline source bypasses the session's grid cells; the
+         session's budgets cap its quotas all the same *)
+      let session_fuel, session_deadline =
+        Engine.Session.budgets t.session
+      in
+      let fuel = opt_min_int session_fuel (opt_pos_int "fuel" p) in
       let deadline =
-        opt_min_float t.run_deadline (opt_pos_float "deadline" p)
+        opt_min_float session_deadline (opt_pos_float "deadline" p)
       in
       let prog = Spd_lang.Lower.compile source in
       let config = Pipeline.Config.v ?fuel ?deadline ~mem_latency () in
@@ -997,8 +998,7 @@ let listen addr =
       fd
 
 let start ?(workers = 4) ?(conn_timeout = 30.0) ?(drain_deadline = 10.0)
-    ?(max_pending = 64) ?(faults = Faults.none) ?run_fuel ?run_deadline
-    ?slow_ms ~session addr =
+    ?(max_pending = 64) ?(faults = Faults.none) ?slow_ms ~session addr =
   (* a peer that disconnects mid-response must surface as EPIPE, not
      kill the daemon *)
   (try ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore)
@@ -1020,8 +1020,6 @@ let start ?(workers = 4) ?(conn_timeout = 30.0) ?(drain_deadline = 10.0)
       addr;
       listen_fd;
       session;
-      run_fuel;
-      run_deadline;
       conn_timeout;
       drain_deadline;
       slow_ms;

@@ -65,21 +65,19 @@ val register_metrics : unit -> unit
     lets in-flight requests finish after {!stop}.  [max_pending]
     (default 64) sets the admission-control queue depth beyond the
     worker count.  [faults] arms {!Spd_harness.Faults.worker_raise}
-    for supervision tests.  [run_fuel] and [run_deadline] cap the
-    budgets of inline-source [run] requests the same way the session's
-    own budgets cap [query] quotas.  [slow_ms] arms the slow-request
-    log: any request taking at least that many milliseconds logs an
-    [rpc.slow] record with a per-stage wall-clock breakdown.  Raises
-    [Failure] if the address cannot be bound (e.g. the socket path
-    exists and is not a stale socket). *)
+    for supervision tests.  The session's budgets
+    ({!Spd_harness.Engine.Session.budgets}) cap the quotas of
+    inline-source [run] requests as they cap [query] quotas.
+    [slow_ms] arms the slow-request log: any request taking at least
+    that many milliseconds logs an [rpc.slow] record with a per-stage
+    wall-clock breakdown.  Raises [Failure] if the address cannot be
+    bound (e.g. the socket path exists and is not a stale socket). *)
 val start :
   ?workers:int ->
   ?conn_timeout:float ->
   ?drain_deadline:float ->
   ?max_pending:int ->
   ?faults:Spd_harness.Faults.t ->
-  ?run_fuel:int ->
-  ?run_deadline:float ->
   ?slow_ms:float ->
   session:Spd_harness.Engine.Session.t ->
   Protocol.addr -> t

@@ -75,8 +75,6 @@ let to_string v =
   write b v;
   Buffer.contents b
 
-let pp ppf v = Fmt.string ppf (to_string v)
-
 (* ------------------------------------------------------------------ *)
 (* Parsing: a small recursive-descent reader. *)
 

@@ -17,8 +17,6 @@ type t =
 (** Compact, valid JSON.  Non-finite floats render as [null]. *)
 val to_string : t -> string
 
-val pp : Format.formatter -> t -> unit
-
 (** Parse a complete JSON document (trailing whitespace allowed,
     trailing garbage rejected). *)
 val of_string : string -> (t, string) result

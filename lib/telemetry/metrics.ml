@@ -202,19 +202,6 @@ let snapshot () : snapshot =
            | H h -> Hist (hist_value h) ))
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-(** Zero every registered metric (the registry itself is kept, so
-    existing handles stay valid).  Test isolation helper. *)
-let reset () =
-  Mutex.lock mu;
-  Hashtbl.iter
-    (fun _ -> function
-      | C c -> Array.iter (fun a -> Atomic.set a 0) c.c_cells
-      | H h ->
-          Array.iter (Array.iter (fun a -> Atomic.set a 0)) h.h_counts;
-          Array.iter (fun a -> Atomic.set a 0.0) h.h_sums)
-    registry;
-  Mutex.unlock mu
-
 (** Quantile estimate from bucket counts, Prometheus-style: find the
     bucket where the cumulative count crosses [q * count] and
     interpolate linearly inside it (the first bucket's lower bound is
@@ -274,15 +261,6 @@ let hist_of_json (j : Json.t) : hist option =
 
 (* ------------------------------------------------------------------ *)
 (* Rendering *)
-
-let pp_value ppf = function
-  | Counter n -> Fmt.pf ppf "%d" n
-  | Hist h -> Fmt.pf ppf "count=%d sum=%.6g" h.count h.sum
-
-(** One [name=value] line per metric, sorted by name — deterministic
-    rendering for logs and the [timings] artefact. *)
-let pp_snapshot ppf (s : snapshot) =
-  List.iter (fun (name, v) -> Fmt.pf ppf "%s=%a@." name pp_value v) s
 
 let hist_json (h : hist) =
   Json.Obj

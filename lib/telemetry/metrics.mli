@@ -84,12 +84,6 @@ val snapshot : unit -> snapshot
 (** Merged view of one histogram. *)
 val hist_value : histogram -> hist
 
-(** Zero every registered metric; handles stay valid. *)
-val reset : unit -> unit
-
-(** One [name=value] line per metric, sorted by name. *)
-val pp_snapshot : Format.formatter -> snapshot -> unit
-
 val hist_json : hist -> Json.t
 
 (** Schema-versioned JSON ([spd-metrics/1]) rendering of a snapshot. *)

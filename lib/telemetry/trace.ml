@@ -28,10 +28,9 @@ let epoch = ref 0.0
 (* An always-on daemon traces for its whole lifetime, so the event
    store is bounded: past [capacity], new events are counted in
    [n_dropped] instead of growing memory without bound. *)
-let capacity = Atomic.make 1_000_000
+let capacity = 1_000_000
 let n_dropped = Atomic.make 0
 
-let set_capacity n = Atomic.set capacity (max 0 n)
 let dropped () = Atomic.get n_dropped
 
 (* the monotonic clock: span durations and deadlines must not jump
@@ -53,7 +52,7 @@ let stop () = Atomic.set enabled_flag false
 
 let record e =
   Mutex.lock mu;
-  if !n_events < Atomic.get capacity then begin
+  if !n_events < capacity then begin
     events_rev := e :: !events_rev;
     incr n_events
   end

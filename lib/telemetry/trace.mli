@@ -15,14 +15,11 @@ type event = {
 
 val enabled : unit -> bool
 
-(** Bound the in-memory event store (default 1,000,000) — an always-on
-    daemon traces for its whole lifetime, so past the cap new events
-    are counted in {!dropped} instead of growing memory.  The trace
-    document reports a nonzero drop count under
-    [otherData.droppedEvents]. *)
-val set_capacity : int -> unit
-
-(** Events lost to the capacity cap since {!start}. *)
+(** Events lost since {!start} to the cap on the in-memory event store
+    (1,000,000 events): an always-on daemon traces for its whole
+    lifetime, so past the cap new events are counted here instead of
+    growing memory.  The trace document reports a nonzero drop count
+    under [otherData.droppedEvents]. *)
 val dropped : unit -> int
 
 (** Clear recorded events (and the drop counter), reset the clock

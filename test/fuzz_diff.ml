@@ -340,20 +340,17 @@ let check (spec : Gen_prog.spec) : (bool, mismatch) result =
      [Validation_failed] here means the validator refuted a passing
      program ([Unknown] verdicts are tolerated; [Proved] agreement with
      concrete runs is what the earlier diff stages established). *)
-  let obligations = ref [] in
-  let* p =
+  let* p, ledger =
     stage "validate-oracle (symbolic vs concrete)" (fun () ->
-        Pipeline.prepare
-          ~config:
-            (Pipeline.Config.v ~check:false ~validate:true ~fuel:!case_fuel ())
-          ~validator:(fun ~func ~before app after ->
-            obligations := (before, after) :: !obligations;
-            Pipeline.explore ~func ~before app after)
-          Pipeline.Spec lowered)
+        let p =
+          Pipeline.prepare
+            ~config:(Pipeline.Config.v ~check:false ~fuel:!case_fuel ())
+            Pipeline.Spec lowered
+        in
+        (p, Pipeline.verdicts p))
   in
   let* () =
-    if List.length p.Pipeline.verdicts <> List.length p.Pipeline.applications
-    then
+    if List.length ledger <> List.length p.Pipeline.applications then
       Error
         {
           stage = "validate-oracle (symbolic vs concrete)";
@@ -366,7 +363,7 @@ let check (spec : Gen_prog.spec) : (bool, mismatch) result =
   let* () =
     stage "explore (forked vs replay reference)" (fun () ->
         List.iter
-          (fun (before, after) ->
+          (fun (_, before, _, after) ->
             match
               Explore_reference.check ~max_paths:reference_max_paths ~before
                 ~after ()
@@ -375,7 +372,7 @@ let check (spec : Gen_prog.spec) : (bool, mismatch) result =
             | Error d ->
                 failwith
                   (Printf.sprintf "tree %d: %s" before.Spd_ir.Tree.id d))
-          (List.rev !obligations))
+          p.Pipeline.steps)
   in
   Ok (grafts_conditional_store lowered)
 

@@ -58,8 +58,9 @@ let test_region_cycles_sum_to_total () =
       List.iter
         (fun mem_latency ->
           let spec =
-            Engine.Session.prepared session ~bench:name ~latency:mem_latency
-              H.Pipeline.Spec
+            Engine.get
+              (Engine.Session.prepared session ~bench:name
+                 ~latency:mem_latency H.Pipeline.Spec)
           in
           List.iter
             (fun width ->
@@ -377,6 +378,28 @@ let test_trace_capture_on_raise () =
         (Option.bind (Json.member "traceEvents" json) Json.to_list <> None)
   | Error e -> Alcotest.failf "trace not parseable after crash: %s" e
 
+(* ------------------------------------------------------------------ *)
+(* A failed preparation is contained like a cell *)
+
+(* Under a budget moment's reference run exhausts, explain fails with
+   [Cell_failed] each time it is asked, and the session records the
+   failure once, under the SPEC preparation's key. *)
+let test_failed_preparation_contained () =
+  Engine.Session.with_session (Engine.Session.create ~jobs:1 ~fuel:1000 ())
+  @@ fun s ->
+  for i = 1 to 2 do
+    match Explain.analyze s "moment" with
+    | _ -> Alcotest.failf "explain %d: expected Cell_failed" i
+    | exception Engine.Cell_failed f ->
+        check_string
+          (Printf.sprintf "explain %d: failure key" i)
+          "moment/2/SPEC/prepared" f.Engine.key
+  done;
+  check_bool "one failure recorded, under the preparation's key" true
+    (List.map (fun (f : Engine.failure) -> f.Engine.key)
+       (Engine.Session.failures s)
+    = [ "moment/2/SPEC/prepared" ])
+
 let tests =
   [
     case "region cycle attribution sums to the simulator total"
@@ -389,4 +412,5 @@ let tests =
     case "table: CSV round-trips per RFC 4180" test_csv_round_trip;
     case "table: CSV n/a encoding matches the grid" test_csv_na_cell;
     case "trace: capture survives a crash" test_trace_capture_on_raise;
+    case "a failed preparation is contained" test_failed_preparation_contained;
   ]

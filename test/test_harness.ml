@@ -374,7 +374,9 @@ let test_shared_run_identity () =
           let what = Printf.sprintf "%s@%d" w.name latency in
           let shared =
             Pipeline.run
-              (Engine.Session.prepared s ~bench:w.name ~latency Pipeline.Spec)
+              (Engine.get
+                 (Engine.Session.prepared s ~bench:w.name ~latency
+                    Pipeline.Spec))
           in
           let p =
             Pipeline.prepare
@@ -658,10 +660,13 @@ let test_variant_direct_reference () =
           (Query.v ~spd_params ~bench:"adi" ~latency:6
              (Query.Cycles { kind = Pipeline.Spec; width }))))
 
-(* One exploration per distinct validation obligation: the spd-validate
-   artefact, from a fresh session without a disk cache, proves the paper
+(* One preparation per SPEC cell and one exploration per distinct
+   validation obligation.  In one fresh session without a disk cache,
+   the paper set prepares 88 programs and explores nothing; the
+   spd-validate artefact after it explores the steps those SPEC
+   preparations recorded, preparing nothing more, and proves the paper
    grid's 62 SpD applications with 28 explorations, at one domain and
-   at two, and the [validate] stage observes each exploration once. *)
+   at two.  The [validate] stage observes each exploration once. *)
 let test_certify_explores_once () =
   let validate_stage () =
     match
@@ -677,6 +682,16 @@ let test_certify_explores_once () =
       let before = validate_stage () in
       let reports, st =
         with_session (Engine.Session.create ~jobs ()) (fun s ->
+            List.iter
+              (fun (a : H.Artefact.t) -> ignore (a.tables s))
+              (H.Artefact.of_names H.Artefact.paper_set);
+            let paper = Engine.Session.stats s in
+            check_int (what ^ ": paper set preparations") 88
+              paper.Engine.Stats.preparations;
+            check_int (what ^ ": paper set explorations") 0
+              paper.Engine.Stats.explorations;
+            check_int (what ^ ": paper set validate stage count") 0
+              (validate_stage () - before);
             ignore (H.Report.spd_validate_tables s);
             ( List.concat_map
                 (fun bench ->
@@ -689,6 +704,7 @@ let test_certify_explores_once () =
       let proved, _, _ = Spd_validate.Validate.tally reports in
       check_int (what ^ ": applications") 62 (List.length reports);
       check_int (what ^ ": proved") 62 proved;
+      check_int (what ^ ": preparations") 88 st.Engine.Stats.preparations;
       check_int (what ^ ": explorations") 28 st.Engine.Stats.explorations;
       check_int (what ^ ": validate stage count") 28
         (validate_stage () - before))
@@ -724,7 +740,8 @@ let test_query_submit () =
   let via_query = Engine.get (Engine.Session.submit s (cycles_q ())) in
   let direct =
     Pipeline.cycles
-      (Engine.Session.prepared s ~bench:"moment" ~latency:2 Pipeline.Spec)
+      (Engine.get
+         (Engine.Session.prepared s ~bench:"moment" ~latency:2 Pipeline.Spec))
       ~width:(Spd_machine.Descr.Fus 4)
   in
   check_int "submit = direct pipeline" direct via_query;

@@ -388,7 +388,8 @@ let iter_paper_programs f =
               List.iter
                 (fun kind ->
                   f ~bench ~latency kind
-                    (Engine.Session.prepared s ~bench ~latency kind))
+                    (Engine.get
+                       (Engine.Session.prepared s ~bench ~latency kind)))
                 Spd_harness.Pipeline.all)
             [ 2; 6 ])
         Golden_render.corpus_workloads)

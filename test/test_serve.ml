@@ -397,6 +397,26 @@ let test_explain_over_the_wire () =
   check_bool "the session's fuel ran out" true
     (Test_harness.contains e "fuel exhausted (1000 traversals)")
 
+(* Inline source bypasses the session's cells, but not its budgets: a
+   daemon whose session has 1000 traversals of fuel refuses to run
+   moment's source past them. *)
+let test_run_capped_by_session () =
+  with_server ~fuel:1000 @@ fun ~addr ~session:_ ~server:_ ->
+  let c = connect addr in
+  Fun.protect ~finally:(fun () -> Protocol.close c) @@ fun () ->
+  match
+    Protocol.call c "run"
+      (Json.Obj
+         [
+           ( "source",
+             Json.String (Spd_workloads.Registry.by_name "moment").source );
+         ])
+  with
+  | Ok _ -> Alcotest.fail "run should exhaust the session's fuel"
+  | Error e ->
+      check_bool "the session's fuel ran out" true
+        (Test_harness.contains e "fuel exhausted (1000 traversals)")
+
 (* A request that writes cache records lands them on disk before it is
    answered, as one small pack of its own; a request served from memory
    writes nothing; closing the daemon's session compacts the packs into
@@ -856,6 +876,7 @@ let tests =
     case "fuel quota isolates a tenant" test_quota_isolation;
     case "served report is byte-identical" test_report_byte_identical;
     case "explain over the wire" test_explain_over_the_wire;
+    case "inline run capped by the session's fuel" test_run_capped_by_session;
     case "a writing request flushes the cache" test_request_flushes_cache;
     case "JSON-RPC errors and recovery" test_errors;
     case "shutdown method stops the daemon" test_shutdown_method;

@@ -355,6 +355,79 @@ let test_memo_rows_equal_fresh () =
   check_bool "a hit keeps the asker's function, tree, kind and arc" true
     (same_row hit (V.check_application ~func ~before app after))
 
+(* [Pipeline.verdicts] with a fake explorer: whatever the explorer
+   answers for a recorded step, the ledger does what a verdict cell
+   needs of it.  A [Refuted] report raises [Validation_failed] naming
+   the step's tree, arc and counterexample seed, stops at that step and
+   bumps [spd.validate.refuted]; [Unknown] reports are kept, one per
+   step in application order, and bump [spd.validate.unknown]. *)
+let test_verdicts_fake_explore () =
+  let p =
+    Pipeline.prepare Pipeline.Spec (compile (source "fft"))
+  in
+  let steps = List.length p.Pipeline.steps in
+  check_bool "fft records several steps" true (steps >= 2);
+  check_int "one step per application"
+    (List.length p.Pipeline.applications)
+    steps;
+  let counter name =
+    match List.assoc_opt name (Spd_telemetry.Metrics.snapshot ()) with
+    | Some (Spd_telemetry.Metrics.Counter n) -> n
+    | _ -> 0
+  in
+  let report verdict ~func ~before:_ (app : Spd_core.Heuristic.application)
+      _after : V.report =
+    {
+      V.func;
+      tree_id = app.tree_id;
+      kind = app.kind;
+      arc = app.arc;
+      verdict;
+      stats = { V.paths = 0; splits = 0; terms = 0 };
+      exit_digest = "";
+      store_digest = "";
+      time_ms = 0.;
+    }
+  in
+  let cx = { Verdict.seed = 7; inputs = []; detail = "store #3 differs" } in
+  let explored = ref 0 in
+  let refute_second ~func ~before app after =
+    incr explored;
+    report
+      (if !explored = 2 then Verdict.Refuted cx else Verdict.Proved)
+      ~func ~before app after
+  in
+  let _, _, (second : Spd_core.Heuristic.application), _ =
+    List.nth p.Pipeline.steps 1
+  in
+  let refuted = counter "spd.validate.refuted" in
+  (match Pipeline.verdicts ~explore:refute_second p with
+  | _ -> Alcotest.fail "a refuted step must raise"
+  | exception Pipeline.Validation_failed msg ->
+      check_bool "names the tree and arc" true
+        (Test_harness.contains msg
+           (Printf.sprintf "tree %d arc #%d->#%d" second.tree_id
+              (fst second.arc) (snd second.arc)));
+      check_bool "names the seed" true (Test_harness.contains msg "(seed 7)");
+      check_bool "renders the counterexample" true
+        (Test_harness.contains msg "store #3 differs"));
+  check_int "stops at the first refuted step" 2 !explored;
+  check_int "refuted counter" (refuted + 1) (counter "spd.validate.refuted");
+  let unknown = counter "spd.validate.unknown" in
+  let ledger =
+    Pipeline.verdicts
+      ~explore:(report (Verdict.Unknown (Verdict.Unsupported "fake")))
+      p
+  in
+  check_bool "every unknown row kept, in application order" true
+    (List.map (fun (r : V.report) -> (r.func, r.tree_id, r.arc)) ledger
+    = List.map
+        (fun (a : Spd_core.Heuristic.application) ->
+          (a.func, a.tree_id, a.arc))
+        p.Pipeline.applications);
+  check_int "unknown counter" (unknown + steps)
+    (counter "spd.validate.unknown")
+
 let test_obligation_key () =
   let module Tree = Spd_ir.Tree in
   let module Reg = Spd_ir.Reg in
@@ -434,6 +507,8 @@ let tests =
     case "forked explorer = replay reference" test_fork_equals_replay;
     case "session memo rows = fresh explorations" test_memo_rows_equal_fresh;
     case "obligation key: what the checker reads" test_obligation_key;
+    case "verdicts of recorded steps, fake explorer"
+      test_verdicts_fake_explore;
     case "refutes a flipped store guard" test_refutes_flipped_guard;
     case "refutes swapped select arms" test_refutes_swapped_select;
     qcase prop_proved_implies_concrete_equality;
